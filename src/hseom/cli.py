@@ -27,7 +27,8 @@ from .dynamics import Branch, ContourEngine, ContourPlan, WaveStack
 from .errors import (ConfigError, ExpansionWarning, HorizonWarning,
                      HseomError, NumericalError, ResourceLimitError)
 from .hierarchy import DEFAULT_MAX_INDICES, awf_count, build_space
-from .models import PureState, SystemModel, DenseOperator, spin_boson
+from .models import (DENSIFY_DIM_LIMIT, DenseOperator, PureState,
+                     SystemModel, spin_boson)
 from .observables import (annealing_populations, half_fourier,
                           rdm_trajectory, response_function)
 from .oracles import assemble_generator, dephasing_exact
@@ -54,15 +55,44 @@ def _model_dim(cfg: RunConfig) -> int:
     return 2
 
 
+def _last_point(cfg: RunConfig) -> float:
+    """The latest physical time the run's sweeps reach."""
+    if cfg.experiment == "respond":
+        return (cfg.require("run", "t0")
+                + cfg.require("run", "tau").values()[-1])
+    return cfg.require("run", "record").values()[-1]
+
+
+def _component_count(cfg: RunConfig) -> int:
+    """Pure components of the initial state; a thermal mixture has dim."""
+    if cfg.experiment == "rdm" and cfg.get("run", "init") == "thermal":
+        return _model_dim(cfg)
+    return 1
+
+
+def _dense_matrices(cfg: RunConfig, dim: int) -> int:
+    """dim x dim dense matrices an anneal holds besides the hierarchy.
+
+    The uniform-superposition transform is dense up to dim 1024;
+    annealing_populations builds H(t_f), its eigenvectors and three
+    projectors.
+    """
+    if cfg.experiment != "anneal":
+        return 0
+    return 5 + (1 if dim <= 1024 else 0)
+
+
 def preflight(cfg: RunConfig) -> Dict[str, object]:
     """Resource report: AWF count, bytes with workspace, step estimate.
 
+    ``estimated_steps`` is the column-steps the run takes: a forward and
+    an adjoint sweep to its last point per initial-state component.
     Raises ResourceLimitError when the estimate exceeds the byte budget
-    or the configured index cap.
+    or the configured index cap, or when an anneal would have to densify
+    H(t_f) above the size models refuses.
     """
     validate_config(cfg)
     kind = cfg.experiment
-    horizon = horizon_of(cfg) or 0.0
     if kind in ("bath-fit", "validate"):
         k = cfg.get("bath", "K", 0)
         return {"awf_count": 0, "dim": 0,
@@ -74,12 +104,17 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
         raise ResourceLimitError(
             f"{num} hierarchy indices exceed the cap {cap}")
     dim = _model_dim(cfg)
-    total = num * dim * 16 * (1 + _WORKSPACE_FACTOR)
+    if kind == "anneal" and dim > DENSIFY_DIM_LIMIT:
+        raise ResourceLimitError(
+            f"annealing populations need a dense {dim}-dimensional H(t_f); "
+            f"the limit is {DENSIFY_DIM_LIMIT}")
+    total = (num * dim * 16 * (1 + _WORKSPACE_FACTOR)
+             + _dense_matrices(cfg, dim) * 16 * dim * dim)
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
             f"estimated {total} bytes exceed the {_BYTE_BUDGET} byte budget")
     dt = effective_dt(cfg)
-    steps = 0 if horizon == 0.0 else int(round(2.0 * horizon / dt))
+    steps = 2 * int(round(_last_point(cfg) / dt)) * _component_count(cfg)
     return {"awf_count": num, "dim": dim, "estimated_bytes": total,
             "estimated_steps": steps}
 

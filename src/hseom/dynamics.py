@@ -18,10 +18,20 @@ is the k-sum over n_k phi_k(0) phi_{n - e_k} collapsed by phi_k(0) =
 delta_{k0}; the code keeps the general phi_k(0) array.  All hierarchy-space
 mixing is precomputed into two sparse matrices (exchange E, coupling B), so
 one derivative costs three sparse matvecs plus the system operators.
+
+Observables do not run the backward branch at all.  Every contour value is
+<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of a classical
+RK4 step on a linear equation is again an RK4 step, with the stages'
+adjoint operators taken in reverse time order.  So U_back^dagger (e0 x v)
+is one sweep of :meth:`ContourEngine.adjoint` from s = 0 with the lower
+sign and tau(s) = s, and its state after n steps serves every turning
+point at step n.  The cost is one forward and one adjoint sweep per
+initial-state component, O(horizon) whatever the number of record times.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import math
@@ -201,6 +211,18 @@ def build_coupling_matrices(space: HierarchySpace,
     return E, B
 
 
+def _pruned_csr(matrix) -> sparse.csr_matrix:
+    """CSR with sorted indices and no stored zeros.
+
+    Entries that cancel in a sum stay stored as zeros, which every
+    product would otherwise touch.
+    """
+    out = sparse.csr_matrix(matrix)
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
 def _coo_from_parts(vals, rows, cols, M) -> sparse.csr_matrix:
     if not vals:  # N_max = 0 leaves no couplings at all
         return sparse.csr_matrix((M, M), dtype=complex)
@@ -229,6 +251,7 @@ class ContourEngine:
         self.num_awf = space.num_indices
         self.dim = model.dim
         self.E, self.B = build_coupling_matrices(space, expansion)
+        self._phase = -1j  # coefficient of H and V; +1j on the adjoint
         self._ham0 = None if model.time_dependent \
             else model.hamiltonian_at(0.0)
         self._G = None
@@ -238,17 +261,40 @@ class ContourEngine:
                 and self.dim <= 64):
             Id = sparse.identity(self.dim, format="csr", dtype=complex)
             IM = sparse.identity(self.num_awf, format="csr", dtype=complex)
-            G = (sparse.kron(self.E, Id)
-                 - 1j * (sparse.kron(IM, sparse.csr_matrix(self._ham0.matrix))
-                         + sparse.kron(self.B,
-                                       sparse.csr_matrix(model.V.matrix))))
-            self._G = G.tocsr()
-            self._G.sort_indices()
+            # CSR, not the default BSR, which would store each dense
+            # block's zeros
+            G = (sparse.kron(self.E, Id, format="csr") + self._phase * (
+                sparse.kron(IM, sparse.csr_matrix(self._ham0.matrix),
+                            format="csr")
+                + sparse.kron(self.B, sparse.csr_matrix(model.V.matrix),
+                              format="csr")))
+            self._G = _pruned_csr(G)
 
     @property
     def flat_generator(self):
         """The precomputed sparse generator, or None on the termwise path."""
         return self._G
+
+    def adjoint(self) -> "ContourEngine":
+        """An engine for the Hermitian-conjugate generator G(tau)^H.
+
+        G^H = kron(E^H, I) + i [kron(I, H) + kron(B^H, V)], which holds
+        only because H(tau) and V are Hermitian; :class:`SystemModel`
+        checks both when it is built (H at five points of a schedule).
+        One ``integrate_span`` of the adjoint from step 0 with
+        ``sign=-1.0, tau_of=lambda s: s`` gives, at step n,
+        U_back(t_n -> 0)^dagger applied to the start vector, exactly in
+        the discrete sense, scheduled Hamiltonians included.  The
+        adjoint shares the space, expansion and model; it is built on
+        demand, so ``build_components`` does not pay for it.
+        """
+        twin = copy.copy(self)
+        twin.E = _pruned_csr(self.E.conj().T)
+        twin.B = _pruned_csr(self.B.conj().T)
+        twin._phase = -self._phase
+        if self._G is not None:
+            twin._G = _pruned_csr(self._G.conj().T)
+        return twin
 
     # -- derivative -------------------------------------------------------
 
@@ -260,8 +306,8 @@ class ContourEngine:
         """Termwise derivative of a [num_awf, dim] stack."""
         ham = self._hamiltonian(tau)
         out = self.E @ data
-        out -= 1j * ham.apply(data)
-        out -= 1j * self.model.V.apply(self.B @ data)
+        out += self._phase * ham.apply(data)
+        out += self._phase * self.model.V.apply(self.B @ data)
         return sign * out
 
     def _deriv_flat(self, y: np.ndarray, tau: float, sign: float) -> np.ndarray:
@@ -354,7 +400,9 @@ class ContourEngine:
         otherwise the final columns themselves are returned.
 
         Only valid for time-independent models (a shared clock would
-        otherwise mean different physical times per column).
+        otherwise mean different physical times per column).  The
+        observables use :meth:`adjoint` sweeps instead; nothing in the
+        package calls this, but ``perfbench/child.py`` wraps it by name.
         """
         if self.model.time_dependent:
             raise NumericalError(

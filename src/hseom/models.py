@@ -34,6 +34,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1> -> +1
 
 DENSE_DIM_LIMIT = 64
+DENSIFY_DIM_LIMIT = 4096  # largest Pauli sum to_dense will build
 MAX_QUBITS = 16
 
 
@@ -138,7 +139,7 @@ class PauliSumOperator:
         return out
 
     def to_dense(self):
-        if self.dim > 4096:
+        if self.dim > DENSIFY_DIM_LIMIT:
             raise ResourceLimitError(
                 f"refusing to densify a {self.dim}-dimensional Pauli sum")
         return self.apply(np.eye(self.dim, dtype=complex)).T

@@ -1,11 +1,15 @@
 """Physical outputs assembled from contour runs.
 
-Every quantity here reduces to the same primitive: propagate forward to the
-turning point, insert an operator, return along the backward branch with a
-possible second insertion, and read an inner product off the final physical
-row.  The helpers differ only in which operators go in, how many backward
-runs share one forward sweep, and how results are averaged over the initial
-mixture.
+Every quantity here is a contour value: propagate forward to the turning
+point, insert an operator, return along the backward branch with a
+possible second insertion, and read an inner product off the final
+physical row.  Only :func:`two_body_correlation` walks that contour
+literally.  The other helpers read each value as <a(n) | (I x O) y(n)>
+between a forward sweep y and an adjoint sweep a (see
+:meth:`ContourEngine.adjoint`), both started from e0 x v, so one pair of
+sweeps serves every record time.  The cost is one forward and one adjoint
+sweep per initial-state component, O(horizon) whatever the number of
+record times; results are averaged over the initial mixture.
 """
 
 from __future__ import annotations
@@ -81,6 +85,49 @@ def _steps_on_grid(value: float, dt: float, what: str) -> int:
     return step
 
 
+def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
+                      v: np.ndarray, dt: float, steps: Sequence[int],
+                      peaks: Dict[str, float]):
+    """Forward and adjoint stacks of the component v at each grid step.
+
+    ``steps`` must be non-decreasing.  Both sweeps start from e0 x v and
+    advance side by side, segment by segment, so no snapshots are kept.
+    Yields (index into steps, y, a) with <a, (I x O) y> = tr{O rho_v(t)};
+    ``peaks`` keeps the largest entry of each sweep under "c1_max_abs"
+    and "adjoint_max_abs".
+    """
+    y = a = engine.initial_stack(v).ravel()
+    prev = 0
+    for r, step in enumerate(steps):
+        if step > prev:
+            y, _, top = engine.integrate_span(
+                y, prev, step - prev, dt, +1.0, tau_of=lambda s: s)
+            peaks["c1_max_abs"] = max(peaks["c1_max_abs"], top)
+            a, _, top = adjoint.integrate_span(
+                a, prev, step - prev, dt, -1.0, tau_of=lambda s: s)
+            peaks["adjoint_max_abs"] = max(peaks["adjoint_max_abs"], top)
+            prev = step
+        yield r, y, a
+
+
+def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
+                      steps: Sequence[int]) -> np.ndarray:
+    """rho_S at each grid step: sum over components of Y^T conj(A).
+
+    With Y and A the [num_awf, dim] forward and adjoint stacks,
+    tr{|j><i| rho} = <A, (I x |j><i|) Y> = sum_r Y[r, i] conj(A[r, j]).
+    """
+    d = engine.dim
+    adjoint = engine.adjoint()
+    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
+    rho = np.zeros((len(steps), d, d), dtype=complex)
+    for weight, v in init.components():
+        for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
+                                         peaks):
+            rho[r] += weight * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
+    return rho
+
+
 def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
                          B: Optional[Operator], t: float, t_prime: float,
                          init: InitialState, dt: float) -> complex:
@@ -113,70 +160,44 @@ def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
 def operator_expectations(engine: ContourEngine, t: float,
                           init: InitialState, dt: float,
                           operators: Sequence[Optional[Operator]]):
-    """tr{A_i(t) rho(t)} for several A_i sharing one forward sweep.
+    """tr{A_i(t) rho(t)} for several A_i from one pair of sweeps.
 
-    One C1 run per initial-state component; every requested operator then
-    rides its own backward column (batched on a common clock).  None means
-    the identity, i.e. the trace.  Returns (values, stats dict).
+    One forward and one adjoint sweep to t per initial-state component;
+    every requested operator is then one inner product between them.
+    None means the identity, i.e. the trace.  Returns (values, stats dict)
+    with the largest entry of each sweep.
     """
     n = _steps_on_grid(t, dt, "t")
-    n_ops = len(operators)
-    total = np.zeros(n_ops, dtype=complex)
-    max_fwd = max_bwd = 0.0
+    adjoint = engine.adjoint()
+    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
+    total = np.zeros(len(operators), dtype=complex)
     for weight, v in init.components():
-        y = engine.initial_stack(v).ravel()
-        if n > 0:
-            y, _, m1 = engine.integrate_span(y, 0, n, dt, +1.0,
-                                             tau_of=lambda s: s)
-            max_fwd = max(max_fwd, m1)
-        cols = np.empty((y.size, n_ops), dtype=complex)
-        for a, op in enumerate(operators):
-            cols[:, a] = y if op is None else engine.apply_all_rows(y, op)
-        if n == 0:
-            vals = np.array([np.vdot(v, cols[:engine.dim, a])
-                             for a in range(n_ops)])
-        elif engine.model.time_dependent:
-            yb, _, m2 = engine.integrate_span(
-                cols, n, n, dt, -1.0, tau_of=lambda s: 2.0 * t - s)
-            max_bwd = max(max_bwd, m2)
-            vals = np.array([np.vdot(v, yb[:engine.dim, a])
-                             for a in range(n_ops)])
-        else:
-            bras = np.tile(v, (n_ops, 1))
-            vals, m2 = engine.backward_batch(
-                cols, np.full(n_ops, n), dt, bras=bras)
-            max_bwd = max(max_bwd, m2)
-        total += weight * vals
-    return total, {"c1_max_abs": max_fwd, "c2_max_abs": max_bwd}
+        for _, y, a in _advance_together(engine, adjoint, v, dt, [n],
+                                         peaks):
+            total += weight * np.array([
+                np.vdot(a, y if op is None else engine.apply_all_rows(y, op))
+                for op in operators])
+    return total, peaks
 
 
 def reduced_density_matrix(engine: ContourEngine, t: float,
                            init: InitialState, dt: float) -> np.ndarray:
-    """rho_S(t), element by element, sharing the forward sweep.
+    """rho_S(t) from one forward and one adjoint sweep per component.
 
-    rho_ij comes from inserting |j><i| at the turning point with the
-    identity on the way back.  All dim^2 elements ride one backward batch
-    per initial-state component.
+    rho_ij is the contour value with |j><i| inserted at the turning point
+    and the identity on the way back.
     """
-    d = engine.dim
-    ops = []
-    for i in range(d):
-        for j in range(d):
-            mat = np.zeros((d, d), dtype=complex)
-            mat[j, i] = 1.0
-            ops.append(DenseOperator(mat))
-    vals, _ = operator_expectations(engine, t, init, dt, ops)
-    return vals.reshape(d, d)
+    return _density_matrices(engine, init, dt,
+                             [_steps_on_grid(t, dt, "t")])[0]
 
 
 def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
                    record_times) -> Tuple[np.ndarray, np.ndarray]:
     """rho_S(t) on a grid of record times, time-independent models only.
 
-    One forward sweep per initial-state component serves every record time;
-    all dim^2 elements of all record times then share a single backward
-    batch on the common elapsed clock, longest horizons first.  Returns
-    (times, rho) with rho of shape [n_times, dim, dim].
+    One forward and one adjoint sweep per initial-state component serve
+    every record time.  Returns (times, rho) with rho of shape
+    [n_times, dim, dim].
     """
     if engine.model.time_dependent:
         raise ConfigError("rdm_trajectory needs a time-independent model; "
@@ -187,51 +208,26 @@ def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
         raise ConfigError("record times must be strictly increasing",
                           section="plan", key="record_times")
     steps = [_steps_on_grid(t, dt, "record time") for t in times]
-    d = engine.dim
-    elem_ops = []
-    for i in range(d):
-        for j in range(d):
-            mat = np.zeros((d, d), dtype=complex)
-            mat[j, i] = 1.0
-            elem_ops.append(DenseOperator(mat))
-
-    rho = np.zeros((times.size, d, d), dtype=complex)
-    for weight, v in init.components():
-        y = engine.initial_stack(v).ravel()
-        snap_steps = {step: step for step in steps}
-        _, snaps, _ = engine.integrate_span(
-            y, 0, max(steps), dt, +1.0, tau_of=lambda s: s,
-            snap_steps=snap_steps)
-        jobs = []  # (end step, record index, element index)
-        for r, step_r in enumerate(steps):
-            for e in range(d * d):
-                jobs.append((step_r, r, e))
-        jobs.sort(key=lambda job: -job[0])
-        X = np.empty((y.size, len(jobs)), dtype=complex)
-        ends = np.empty(len(jobs), dtype=int)
-        for col, (end, r, e) in enumerate(jobs):
-            X[:, col] = engine.apply_all_rows(snaps[end], elem_ops[e])
-            ends[col] = end
-        bras = np.tile(v, (len(jobs), 1))
-        vals, _ = engine.backward_batch(X, ends, dt, bras=bras)
-        for col, (end, r, e) in enumerate(jobs):
-            rho[r, e // d, e % d] += weight * vals[col]
-    return times, rho
+    return times, _density_matrices(engine, init, dt, steps)
 
 
 def response_function(engine: ContourEngine, taus, t0: float, dt: float,
                       *, drift_tolerance: float = 0.05) -> CorrelationResult:
     """First-order response of the dissipative qubit after equilibration.
 
-    Runs once forward to t0 + max(tau) from the localized state |1><1|,
-    snapshots at every t0 + tau_m, applies sigma_x there, and returns each
-    column along the backward branch with the second sigma_x inserted at
-    elapsed time tau_m.  The result values are the complex correlators
-    Psi(t0 + tau; t0); the physical response is their imaginary part.
+    Psi(t0 + tau; t0) is the contour from |1><1| with sigma_x at the
+    turning point t0 + tau and again tau later on the way back.  Three
+    single-column sweeps give every lag: forward to t0 + max(tau) with a
+    snapshot at each t0 + tau_m; adjoint over [0, t0]; then, after
+    sigma_x, the adjoint continued over [t0, t0 + max(tau)] with a
+    snapshot at each lag.  Then
+    Psi(tau_m) = <a2(t0 + tau_m) | sigma_x y(t0 + tau_m)>.  The result
+    values are the complex correlators; the physical response is their
+    imaginary part.
 
-    Two extra columns measure the population P_1 at 0.8 t0 and t0; their
-    difference is the equilibration drift, recorded in the metadata and
-    warned about above ``drift_tolerance``.
+    The population P_1 at 0.8 t0 and at t0 comes from the first adjoint
+    sweep; their difference is the equilibration drift, recorded in the
+    metadata and warned about above ``drift_tolerance``.
     """
     if engine.dim != 2 or engine.model.time_dependent:
         raise ConfigError("response_function expects the time-independent "
@@ -248,61 +244,43 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
         raise ConfigError("lag grid must start at 0", section="plan",
                           key="taus")
     n0 = _steps_on_grid(t0, dt, "t0")
-    lag_steps = np.array([_steps_on_grid(tau, dt, "tau") for tau in taus])
+    turns = [n0 + _steps_on_grid(tau, dt, "tau") for tau in taus]
     n_drift = int(round(0.8 * n0))
 
     sx = DenseOperator(SIGMA_X)
     proj1 = np.zeros((2, 2), dtype=complex)
     proj1[1, 1] = 1.0
     proj1 = DenseOperator(proj1)
-    ket1 = np.array([0.0, 1.0], dtype=complex)
+    start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
+    adjoint = engine.adjoint()
 
-    # forward sweep with a snapshot wherever some backward run turns around
-    need = sorted({n0 + int(ls) for ls in lag_steps} | {n_drift, n0})
-    snap_steps = {step: step for step in need}
-    y0 = engine.initial_stack(ket1).ravel()
-    nfwd = n0 + int(lag_steps[-1])
-    _, snaps, max_fwd = engine.integrate_span(
-        y0, 0, nfwd, dt, +1.0, tau_of=lambda s: s, snap_steps=snap_steps)
+    def on(steps):
+        return {step: step for step in steps}
 
-    # one backward column per job: (end step, turning op, B step, tag)
-    jobs = [(n0 + int(ls), sx, int(ls), ("resp", m))
-            for m, ls in enumerate(lag_steps)]
-    jobs.append((n_drift, proj1, None, ("drift", 0)))
-    jobs.append((n0, proj1, None, ("drift", 1)))
-    jobs.sort(key=lambda job: -job[0])
+    _, fwd, max_fwd = engine.integrate_span(
+        start, 0, turns[-1], dt, +1.0, tau_of=lambda s: s,
+        snap_steps=on(turns + [n_drift, n0]))
+    a_t0, settle, max_adj = adjoint.integrate_span(
+        start, 0, n0, dt, -1.0, tau_of=lambda s: s,
+        snap_steps=on([n_drift, n0]))
+    _, lagged, top = adjoint.integrate_span(
+        adjoint.apply_all_rows(a_t0, sx), n0, turns[-1] - n0, dt, -1.0,
+        tau_of=lambda s: s, snap_steps=on(turns))
+    max_adj = max(max_adj, top)
 
-    R = len(jobs)
-    X = np.empty((y0.size, R), dtype=complex)
-    steps = np.empty(R, dtype=int)
-    bras = np.tile(ket1, (R, 1))
-    events = []
-    tags = []
-    for col, (end, A, bstep, tag) in enumerate(jobs):
-        X[:, col] = engine.apply_all_rows(snaps[end], A)
-        steps[col] = end
-        if bstep is not None:
-            events.append((bstep, col, sx))
-        tags.append(tag)
-
-    out, max_bwd = engine.backward_batch(X, steps, dt, events=events,
-                                         bras=bras)
-    psi = np.empty(len(taus), dtype=complex)
-    drift_vals = {}
-    for col, tag in enumerate(tags):
-        if tag[0] == "resp":
-            psi[tag[1]] = out[col]
-        else:
-            drift_vals[tag[1]] = out[col].real
-    drift = abs(drift_vals[1] - drift_vals[0])
+    psi = np.array([np.vdot(lagged[n], engine.apply_all_rows(fwd[n], sx))
+                    for n in turns])
+    p1 = {n: np.vdot(settle[n], engine.apply_all_rows(fwd[n], proj1)).real
+          for n in (n_drift, n0)}
+    drift = abs(p1[n0] - p1[n_drift])
     if drift > drift_tolerance:
         warnings.warn(
             f"populations still drifting at t0 = {t0}: |dP| = {drift:.3e} "
             f"over the last fifth of the settling run", EquilibrationWarning,
             stacklevel=2)
     meta = {"t0": t0, "dt": dt, "drift": float(drift),
-            "p1_at_t0": float(drift_vals[1]),
-            "c1_max_abs": float(max_fwd), "c2_max_abs": float(max_bwd)}
+            "p1_at_t0": float(p1[n0]),
+            "c1_max_abs": float(max_fwd), "adjoint_max_abs": float(max_adj)}
     return CorrelationResult(times=taus, values=psi, metadata=meta)
 
 
@@ -348,10 +326,11 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     ground level and its first excited level (one representative state and
     the degenerate cluster summed; for the p-spin target the cluster holds
     the Ncal single-flip states and the two conventions differ).  At t = 0
-    the uniform superposition gives P_ground = 1/2^Ncal.  A fourth identity
-    column tracks the trace.  The forward sweep is shared incrementally
-    across record times; each record time runs its own backward branch
-    because the schedule makes the generator time-dependent.
+    the uniform superposition gives P_ground = 1/2^Ncal.  The identity
+    tracks the trace.  The forward and adjoint states advance together
+    from one record time to the next; the adjoint of the scheduled
+    backward branch is again a sweep forward in time, so each record
+    time costs only its own segment.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -361,7 +340,6 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
         raise ConfigError("record times must be strictly increasing",
                           section="plan", key="record_times")
     steps = [_steps_on_grid(t, dt, "record time") for t in times]
-    d = engine.dim
 
     target = engine.model.hamiltonian_at(engine.model.t_f).to_dense()
     energies, states = np.linalg.eigh(target)
@@ -380,40 +358,28 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
         ops.append(DenseOperator(block @ block.conj().T))
     else:
         ops.extend([None, None])
-    ops.append(None)  # trace column
+    ops.append(None)  # the trace
 
     p_g = np.zeros(times.size)
     p_rep = np.zeros(times.size)
     p_sum = np.zeros(times.size)
     trace = np.zeros(times.size)
 
+    adjoint = engine.adjoint()
+    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     for weight, v in init.components():
-        y = engine.initial_stack(v).ravel()
-        prev = 0
-        for r, step_r in enumerate(steps):
-            if step_r > prev:
-                y, _, _ = engine.integrate_span(
-                    y, prev, step_r - prev, dt, +1.0, tau_of=lambda s: s)
-                prev = step_r
-            t_r = step_r * dt
-            cols = np.empty((y.size, len(ops)), dtype=complex)
-            for a, op in enumerate(ops):
-                cols[:, a] = y if op is None else engine.apply_all_rows(y, op)
-            if step_r == 0:
-                vals = np.array([np.vdot(v, cols[:d, a])
-                                 for a in range(len(ops))])
-            else:
-                yb, _, _ = engine.integrate_span(
-                    cols, step_r, step_r, dt, -1.0,
-                    tau_of=lambda s, tr=t_r: 2.0 * tr - s)
-                vals = np.array([np.vdot(v, yb[:d, a])
-                                 for a in range(len(ops))])
-            p_g[r] += weight * vals[0].real
+        for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
+                                         peaks):
+            vals = [np.vdot(a, y if op is None
+                            else engine.apply_all_rows(y, op)).real
+                    for op in ops]
+            p_g[r] += weight * vals[0]
             if above.size:
-                p_rep[r] += weight * vals[1].real
-                p_sum[r] += weight * vals[2].real
-            trace[r] += weight * vals[3].real
+                p_rep[r] += weight * vals[1]
+                p_sum[r] += weight * vals[2]
+            trace[r] += weight * vals[3]
 
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
-                           metadata={"dt": dt, "cluster_tol": cluster_tol})
+                           metadata={"dt": dt, "cluster_tol": cluster_tol,
+                                     **peaks})

@@ -1,6 +1,7 @@
 """Config file grammar, resource preflight, and the command-line surface."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hseom import ConfigError, HorizonWarning
 from hseom.cli import main, preflight
 from hseom.config import (GridSpec, horizon_of, parse_config,
-                          serialize_config, validate_config)
+                          parse_config_file, serialize_config,
+                          validate_config)
 from hseom.presets import PRESETS, preset
 from hseom.reporting import line_plot, read_csv, write_csv, write_manifest
 
@@ -165,6 +167,39 @@ def test_preflight_zero_horizon_means_zero_steps():
     report = preflight(cfg)
     assert report["estimated_steps"] == 0
     assert report["awf_count"] == 1771
+
+
+@pytest.mark.parametrize("name", ["rdm-circular", "thermal-ratio",
+                                  "anneal-weak"])
+def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
+    # count the column-steps every integrate_span call actually takes
+    from hseom.dynamics import ContourEngine
+    taken = []
+    original = ContourEngine.integrate_span
+
+    def counted(self, y, step0, n_steps, *args, **kwargs):
+        taken.append((y.shape[1] if y.ndim == 2 else 1) * n_steps)
+        return original(self, y, step0, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(ContourEngine, "integrate_span", counted)
+    cfg = preset(name)
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        assert main([cfg.experiment, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert sum(taken) == preflight(cfg)["estimated_steps"]
+
+
+def test_preflight_counts_anneal_dense_matrices():
+    from hseom import ResourceLimitError
+    from hseom.presets import _anneal
+    report = preflight(parse_config_file(CONFIG_DIR / "anneal_large.ini"))
+    assert report["estimated_bytes"] >= 5 * 16 * 1024 ** 2
+    # annealing_populations cannot densify H(t_f) at 2^13 states
+    with pytest.raises(ResourceLimitError):
+        preflight(_anneal(0.1, 2, Ncal=13))
 
 
 def test_preflight_refuses_over_cap():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hseom import (BathExpansion, Branch, ConfigError, ContourEngine,
-                   ContourPlan, NumericalError, PureState, build_eta,
-                   build_space, contour_clock, default_dt, grid_dt,
-                   hseom_rhs, propagate, spin_boson)
+                   ContourPlan, NumericalError, PureState, build_components,
+                   build_eta, build_space, contour_clock, default_dt,
+                   grid_dt, hseom_rhs, preset, propagate, pspin_annealing,
+                   spin_boson)
 from hseom.dynamics import WaveStack
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
@@ -106,6 +107,31 @@ def test_flat_generator_matches_termwise(small_engine, rng):
     termwise = small_engine.rhs_stack(x, 0.0, +1.0).ravel()
     flat = small_engine._deriv_flat(x.ravel(), 0.0, +1.0)
     assert np.abs(termwise - flat).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["respond-circular", "dephasing"])
+def test_flat_generator_stores_no_zeros(name):
+    engine = build_components(preset(name)).engine
+    for G in (engine.flat_generator, engine.adjoint().flat_generator):
+        assert G.nnz == np.count_nonzero(G.data)
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_adjoint_is_the_hermitian_conjugate(scheduled, small_space,
+                                            small_expansion, rng):
+    # <u, G v> = <G^H u, v> on the flat and the termwise path
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
+        else spin_boson(1.0)
+    engine = ContourEngine(small_space, small_expansion, model)
+    assert (engine.flat_generator is None) == scheduled
+    adjoint = engine.adjoint()
+    shape = (engine.num_awf * engine.dim, 3)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for tau in (0.0, 0.37):
+        lhs = np.sum(u.conj() * engine._deriv_flat(v, tau, +1.0), axis=0)
+        rhs = np.sum(adjoint._deriv_flat(u, tau, +1.0).conj() * v, axis=0)
+        assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(lhs).max()
 
 
 def test_module_level_rhs_matches_engine(small_space, small_expansion, rng):

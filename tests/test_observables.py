@@ -24,6 +24,7 @@ from hseom import (
     reduced_density_matrix,
     response_function,
     spin_boson,
+    thermal_state,
     two_body_correlation,
     uniform_superposition_transform,
 )
@@ -84,6 +85,7 @@ def test_expectations_identity_and_projector(small_engine):
     assert abs(vals[0] - 1.0) < 1e-6          # trace preserved
     assert 0.0 < vals[1].real < 1.0           # population has moved
     assert stats["c1_max_abs"] >= 1.0
+    assert stats["adjoint_max_abs"] >= 1.0
 
     at_zero, _ = operator_expectations(
         small_engine, 0.0, PureState(psi0), 0.01, [DenseOperator(SIGMA_Z)])
@@ -125,6 +127,23 @@ def test_rdm_trajectory_structure(small_engine):
     assert np.abs(rho[1] - single).max() < 1e-10
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_rdm_trajectory_matches_full_contour(small_engine, mixed):
+    init = thermal_state(small_engine.model, 1.0) if mixed \
+        else PureState(np.array([0.6, 0.8j]))
+    record, dt = [0.0, 0.2, 0.5], 0.01
+    _, rho = rdm_trajectory(small_engine, init, dt, record)
+    for r, t in enumerate(record):
+        for i in range(2):
+            for j in range(2):
+                flip = np.zeros((2, 2), dtype=complex)
+                flip[j, i] = 1.0
+                exact = two_body_correlation(small_engine,
+                                             DenseOperator(flip), None, t,
+                                             0.0, init, dt)
+                assert abs(rho[r, i, j] - exact) < 1e-12
+
+
 def test_rdm_trajectory_rejects_schedules(small_expansion):
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
@@ -150,6 +169,24 @@ def test_response_closed_limit_peaks_at_omega0():
     spec = half_fourier(result, omegas, part="imag")
     peak = omegas[np.abs(spec.values.imag).argmax()]
     assert abs(peak - w0) < 1e-9
+
+
+def test_response_matches_full_contour(small_engine):
+    taus = np.arange(0.0, 0.6 + 1e-12, 0.05)
+    t0, dt = 0.5, 0.01
+    result = response_function(small_engine, taus, t0=t0, dt=dt,
+                               drift_tolerance=1.0)
+    sx = DenseOperator(SIGMA_X)
+    ket1 = PureState(np.array([0.0, 1.0]))
+    for m in (0, 3, taus.size - 1):
+        exact = two_body_correlation(small_engine, sx, sx, t0 + taus[m], t0,
+                                     ket1, dt)
+        assert abs(result.values[m] - exact) < 1e-12
+    proj1 = DenseOperator(np.diag([0.0, 1.0]))
+    p1 = two_body_correlation(small_engine, proj1, None, t0, 0.0, ket1, dt)
+    assert abs(result.metadata["p1_at_t0"] - p1.real) < 1e-12
+    assert result.metadata["adjoint_max_abs"] >= 1.0
+    assert "c2_max_abs" not in result.metadata
 
 
 def test_response_warns_when_still_drifting(small_engine):
@@ -218,6 +255,29 @@ def test_annealing_starts_at_uniform_overlap(small_expansion):
     # the Ncal single-flip states are degenerate: the summed population is
     # Ncal times the representative at the symmetric initial condition
     assert abs(trace.p_excited_sum[0] - 2.0 * trace.p_excited_rep[0]) < 1e-10
+
+
+def test_annealing_matches_full_contours(small_expansion):
+    # the scheduled discrete adjoint against one full contour per record
+    # time, with the projector inserted at the turning point
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
+    engine = ContourEngine(build_space(4, 2), small_expansion, model)
+    init = uniform_superposition_transform(2)
+    record, dt = [0.0, 0.3, 0.7, 1.0], 0.01
+    trace = annealing_populations(engine, init, dt, record)
+    energies, states = np.linalg.eigh(model.hamiltonian_at(1.0).to_dense())
+    assert np.allclose(energies, [-2.0, 0.0, 0.0, 2.0])
+    ground = DenseOperator(np.outer(states[:, 0], states[:, 0].conj()))
+    flips = states[:, 1:3]
+    cluster = DenseOperator(flips @ flips.conj().T)
+    for r, t in enumerate(record):
+        for got, op in ((trace.p_ground[r], ground),
+                        (trace.p_excited_sum[r], cluster),
+                        (trace.trace[r], None)):
+            exact = two_body_correlation(engine, op, None, t, 0.0, init, dt)
+            assert abs(got - exact.real) < 1e-12
+    assert trace.metadata["c1_max_abs"] >= 0.5
+    assert trace.metadata["adjoint_max_abs"] >= 0.5
 
 
 def test_annealing_adiabatic_closed_limit():
