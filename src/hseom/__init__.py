@@ -7,26 +7,25 @@ zero, and with time-dependent system Hamiltonians.  Units: hbar = 1.
 
 from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
                    OhmicExponential, alpha_quadrature, alpha_reconstruct,
-                   build_eta, compute_coefficients, evaluate_density,
-                   jacobi_anger_residual, minimal_K, read_expansion,
-                   reconstruction_error, tail_mass, write_expansion)
+                   build_eta, compute_coefficients, jacobi_anger_residual,
+                   minimal_K, read_expansion, reconstruction_error, tail_mass,
+                   write_expansion)
 from .bessel import bessel_j_ladder
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)
 from .dynamics import (Branch, ContourEngine, ContourPlan, Snapshot,
                        Trajectory, WaveStack, contour_clock, default_dt,
-                       grid_dt, hseom_rhs, propagate)
+                       grid_dt)
 from .errors import (ConfigError, EquilibrationWarning, ExpansionWarning,
                      HorizonWarning, HseomError, NumericalError,
                      QuadratureError, ResourceLimitError)
 from .hierarchy import (ABSENT, HierarchySpace, awf_count, build_space)
 from .models import (DenseOperator, DiagonalOperator, LocalizedWithTransform,
                      MixedState, PauliSumOperator, PauliTerm, PureState,
-                     ScaledSumOperator, SystemModel, apply_operator,
-                     magnetization_values, pspin_annealing, pure_dephasing,
-                     spin_boson, thermal_state,
-                     uniform_superposition_transform)
+                     ScaledSumOperator, SystemModel, magnetization_values,
+                     pspin_annealing, pure_dephasing, spin_boson,
+                     thermal_state, uniform_superposition_transform)
 from .observables import (CorrelationResult, PopulationTrace, Spectrum,
                           annealing_populations, half_fourier,
                           operator_expectations, rdm_trajectory,

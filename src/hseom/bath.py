@@ -32,7 +32,6 @@ __all__ = [
     "SpectralDensity",
     "BathSpec",
     "BathExpansion",
-    "evaluate_density",
     "alpha_quadrature",
     "compute_coefficients",
     "alpha_reconstruct",
@@ -110,12 +109,6 @@ class OhmicCircular:
 
 
 SpectralDensity = Union[OhmicExponential, OhmicCircular]
-
-
-def evaluate_density(density: SpectralDensity, omega):
-    """Literal J(omega) of the given density (scalar in, scalar out)."""
-    val = density.evaluate(omega)
-    return float(val) if np.ndim(omega) == 0 else val
 
 
 @dataclasses.dataclass(frozen=True)

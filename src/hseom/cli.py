@@ -27,8 +27,7 @@ from .dynamics import Branch, ContourEngine, ContourPlan, WaveStack
 from .errors import (ConfigError, ExpansionWarning, HorizonWarning,
                      HseomError, NumericalError, ResourceLimitError)
 from .hierarchy import DEFAULT_MAX_INDICES, awf_count, build_space
-from .models import (DENSIFY_DIM_LIMIT, DenseOperator, PureState,
-                     SystemModel, spin_boson)
+from .models import DenseOperator, PureState, SystemModel, spin_boson
 from .observables import (annealing_populations, half_fourier,
                           rdm_trajectory, response_function)
 from .oracles import assemble_generator, dephasing_exact
@@ -70,26 +69,47 @@ def _component_count(cfg: RunConfig) -> int:
     return 1
 
 
-def _dense_matrices(cfg: RunConfig, dim: int) -> int:
-    """dim x dim dense matrices an anneal holds besides the hierarchy.
+def _system_entries(cfg: RunConfig, dim: int):
+    """Upper bounds on the stored entries of H(0), H(t_f) and V."""
+    if cfg.get("model", "kind") == "pspin":
+        # the driver flips one of Ncal bits; target and coupling are diagonal
+        return int(cfg.require("model", "Ncal")) * dim, dim, dim
+    return dim * dim, dim * dim, dim * dim
 
-    The uniform-superposition transform is dense up to dim 1024;
-    annealing_populations builds H(t_f), its eigenvectors and three
-    projectors.
+
+def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
+    """CSR bytes of the generator's parts, forward and adjoint.
+
+    The entry counts are upper bounds read off the index moves: for each
+    k, awf_count(K, N_max - 1) indices have n_k > 0, so each of the
+    2K - 2 entries of eta adds at most that many exchange blocks, and each
+    raise, plus the one lowering (phi_k(0) = delta_k0), as many coupling
+    blocks.  A schedule keeps H(0) and H(t_f) as two more parts.
     """
-    if cfg.experiment != "anneal":
-        return 0
-    return 5 + (1 if dim <= 1024 else 0)
+    K = cfg.require("bath", "K")
+    n_max = cfg.require("hierarchy", "n_max")
+    movable = awf_count(K, n_max - 1) if n_max > 0 else 0
+    h_start, h_end, v = _system_entries(cfg, dim)
+    fixed = (2 * K - 2) * movable * dim + (K + 1) * movable * v
+    if cfg.get("model", "kind") == "pspin":
+        parts = [fixed, num * h_start, num * h_end]
+    else:
+        parts = [fixed + num * h_start]
+    rows = num * dim
+    index = 4 if max(rows, *parts) < 2 ** 31 else 8
+    return 2 * sum(nnz * (16 + index) + (rows + 1) * index
+                   for nnz in parts)
 
 
 def preflight(cfg: RunConfig) -> Dict[str, object]:
     """Resource report: AWF count, bytes with workspace, step estimate.
 
-    ``estimated_steps`` is the column-steps the run takes: a forward and
-    an adjoint sweep to its last point per initial-state component.
-    Raises ResourceLimitError when the estimate exceeds the byte budget
-    or the configured index cap, or when an anneal would have to densify
-    H(t_f) above the size models refuses.
+    ``estimated_bytes`` counts the state with its integrator workspace and
+    the CSR generator with its adjoint.  ``estimated_steps`` is the
+    column-steps the run takes: a forward and an adjoint sweep to its last
+    point per initial-state component.  Raises ResourceLimitError, before
+    anything is built, when the estimate exceeds the byte budget or the
+    index count exceeds the configured cap.
     """
     validate_config(cfg)
     kind = cfg.experiment
@@ -104,12 +124,8 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
         raise ResourceLimitError(
             f"{num} hierarchy indices exceed the cap {cap}")
     dim = _model_dim(cfg)
-    if kind == "anneal" and dim > DENSIFY_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"annealing populations need a dense {dim}-dimensional H(t_f); "
-            f"the limit is {DENSIFY_DIM_LIMIT}")
     total = (num * dim * 16 * (1 + _WORKSPACE_FACTOR)
-             + _dense_matrices(cfg, dim) * 16 * dim * dim)
+             + _generator_bytes(cfg, num, dim))
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
             f"estimated {total} bytes exceed the {_BYTE_BUDGET} byte budget")
@@ -148,15 +164,12 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return path
 
 
-def _finish(out: Path, cfg: RunConfig, args, started: float,
+def _finish(out: Path, cfg: RunConfig, started: float,
             extra: Optional[Dict[str, str]] = None) -> None:
     entries = {
         "version": _VERSION,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "workers": str(args.workers if args.workers is not None
-                       else cfg.get("run", "workers", 1)),
-        "deterministic": "true" if args.deterministic else "false",
     }
     entries.update(extra or {})
     entries["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
@@ -201,7 +214,7 @@ def _cmd_bath_fit(args) -> int:
                    ["re_alpha", "im_alpha", "re_fit", "im_fit"],
                    ylabel="alpha(t)", title="bath correlation, K-term fit")
     err = float(np.abs(exact - fit).max() / np.abs(exact).max())
-    _finish(out, cfg, args, started, {
+    _finish(out, cfg, started, {
         "max_rel_error": repr(err),
         "tail_mass": repr(float(tail_mass(spec))),
     })
@@ -234,7 +247,7 @@ def _cmd_respond(args) -> int:
     _plot_from_csv(out / "response_w.csv", out / "response.svg",
                    ["im"], negate=("im",), xlabel="omega",
                    ylabel="-Im of transform", title="response spectrum")
-    _finish(out, cfg, args, started, {
+    _finish(out, cfg, started, {
         "drift": repr(float(result.metadata["drift"])),
         "p1_at_t0": repr(float(result.metadata["p1_at_t0"])),
     })
@@ -263,7 +276,7 @@ def _cmd_anneal(args) -> int:
     _plot_from_csv(out / "populations.csv", out / "populations.svg",
                    ["P_ground", "P_e_rep", "P_e_sum"], xlabel="t",
                    ylabel="population", title="target-basis populations")
-    _finish(out, cfg, args, started, {
+    _finish(out, cfg, started, {
         "max_trace_error": repr(float(np.abs(trace.trace - 1.0).max())),
     })
     print(f"annealing populations recorded at {len(record)} times; "
@@ -296,7 +309,7 @@ def _cmd_rdm(args) -> int:
                    ylabel="population", title="reduced density matrix diagonal")
     herm = float(max(np.abs(r - r.conj().T).max() for r in rho))
     tr = float(max(abs(np.trace(r) - 1.0) for r in rho))
-    _finish(out, cfg, args, started, {
+    _finish(out, cfg, started, {
         "max_hermiticity_error": repr(herm),
         "max_trace_error": repr(tr),
     })
@@ -336,7 +349,7 @@ def _validate_rows():
                 stack = rng.standard_normal(
                     (space.num_indices, dim)) + 1j * rng.standard_normal(
                         (space.num_indices, dim))
-                lhs = engine.rhs_stack(stack, 0.37, branch.sign).ravel()
+                lhs = engine._deriv_flat(stack.ravel(), 0.37, branch.sign)
                 rhs = gen.apply(stack.ravel())
                 scale = max(1.0, float(np.abs(rhs).max()))
                 worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
@@ -440,12 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the run configuration")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count recorded in the manifest; "
-                            "execution is serial")
-        p.add_argument("--deterministic", action="store_true",
-                       help="fixed partitioning for bitwise-reproducible "
-                            "tables")
     return parser
 
 

@@ -85,7 +85,7 @@ _SCHEMA = {
               "Gamma": _FLOAT, "p": _INT, "t_f": _FLOAT},
     "run": {"t": _FLOAT, "t0": _FLOAT, "tau": _GRID, "omega": _GRID,
             "record": _GRID, "window_time": _FLOAT, "init": _STR,
-            "drift_tolerance": _FLOAT, "t_max": _FLOAT, "workers": _INT},
+            "drift_tolerance": _FLOAT, "t_max": _FLOAT},
     "output": {"directory": _STR},
 }
 

@@ -16,8 +16,10 @@ For one stack row per hierarchy index n, the derivative along s is
 with indices outside the truncated space contributing zero.  The last term
 is the k-sum over n_k phi_k(0) phi_{n - e_k} collapsed by phi_k(0) =
 delta_{k0}; the code keeps the general phi_k(0) array.  All hierarchy-space
-mixing is precomputed into two sparse matrices (exchange E, coupling B), so
-one derivative costs three sparse matvecs plus the system operators.
+mixing is precomputed into two sparse matrices (exchange E, coupling B),
+and with the system operators into one generator on the flattened stack
+(see :class:`ContourEngine`), so a derivative is one sparse product, or
+three for a schedule.
 
 Observables do not run the backward branch at all.  Every contour value is
 <e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of a classical
@@ -43,12 +45,12 @@ from scipy import sparse
 from .bath import BathExpansion
 from .errors import ConfigError, NumericalError
 from .hierarchy import ABSENT, HierarchySpace
-from .models import DenseOperator, Operator, SystemModel
+from .models import Operator, SystemModel, _pruned_csr
 
 __all__ = [
     "Branch", "WaveStack", "ContourPlan", "Snapshot", "Trajectory",
     "contour_clock", "build_coupling_matrices", "ContourEngine",
-    "hseom_rhs", "propagate", "grid_dt", "default_dt",
+    "grid_dt", "default_dt",
 ]
 
 _GRID_TOL = 1e-9
@@ -211,18 +213,6 @@ def build_coupling_matrices(space: HierarchySpace,
     return E, B
 
 
-def _pruned_csr(matrix) -> sparse.csr_matrix:
-    """CSR with sorted indices and no stored zeros.
-
-    Entries that cancel in a sum stay stored as zeros, which every
-    product would otherwise touch.
-    """
-    out = sparse.csr_matrix(matrix)
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
 def _coo_from_parts(vals, rows, cols, M) -> sparse.csr_matrix:
     if not vals:  # N_max = 0 leaves no couplings at all
         return sparse.csr_matrix((M, M), dtype=complex)
@@ -234,13 +224,17 @@ def _coo_from_parts(vals, rows, cols, M) -> sparse.csr_matrix:
 class ContourEngine:
     """Precomputed machinery for repeated contour runs of one setup.
 
-    For a time-independent model with dense system operators the whole
-    right-hand side collapses to one sparse matrix on the flattened stack,
-    G = kron(E, I) - i [kron(I, H) + kron(B, V)], and a derivative is a
-    single matvec.  Otherwise the termwise path applies E, H(tau), and
-    B-then-V per evaluation.  Both paths implement the same derivative; the
-    termwise form is the definitional one exposed through
-    :func:`hseom_rhs`.
+    The right-hand side is one sparse generator on the flattened stack,
+    built once for every model as CSR with no stored zeros:
+
+        G(tau) = G_c + (1 - tau/t_f) G_start + (tau/t_f) G_end,
+        G_c = kron(E, I) - i kron(B, V),
+        G_start = -i kron(I, H(0)),   G_end = -i kron(I, H(t_f)),
+
+    which is exact because :class:`SystemModel` only admits schedules that
+    ramp linearly from H(0) to H(t_f).  A time-independent model folds
+    -i kron(I, H) into G_c and has no other parts, so its derivative is a
+    single sparse product; a schedule's takes three.
     """
 
     def __init__(self, space: HierarchySpace, expansion: BathExpansion,
@@ -250,76 +244,78 @@ class ContourEngine:
         self.model = model
         self.num_awf = space.num_indices
         self.dim = model.dim
-        self.E, self.B = build_coupling_matrices(space, expansion)
-        self._phase = -1j  # coefficient of H and V; +1j on the adjoint
-        self._ham0 = None if model.time_dependent \
-            else model.hamiltonian_at(0.0)
-        self._G = None
-        if (not model.time_dependent
-                and isinstance(self._ham0, DenseOperator)
-                and isinstance(model.V, DenseOperator)
-                and self.dim <= 64):
-            Id = sparse.identity(self.dim, format="csr", dtype=complex)
-            IM = sparse.identity(self.num_awf, format="csr", dtype=complex)
-            # CSR, not the default BSR, which would store each dense
-            # block's zeros
-            G = (sparse.kron(self.E, Id, format="csr") + self._phase * (
-                sparse.kron(IM, sparse.csr_matrix(self._ham0.matrix),
-                            format="csr")
-                + sparse.kron(self.B, sparse.csr_matrix(model.V.matrix),
-                              format="csr")))
+        E, B = build_coupling_matrices(space, expansion)
+        Id = sparse.identity(self.dim, format="csr", dtype=complex)
+        # CSR, not the default BSR, which would store each block's zeros
+        G = sparse.kron(E, Id, format="csr") \
+            - 1j * sparse.kron(B, model.V_csr, format="csr")
+        start, end = model.ramp
+        if model.time_dependent:
             self._G = _pruned_csr(G)
+            self._ramp = (self._on_every_row(-1j * start),
+                          self._on_every_row(-1j * end))
+        else:
+            self._G = _pruned_csr(G + self._on_every_row(-1j * start))
+            self._ramp = None
+
+    def _on_every_row(self, H: sparse.csr_matrix) -> sparse.csr_matrix:
+        """kron(I, H) over the hierarchy rows, assembled as CSR directly.
+
+        ``sparse.kron`` goes through COO and a sort, ten times slower on
+        a 1024-state register.  H must be pruned and sorted; so is the
+        result.  Its index arrays are int32 when they fit, as scipy would
+        make them, so the constructor need not convert them.
+        """
+        size, nnz = self.num_awf * self.dim, self.num_awf * H.nnz
+        index = np.int32 if max(size, nnz) < 2 ** 31 else np.int64
+        offsets = np.arange(self.num_awf, dtype=index)[:, None]
+        indptr = np.append(
+            (H.indptr[:-1].astype(index) + index(H.nnz) * offsets).ravel(),
+            index(nnz))
+        indices = (H.indices.astype(index) + index(self.dim) * offsets).ravel()
+        return sparse.csr_matrix((np.tile(H.data, self.num_awf), indices,
+                                  indptr), shape=(size, size))
 
     @property
-    def flat_generator(self):
-        """The precomputed sparse generator, or None on the termwise path."""
-        return self._G
+    def flat_generator(self) -> sparse.csr_matrix:
+        """G(0) as one CSR matrix; all of G for a time-independent model."""
+        if self._ramp is None:
+            return self._G
+        return _pruned_csr(self._G + self._ramp[0])
+
+    @property
+    def generator_parts(self) -> Tuple[sparse.csr_matrix, ...]:
+        """The CSR parts of G: (G_c,), or (G_c, G_start, G_end)."""
+        return (self._G,) + (self._ramp or ())
 
     def adjoint(self) -> "ContourEngine":
         """An engine for the Hermitian-conjugate generator G(tau)^H.
 
-        G^H = kron(E^H, I) + i [kron(I, H) + kron(B^H, V)], which holds
-        only because H(tau) and V are Hermitian; :class:`SystemModel`
-        checks both when it is built (H at five points of a schedule).
-        One ``integrate_span`` of the adjoint from step 0 with
-        ``sign=-1.0, tau_of=lambda s: s`` gives, at step n,
-        U_back(t_n -> 0)^dagger applied to the start vector, exactly in
-        the discrete sense, scheduled Hamiltonians included.  The
-        adjoint shares the space, expansion and model; it is built on
-        demand, so ``build_components`` does not pay for it.
+        Each part of G is conjugate-transposed; the schedule's weights are
+        real, so G(tau)^H keeps the same form.  One ``integrate_span`` of
+        the adjoint from step 0 with ``sign=-1.0, tau_of=lambda s: s``
+        gives, at step n, U_back(t_n -> 0)^dagger applied to the start
+        vector, exactly in the discrete sense, scheduled Hamiltonians
+        included.  The adjoint shares the space, expansion and model; it is
+        built on demand, so ``build_components`` does not pay for it.
         """
         twin = copy.copy(self)
-        twin.E = _pruned_csr(self.E.conj().T)
-        twin.B = _pruned_csr(self.B.conj().T)
-        twin._phase = -self._phase
-        if self._G is not None:
-            twin._G = _pruned_csr(self._G.conj().T)
+        twin._G = _pruned_csr(self._G.conj().T)
+        if self._ramp is not None:
+            twin._ramp = tuple(_pruned_csr(part.conj().T)
+                               for part in self._ramp)
         return twin
 
     # -- derivative -------------------------------------------------------
 
-    def _hamiltonian(self, tau: float) -> Operator:
-        return self._ham0 if self._ham0 is not None \
-            else self.model.hamiltonian_at(tau)
-
-    def rhs_stack(self, data: np.ndarray, tau: float, sign: float) -> np.ndarray:
-        """Termwise derivative of a [num_awf, dim] stack."""
-        ham = self._hamiltonian(tau)
-        out = self.E @ data
-        out += self._phase * ham.apply(data)
-        out += self._phase * self.model.V.apply(self.B @ data)
-        return sign * out
-
     def _deriv_flat(self, y: np.ndarray, tau: float, sign: float) -> np.ndarray:
-        if self._G is not None:
-            return sign * (self._G @ y)
-        if y.ndim == 1:
-            return self.rhs_stack(y.reshape(self.num_awf, self.dim),
-                                  tau, sign).ravel()
-        out = np.empty_like(y)
-        for r in range(y.shape[1]):
-            out[:, r] = self.rhs_stack(
-                y[:, r].reshape(self.num_awf, self.dim), tau, sign).ravel()
+        """sign * G(tau) y for a flat state or a block of flat columns."""
+        out = self._G @ y
+        if self._ramp is not None:
+            r = tau / self.model.t_f
+            out += (1.0 - r) * (self._ramp[0] @ y)
+            out += r * (self._ramp[1] @ y)
+        out *= sign
         return out
 
     # -- integration ------------------------------------------------------
@@ -330,14 +326,13 @@ class ContourEngine:
         return stack
 
     def apply_all_rows(self, y: np.ndarray, op: Operator) -> np.ndarray:
-        """Apply a system operator to every hierarchy row of a flat state."""
-        if y.ndim == 1:
-            return op.apply(y.reshape(self.num_awf, self.dim)).ravel()
-        out = np.empty_like(y)
-        for r in range(y.shape[1]):
-            out[:, r] = op.apply(
-                y[:, r].reshape(self.num_awf, self.dim)).ravel()
-        return out
+        """Apply a system operator to every hierarchy row of a flat state.
+
+        ``y`` is one flat state or a block of flat columns; the operator
+        acts on the system axis of every row of every column at once.
+        """
+        cols = y.reshape(self.num_awf, self.dim, -1).swapaxes(1, 2)
+        return op.apply(cols).swapaxes(1, 2).reshape(y.shape)
 
     def _check_finite(self, y: np.ndarray, s: float) -> float:
         peak = float(np.abs(y).max())
@@ -375,7 +370,7 @@ class ContourEngine:
             max_abs = max(max_abs, self._check_finite(y, s))
             if local == n_steps:
                 break
-            if self._ham0 is not None or tau_of is None:
+            if self._ramp is None or tau_of is None:
                 t1 = t2 = t3 = 0.0
             else:
                 t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
@@ -515,40 +510,6 @@ class ContourEngine:
             if block.size:
                 out[level] = float(np.abs(block).max())
         return out
-
-
-def hseom_rhs(space: HierarchySpace, expansion: BathExpansion,
-              model: SystemModel, stack: WaveStack, s: float,
-              branch: Branch, *, t_turn: Optional[float] = None) -> np.ndarray:
-    """The derivative d phi / ds of every stack row (termwise, definitional).
-
-    For scheduled Hamiltonians on C2 the turning time ``t_turn`` is required
-    to fold s onto the physical clock.  Wrap a :class:`ContourEngine` for
-    repeated evaluations; this convenience rebuilds the coupling matrices.
-    """
-    if branch is Branch.C1:
-        tau = s
-    elif model.time_dependent:
-        if t_turn is None:
-            raise ValueError("t_turn is required on C2 for scheduled models")
-        tau = 2.0 * t_turn - s
-    else:
-        tau = 0.0
-    engine = ContourEngine(space, expansion, model)
-    return engine.rhs_stack(np.asarray(stack.data, dtype=complex), tau,
-                            branch.sign)
-
-
-def propagate(space: HierarchySpace, expansion: BathExpansion,
-              model: SystemModel, plan: ContourPlan,
-              init: WaveStack) -> Trajectory:
-    """Run the full contour with a freshly built engine.
-
-    The initial stack should have only row 0 populated (factorized initial
-    conditions).  Build a :class:`ContourEngine` once and call its ``run``
-    when doing many contours over the same setup.
-    """
-    return ContourEngine(space, expansion, model).run(plan, init)
 
 
 def grid_dt(t: float, dt_target: float) -> float:

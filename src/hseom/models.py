@@ -4,9 +4,10 @@ p-spin annealing Hamiltonian, plus initial-state builders.
 Conventions (fixed here, used everywhere): hbar = 1; qubit site i maps to
 bit i of the computational basis label with bit 0 least significant; |1> is
 the sigma_z = +1 eigenstate.  Operators come in four backings sharing the
-same interface (``dim``, ``apply`` along the last axis, ``to_dense``):
-dense matrices for dim <= 64, and Pauli-sum / diagonal forms that apply in
-O(n_terms * dim) without materializing anything for larger registers.
+same interface (``dim``, ``apply`` along the last axis, ``to_dense``,
+``to_csr``): dense matrices, diagonals, Pauli sums and scaled sums.  The
+engine only ever reads ``to_csr``, which the Pauli sum builds from its bit
+masks and phases without densifying, so no backing is tied to a size.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import ConfigError, ResourceLimitError
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "DenseOperator", "DiagonalOperator", "PauliTerm", "PauliSumOperator",
-    "ScaledSumOperator", "Operator", "apply_operator",
+    "ScaledSumOperator", "Operator",
     "SystemModel", "spin_boson", "pure_dephasing", "pspin_annealing",
     "PureState", "LocalizedWithTransform", "MixedState", "InitialState",
     "uniform_superposition_transform", "thermal_state",
@@ -33,9 +34,20 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1> -> +1
 
-DENSE_DIM_LIMIT = 64
 DENSIFY_DIM_LIMIT = 4096  # largest Pauli sum to_dense will build
 MAX_QUBITS = 16
+
+
+def _pruned_csr(matrix) -> sparse.csr_matrix:
+    """Complex CSR with sorted indices and no stored zeros.
+
+    Entries that cancel in a sum stay stored as zeros, which every
+    product would otherwise touch.
+    """
+    out = sparse.csr_matrix(matrix, dtype=complex)
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
 
 
 class DenseOperator:
@@ -57,6 +69,9 @@ class DenseOperator:
     def to_dense(self):
         return self.matrix
 
+    def to_csr(self):
+        return _pruned_csr(self.matrix)
+
 
 class DiagonalOperator:
     """Operator diagonal in the computational basis."""
@@ -64,6 +79,7 @@ class DiagonalOperator:
     def __init__(self, diagonal):
         self.diagonal = np.asarray(diagonal, dtype=complex)
         self.dim = self.diagonal.shape[0]
+        self._csr = None
 
     def apply(self, vec):
         vec = np.asarray(vec)
@@ -74,6 +90,12 @@ class DiagonalOperator:
 
     def to_dense(self):
         return np.diag(self.diagonal)
+
+    def to_csr(self):
+        """Built once; each call returns a copy."""
+        if self._csr is None:
+            self._csr = _pruned_csr(sparse.diags(self.diagonal))
+        return self._csr.copy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,6 +147,7 @@ class PauliSumOperator:
                     phase = phase * (2.0 * bit - 1.0)
             self._masks.append(mask)
             self._phases.append(phase)
+        self._csr = None
 
     def apply(self, vec):
         vec = np.asarray(vec, dtype=complex)
@@ -143,6 +166,21 @@ class PauliSumOperator:
             raise ResourceLimitError(
                 f"refusing to densify a {self.dim}-dimensional Pauli sum")
         return self.apply(np.eye(self.dim, dtype=complex)).T
+
+    def to_csr(self):
+        """Entry (source ^ mask, source) = phase(source) for every term.
+
+        Built once; each call returns a copy.
+        """
+        if self._csr is None:
+            idx = np.arange(self.dim)
+            rows = np.concatenate([idx[:0]]
+                                  + [idx ^ mask for mask in self._masks])
+            cols = np.tile(idx, len(self._masks))
+            data = np.concatenate([np.zeros(0, complex)] + self._phases)
+            self._csr = _pruned_csr(sparse.coo_matrix(
+                (data, (rows, cols)), shape=(self.dim, self.dim)))
+        return self._csr.copy()
 
 
 class ScaledSumOperator:
@@ -166,45 +204,35 @@ class ScaledSumOperator:
     def to_dense(self):
         return sum(coef * op.to_dense() for coef, op in self.parts)
 
+    def to_csr(self):
+        return _pruned_csr(sum(coef * op.to_csr() for coef, op in self.parts))
+
 
 Operator = Union[DenseOperator, DiagonalOperator, PauliSumOperator,
                  ScaledSumOperator]
 
 
-def apply_operator(op, vec):
-    """Matrix-vector (or stacked) product for any operator backing.
-
-    Accepts a raw ndarray as a dense matrix for convenience.
-    """
-    if isinstance(op, np.ndarray):
-        op = DenseOperator(op)
-    return op.apply(vec)
-
-
-def _check_hermitian(op: Operator, label: str) -> None:
-    if op.dim <= DENSE_DIM_LIMIT:
-        mat = op.to_dense()
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > 1e-12:
-            raise ConfigError(f"{label} is not Hermitian (deviation {dev:.2e})",
-                              section="model")
-        return
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        u = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-        v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-        lhs = np.vdot(u, op.apply(v))
-        rhs = np.vdot(op.apply(u), v)
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-            raise ConfigError(f"{label} is not Hermitian", section="model")
+def _hermitian_csr(op: Operator, label: str) -> sparse.csr_matrix:
+    """The operator as CSR, refused unless it equals its adjoint."""
+    mat = op.to_csr()
+    dev = float(abs(mat - mat.conj().T).max())
+    if dev > 1e-12:
+        raise ConfigError(f"{label} is not Hermitian (deviation {dev:.2e})",
+                          section="model")
+    return mat
 
 
 @dataclasses.dataclass(eq=False)
 class SystemModel:
     """The system Hamiltonian (possibly scheduled) and coupling operator.
 
-    ``hamiltonian_at`` must be pure; it is sampled at construction to check
-    Hermiticity (5 points across [0, t_f] for scheduled models).
+    A scheduled Hamiltonian must be the linear ramp
+    H(tau) = (1 - tau/t_f) H(0) + (tau/t_f) H(t_f).  ``hamiltonian_at``
+    must be pure; it is sampled at 5 points across [0, t_f] at
+    construction, and a schedule that leaves the ramp there is refused.
+    Construction also takes the CSR forms the engine is assembled from,
+    each checked Hermitian exactly: ``V_csr``, and ``ramp`` = (H(0),
+    H(t_f)), whose two entries are one matrix for a fixed model.
     """
 
     dim: int
@@ -220,10 +248,26 @@ class SystemModel:
         if self.V.dim != self.dim:
             raise ConfigError("coupling dimension does not match system",
                               section="model")
-        _check_hermitian(self.V, "coupling operator")
-        taus = np.linspace(0.0, self.t_f, 5) if self.time_dependent else [0.0]
-        for tau in taus:
-            _check_hermitian(self.hamiltonian_at(tau), f"H(tau={tau})")
+        self.V_csr = _hermitian_csr(self.V, "coupling operator")
+        start = _hermitian_csr(self.hamiltonian_at(0.0), "H(tau=0.0)")
+        if not self.time_dependent:
+            self.ramp = (start, start)
+            return
+        if not self.t_f > 0:
+            raise ConfigError("a scheduled model needs t_f > 0",
+                              section="model", key="t_f")
+        end = _hermitian_csr(self.hamiltonian_at(self.t_f),
+                             f"H(tau={self.t_f})")
+        scale = max(1.0, abs(start).max(), abs(end).max())
+        for tau in np.linspace(0.0, self.t_f, 5)[1:-1]:
+            r = tau / self.t_f
+            dev = float(abs(self.hamiltonian_at(tau).to_csr()
+                            - ((1.0 - r) * start + r * end)).max())
+            if dev > 1e-12 * scale:
+                raise ConfigError(
+                    f"H(tau={tau}) is off the linear ramp between H(0) and "
+                    f"H(t_f) by {dev:.2e}", section="model")
+        self.ramp = (start, end)
 
 
 def spin_boson(omega0: float) -> SystemModel:
@@ -282,22 +326,13 @@ def pspin_annealing(Ncal: int, Gamma: float, p: int, t_f: float) -> SystemModel:
     m = magnetization_values(Ncal)
     h1_diag = -Ncal * (m / Ncal) ** p
     driver_terms = [PauliTerm(-Gamma, ((i, "X"),)) for i in range(Ncal)]
-    if dim <= DENSE_DIM_LIMIT:
-        h0 = DenseOperator(PauliSumOperator(Ncal, driver_terms).to_dense())
-        h1 = DenseOperator(np.diag(h1_diag.astype(complex)))
-        v = DenseOperator(np.diag(m.astype(complex)))
+    h0 = PauliSumOperator(Ncal, driver_terms)
+    h1 = DiagonalOperator(h1_diag)
+    v = DiagonalOperator(m)
 
-        def ham_at(tau, h0=h0.matrix, h1=h1.matrix):
-            r = tau / t_f
-            return DenseOperator((1.0 - r) * h0 + r * h1)
-    else:
-        h0 = PauliSumOperator(Ncal, driver_terms)
-        h1 = DiagonalOperator(h1_diag)
-        v = DiagonalOperator(m)
-
-        def ham_at(tau, h0=h0, h1=h1):
-            r = tau / t_f
-            return ScaledSumOperator([(1.0 - r, h0), (r, h1)])
+    def ham_at(tau):
+        r = tau / t_f
+        return ScaledSumOperator([(1.0 - r, h0), (r, h1)])
 
     return SystemModel(dim=dim, V=v, time_dependent=True, _ham_at=ham_at,
                        t_f=t_f)
@@ -377,20 +412,15 @@ def uniform_superposition_transform(Ncal: int) -> LocalizedWithTransform:
     """The transform whose k = 0 column is the uniform superposition.
 
     <i|C|j> = delta_{j,0} / 2^{Ncal/2}, so C|0><0|C^dagger has every matrix
-    element equal to 1/2^Ncal.  Stored sparse above 2^10 to keep the formal
-    dim x dim object cheap.
+    element equal to 1/2^Ncal.  Stored sparse, so the formal dim x dim
+    object holds only its one column.
     """
     if Ncal < 1:
         raise ConfigError("Ncal must be >= 1", section="model", key="Ncal")
     dim = 1 << Ncal
-    amp = 1.0 / math.sqrt(dim)
-    if dim <= 1024:
-        C = np.zeros((dim, dim), dtype=complex)
-        C[:, 0] = amp
-    else:
-        C = sparse.csc_matrix(
-            (np.full(dim, amp, dtype=complex),
-             (np.arange(dim), np.zeros(dim, dtype=int))), shape=(dim, dim))
+    C = sparse.csc_matrix(
+        (np.full(dim, 1.0 / math.sqrt(dim), dtype=complex),
+         (np.arange(dim), np.zeros(dim, dtype=int))), shape=(dim, dim))
     return LocalizedWithTransform(k=0, C=C)
 
 

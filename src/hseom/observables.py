@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,10 +121,10 @@ def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
     adjoint = engine.adjoint()
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     rho = np.zeros((len(steps), d, d), dtype=complex)
-    for weight, v in init.components():
+    for w, v in init.components():
         for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
                                          peaks):
-            rho[r] += weight * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
+            rho[r] += w * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
     return rho
 
 
@@ -171,10 +171,10 @@ def operator_expectations(engine: ContourEngine, t: float,
     adjoint = engine.adjoint()
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     total = np.zeros(len(operators), dtype=complex)
-    for weight, v in init.components():
+    for w, v in init.components():
         for _, y, a in _advance_together(engine, adjoint, v, dt, [n],
                                          peaks):
-            total += weight * np.array([
+            total += w * np.array([
                 np.vdot(a, y if op is None else engine.apply_all_rows(y, op))
                 for op in operators])
     return total, peaks
@@ -307,10 +307,10 @@ def half_fourier(result: CorrelationResult, omega_grid, *,
     if window_time is not None:
         f = f * np.exp(-ts / window_time)
     omegas = np.asarray(omega_grid, dtype=float)
-    weights = np.ones(ts.size)
-    weights[0] = weights[-1] = 0.5
+    trapezoid = np.ones(ts.size)
+    trapezoid[0] = trapezoid[-1] = 0.5
     dt = ts[1] - ts[0]
-    vals = (weights * f * np.exp(-1j * np.outer(omegas, ts))).sum(axis=1) * dt
+    vals = (trapezoid * f * np.exp(-1j * np.outer(omegas, ts))).sum(axis=1) * dt
     return Spectrum(omegas=omegas, values=vals,
                     metadata={"window_time": window_time, "part": part,
                               "horizon": float(ts[-1])})
@@ -321,16 +321,18 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
                           cluster_tol: float = 1e-8) -> PopulationTrace:
     """Populations of the target ground and first-excited states vs time.
 
-    The projectors are fixed: the schedule's end-point Hamiltonian H(t_f)
-    is diagonalized once and the populations are measured against its
-    ground level and its first excited level (one representative state and
-    the degenerate cluster summed; for the p-spin target the cluster holds
-    the Ncal single-flip states and the two conventions differ).  At t = 0
-    the uniform superposition gives P_ground = 1/2^Ncal.  The identity
-    tracks the trace.  The forward and adjoint states advance together
-    from one record time to the next; the adjoint of the scheduled
-    backward branch is again a sweep forward in time, so each record
-    time costs only its own segment.
+    The target H(t_f) must be diagonal in the computational basis, as the
+    p-spin target is, so its levels are read off the diagonal and each
+    projector is a set of basis indices; a target that is not diagonal is
+    refused.  Populations are measured against the ground level and the
+    first excited level (one representative state, the lowest basis index
+    of the level, and the degenerate cluster summed; for the p-spin target
+    the cluster holds the Ncal single-flip states and the two conventions
+    differ).  At t = 0 the uniform superposition gives
+    P_ground = 1/2^Ncal.  The identity tracks the trace.  The forward and
+    adjoint states advance together from one record time to the next; the
+    adjoint of the scheduled backward branch is again a sweep forward in
+    time, so each record time costs only its own segment.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -341,44 +343,37 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
                           section="plan", key="record_times")
     steps = [_steps_on_grid(t, dt, "record time") for t in times]
 
-    target = engine.model.hamiltonian_at(engine.model.t_f).to_dense()
-    energies, states = np.linalg.eigh(target)
-    scale = max(1.0, float(energies[-1] - energies[0]))
-    ground_cluster = np.nonzero(energies <= energies[0]
-                                + cluster_tol * scale)[0]
-    block = states[:, ground_cluster]
-    ops: List[Optional[Operator]] = [DenseOperator(block @ block.conj().T)]
-    above = np.nonzero(energies > energies[0] + cluster_tol * scale)[0]
-    if above.size:
-        e1 = energies[above[0]]
+    target = engine.model.ramp[1]
+    rows = np.repeat(np.arange(target.shape[0]), np.diff(target.indptr))
+    if np.any(rows != target.indices):
+        raise ConfigError("annealing populations need a target H(t_f) that "
+                          "is diagonal in the computational basis",
+                          section="model")
+    energies = target.diagonal().real
+    lowest = energies.min()
+    scale = max(1.0, float(energies.max() - lowest))
+    ground = np.nonzero(energies <= lowest + cluster_tol * scale)[0]
+    above = energies > lowest + cluster_tol * scale
+    levels = [ground]
+    if above.any():
+        e1 = energies[above].min()
         cluster = np.nonzero(np.abs(energies - e1) <= cluster_tol * scale)[0]
-        rep = states[:, cluster[0]]
-        ops.append(DenseOperator(np.outer(rep, rep.conj())))
-        block = states[:, cluster]
-        ops.append(DenseOperator(block @ block.conj().T))
-    else:
-        ops.extend([None, None])
-    ops.append(None)  # the trace
+        levels += [cluster[:1], cluster]
 
-    p_g = np.zeros(times.size)
-    p_rep = np.zeros(times.size)
-    p_sum = np.zeros(times.size)
+    d = engine.dim
+    pops = np.zeros((3, times.size))
     trace = np.zeros(times.size)
-
     adjoint = engine.adjoint()
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
-    for weight, v in init.components():
+    for w, v in init.components():
         for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
                                          peaks):
-            vals = [np.vdot(a, y if op is None
-                            else engine.apply_all_rows(y, op)).real
-                    for op in ops]
-            p_g[r] += weight * vals[0]
-            if above.size:
-                p_rep[r] += weight * vals[1]
-                p_sum[r] += weight * vals[2]
-            trace[r] += weight * vals[3]
+            Y, A = y.reshape(-1, d), a.reshape(-1, d)
+            for i, idx in enumerate(levels):
+                pops[i, r] += w * np.vdot(A[:, idx], Y[:, idx]).real
+            trace[r] += w * np.vdot(a, y).real
 
+    p_g, p_rep, p_sum = pops
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
                            metadata={"dt": dt, "cluster_tol": cluster_tol,

@@ -39,6 +39,7 @@ from hseom import (
     reconstruction_error,
     response_function,
     spin_boson,
+    pspin_annealing,
     pure_dephasing,
 )
 from hseom.models import DenseOperator, SystemModel
@@ -139,10 +140,8 @@ def test_criterion_05_generator_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(3)
     worst = 0.0
+    instances = []
     for dim, K, n_max in ((2, 3, 2), (2, 5, 1), (4, 2, 2)):
-        spec = BathSpec(OhmicCircular(zeta=0.3, nu=2.0), 3.0, 2.0, K)
-        expansion = compute_coefficients(spec)
-        space = build_space(K, n_max)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
             (dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
@@ -151,18 +150,27 @@ def test_criterion_05_generator_oracle():
             dim=dim, V=DenseOperator(0.5 * (b + b.conj().T)),
             time_dependent=False,
             _ham_at=lambda tau, m=DenseOperator(0.5 * (a + a.conj().T)): m)
+        instances.append((model, K, n_max, 0.0))
+    # a schedule at an interior time, where both ramp parts carry weight
+    instances.append((pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0), 3, 2,
+                      0.37))
+    for model, K, n_max, tau in instances:
+        spec = BathSpec(OhmicCircular(zeta=0.3, nu=2.0), 3.0, 2.0, K)
+        expansion = compute_coefficients(spec)
+        space = build_space(K, n_max)
         engine = ContourEngine(space, expansion, model)
-        stack = rng.standard_normal((space.num_indices, dim)) \
-            + 1j * rng.standard_normal((space.num_indices, dim))
+        size = space.num_indices * model.dim
+        flat = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         for branch in (Branch.C1, Branch.C2):
-            gen = assemble_generator(space, expansion, model, 0.0, branch)
-            lhs = engine.rhs_stack(stack, 0.0, branch.sign).ravel()
-            rhs = gen.apply(stack.ravel())
+            gen = assemble_generator(space, expansion, model, tau, branch)
+            lhs = engine._deriv_flat(flat, tau, branch.sign)
+            rhs = gen.apply(flat)
             scale = max(1.0, float(np.abs(rhs).max()))
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-13 and elapsed < 1.0
-    _report(5, ok, f"max scaled residual {worst:.2e} over 3 instances x 2 "
+    _report(5, ok, f"max scaled residual {worst:.2e} over "
+                   f"{len(instances)} instances (one scheduled) x 2 "
                    f"branches in {elapsed:.2f} s")
 
 
@@ -300,7 +308,7 @@ def test_criterion_10_deterministic_outputs(tmp_path):
         out = tmp_path / run
         proc = subprocess.run(
             [sys.executable, "-m", "hseom", "anneal",
-             "--config", str(config), "--out", str(out), "--deterministic"],
+             "--config", str(config), "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
@@ -309,5 +317,4 @@ def test_criterion_10_deterministic_outputs(tmp_path):
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for name in csvs)
     _report(10, identical,
-            f"{len(csvs)} CSV file(s) byte-identical across two "
-            "--deterministic runs")
+            f"{len(csvs)} CSV file(s) byte-identical across two runs")

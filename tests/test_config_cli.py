@@ -12,7 +12,7 @@ from hseom.cli import main, preflight
 from hseom.config import (GridSpec, horizon_of, parse_config,
                           parse_config_file, serialize_config,
                           validate_config)
-from hseom.presets import PRESETS, preset
+from hseom.presets import PRESETS, build_components, preset
 from hseom.reporting import line_plot, read_csv, write_csv, write_manifest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -153,11 +153,22 @@ def test_manifest_format(tmp_path):
 
 # ------------------------------------------------------------------ CLI
 
+def _csr_bytes(engine):
+    """Stored bytes of an engine's generator parts and of its adjoint's."""
+    return sum(G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
+               for G in engine.generator_parts
+               + engine.adjoint().generator_parts)
+
+
 def test_preflight_reports_resources():
-    report = preflight(preset("respond-circular"))
+    cfg = preset("respond-circular")
+    report = preflight(cfg)
     assert report["awf_count"] == 1771
     assert report["dim"] == 2
-    assert report["estimated_bytes"] == 1771 * 2 * 16 * 6
+    # the state with its RK4 workspace, plus the generator both ways
+    state = 1771 * 2 * 16 * 6
+    built = _csr_bytes(build_components(cfg).engine)
+    assert state + built <= report["estimated_bytes"] <= state + 2 * built
     assert report["estimated_steps"] > 0
 
 
@@ -192,14 +203,32 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     assert sum(taken) == preflight(cfg)["estimated_steps"]
 
 
-def test_preflight_counts_anneal_dense_matrices():
+def test_preflight_bytes_cover_the_built_generator():
+    cfg = parse_config_file(CONFIG_DIR / "anneal_large.ini")
+    report = preflight(cfg)
+    built = _csr_bytes(build_components(cfg).engine)
+    assert report["estimated_bytes"] >= built + 21 * 1024 * 16 * 6
+
+
+def test_preflight_refuses_over_budget_before_building(monkeypatch):
     from hseom import ResourceLimitError
+    from hseom import cli, presets
+    from hseom.dynamics import ContourEngine
     from hseom.presets import _anneal
-    report = preflight(parse_config_file(CONFIG_DIR / "anneal_large.ini"))
-    assert report["estimated_bytes"] >= 5 * 16 * 1024 ** 2
-    # annealing_populations cannot densify H(t_f) at 2^13 states
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("preflight built something")
+
+    for owner, name in ((presets, "build_space"), (presets, "build_model"),
+                        (cli, "build_components"),
+                        (ContourEngine, "__init__")):
+        monkeypatch.setattr(owner, name, forbidden)
+    # 56 indices x 2^16 states: the state fits the 2 GiB budget, the
+    # generator's 16 driver blocks per index do not
+    cfg = _anneal(0.1, 3, Ncal=16)
+    assert 56 * 2 ** 16 * 16 * 6 < 2 * 1024 ** 3
     with pytest.raises(ResourceLimitError):
-        preflight(_anneal(0.1, 2, Ncal=13))
+        preflight(cfg)
 
 
 def test_preflight_refuses_over_cap():

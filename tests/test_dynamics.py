@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hseom import (BathExpansion, Branch, ConfigError, ContourEngine,
-                   ContourPlan, NumericalError, PureState, build_components,
-                   build_eta, build_space, contour_clock, default_dt,
-                   grid_dt, hseom_rhs, preset, propagate, pspin_annealing,
-                   spin_boson)
+                   ContourPlan, DenseOperator, NumericalError, PureState,
+                   assemble_generator, build_components, build_eta,
+                   build_space, contour_clock, default_dt, grid_dt, preset,
+                   pspin_annealing, spin_boson)
 from hseom.dynamics import WaveStack
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
@@ -81,49 +81,54 @@ def test_rk4_error_scales_fourth_order(small_engine):
 
 
 def test_rhs_is_linear(small_engine, rng):
-    shape = (small_engine.num_awf, small_engine.dim)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    size = small_engine.num_awf * small_engine.dim
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
-    lhs = small_engine.rhs_stack(a * x + b * y, 0.3, +1.0)
-    rhs = a * small_engine.rhs_stack(x, 0.3, +1.0) + \
-        b * small_engine.rhs_stack(y, 0.3, +1.0)
+    lhs = small_engine._deriv_flat(a * x + b * y, 0.3, +1.0)
+    rhs = a * small_engine._deriv_flat(x, 0.3, +1.0) + \
+        b * small_engine._deriv_flat(y, 0.3, +1.0)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_branches_are_negatives(small_engine, rng):
-    shape = (small_engine.num_awf, small_engine.dim)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    fwd = small_engine.rhs_stack(x, 0.4, +1.0)
-    bwd = small_engine.rhs_stack(x, 0.4, -1.0)
+    size = small_engine.num_awf * small_engine.dim
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    fwd = small_engine._deriv_flat(x, 0.4, +1.0)
+    bwd = small_engine._deriv_flat(x, 0.4, -1.0)
     assert np.abs(fwd + bwd).max() < 1e-13
 
 
-def test_flat_generator_matches_termwise(small_engine, rng):
-    # time-independent 2x2 systems precompute a flattened sparse generator
-    assert small_engine.flat_generator is not None
-    shape = (small_engine.num_awf, small_engine.dim)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    termwise = small_engine.rhs_stack(x, 0.0, +1.0).ravel()
-    flat = small_engine._deriv_flat(x.ravel(), 0.0, +1.0)
-    assert np.abs(termwise - flat).max() < 1e-13
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_flat_generator_matches_oracle(scheduled, small_space,
+                                       small_expansion):
+    # G(0) as one matrix, against the entry-by-entry oracle; a fixed
+    # model's generator is a single part, a schedule's three
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
+        else spin_boson(1.0)
+    engine = ContourEngine(small_space, small_expansion, model)
+    assert len(engine.generator_parts) == (3 if scheduled else 1)
+    oracle = assemble_generator(small_space, small_expansion, model, 0.0,
+                                Branch.C1).matrix.toarray()
+    flat = engine.flat_generator.toarray()
+    assert np.abs(flat - oracle).max() < 1e-13 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize("name", ["respond-circular", "dephasing"])
+@pytest.mark.parametrize("name", ["respond-circular", "dephasing",
+                                  "anneal-weak"])
 def test_flat_generator_stores_no_zeros(name):
     engine = build_components(preset(name)).engine
-    for G in (engine.flat_generator, engine.adjoint().flat_generator):
+    for G in engine.generator_parts + engine.adjoint().generator_parts:
         assert G.nnz == np.count_nonzero(G.data)
 
 
 @pytest.mark.parametrize("scheduled", [False, True])
 def test_adjoint_is_the_hermitian_conjugate(scheduled, small_space,
                                             small_expansion, rng):
-    # <u, G v> = <G^H u, v> on the flat and the termwise path
+    # <u, G v> = <G^H u, v> for a fixed and a scheduled model
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
         else spin_boson(1.0)
     engine = ContourEngine(small_space, small_expansion, model)
-    assert (engine.flat_generator is None) == scheduled
     adjoint = engine.adjoint()
     shape = (engine.num_awf * engine.dim, 3)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -134,22 +139,24 @@ def test_adjoint_is_the_hermitian_conjugate(scheduled, small_space,
         assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(lhs).max()
 
 
-def test_module_level_rhs_matches_engine(small_space, small_expansion, rng):
-    model = spin_boson(1.0)
-    engine = ContourEngine(small_space, small_expansion, model)
-    shape = (small_space.num_indices, 2)
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    stack = WaveStack(data=data, s=0.3, branch=Branch.C1)
-    out = hseom_rhs(small_space, small_expansion, model, stack, 0.3,
-                    Branch.C1)
-    assert np.abs(out - engine.rhs_stack(data, 0.3, +1.0)).max() < 1e-14
+def test_apply_all_rows_acts_on_every_column(small_engine, rng):
+    # a block of flat columns is the same as each column on its own
+    m, d = small_engine.num_awf, small_engine.dim
+    block = rng.standard_normal((m * d, 3)) + 1j * rng.standard_normal(
+        (m * d, 3))
+    op = DenseOperator(SIGMA_X)
+    out = small_engine.apply_all_rows(block, op)
+    for r in range(3):
+        single = small_engine.apply_all_rows(block[:, r], op)
+        assert np.array_equal(out[:, r], single)
+        assert np.array_equal(single.reshape(m, d),
+                              block[:, r].reshape(m, d) @ SIGMA_X.T)
 
 
-def test_propagate_function_runs(small_space, small_expansion):
-    model = spin_boson(1.0)
+def test_run_ends_on_the_backward_branch(small_space, small_expansion):
+    engine = ContourEngine(small_space, small_expansion, spin_boson(1.0))
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    traj = propagate(small_space, small_expansion, model,
-                     ContourPlan(t=0.25, dt=0.0125), PureState(psi0))
+    traj = engine.run(ContourPlan(t=0.25, dt=0.0125), PureState(psi0))
     assert traj.final.s == 0.5
     assert traj.final.branch is Branch.C2
 

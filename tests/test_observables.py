@@ -24,6 +24,7 @@ from hseom import (
     reduced_density_matrix,
     response_function,
     spin_boson,
+    SystemModel,
     thermal_state,
     two_body_correlation,
     uniform_superposition_transform,
@@ -307,3 +308,16 @@ def test_annealing_rejects_fixed_models(small_engine):
     with pytest.raises(ConfigError):
         annealing_populations(small_engine,
                               PureState(np.array([1.0, 0.0])), 0.01, [0.5])
+
+
+def test_annealing_rejects_a_target_that_is_not_diagonal(small_expansion):
+    # the populations read levels off the diagonal of H(t_f)
+    def ramp(tau):
+        return DenseOperator((1.0 - tau) * SIGMA_Z + tau * SIGMA_X)
+
+    model = SystemModel(dim=2, V=DenseOperator(SIGMA_Z), time_dependent=True,
+                        _ham_at=ramp, t_f=1.0)
+    engine = ContourEngine(build_space(4, 1), small_expansion, model)
+    with pytest.raises(ConfigError):
+        annealing_populations(engine, PureState(np.array([1.0, 0.0])),
+                              0.01, [0.5])
