@@ -10,13 +10,11 @@ from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
                    build_eta, compute_coefficients, jacobi_anger_residual,
                    minimal_K, read_expansion, reconstruction_error, tail_mass,
                    write_expansion)
-from .bessel import bessel_j_ladder
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)
 from .dynamics import (Branch, ContourEngine, ContourPlan, Snapshot,
-                       Trajectory, WaveStack, contour_clock, default_dt,
-                       grid_dt)
+                       Trajectory, WaveStack, contour_clock)
 from .errors import (ConfigError, EquilibrationWarning, ExpansionWarning,
                      HorizonWarning, HseomError, NumericalError,
                      QuadratureError, ResourceLimitError)

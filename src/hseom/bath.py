@@ -10,6 +10,11 @@ basis-function derivatives, and the initial values ``phi_at_zero``.  The
 exact alpha(t) by adaptive quadrature (:func:`alpha_quadrature`) is kept as
 the reference the expansion is judged against; the propagation code never
 calls it.
+
+Temperature enters in one place, the occupation-weighted density
+J(omega) / (1 - e^{-beta_hbar omega}) of :func:`_occupied`; the
+coefficients, alpha(t) and the tail mass all integrate it.  The Bessel
+functions J_k come from :func:`scipy.special.jv`.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import warnings
 from typing import Union
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import integrate, sparse, special
 
-from .bessel import bessel_j_ladder
 from .errors import ConfigError, ExpansionWarning, NumericalError, QuadratureError
 
 __all__ = [
@@ -44,12 +48,16 @@ __all__ = [
     "read_expansion",
 ]
 
-# Zero-temperature tag for beta_hbar.  The coefficient formulas change
-# discontinuously in this limit, so it is an explicit branch, not a large
-# sentinel temperature.
+# Zero-temperature tag for beta_hbar.  The occupation factor becomes the
+# step theta(omega) in this limit, which :func:`_occupied` takes exactly
+# rather than through a large sentinel temperature.
 INFINITE = math.inf
 
 _QUAD_LIMIT = 400
+# Relative accuracy of the coefficient quadrature, on the largest |integral|
+# of each half-interval.  The absolute floor passed with it only lets a half
+# on which the integrand vanishes (omega < 0 at zero temperature) converge.
+_COEFF_RTOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,10 +106,7 @@ class OhmicCircular:
 
     def over_omega(self, omega):
         w = np.asarray(omega, dtype=float)
-        out = np.zeros_like(w)
-        inside = np.abs(w) <= self.nu
-        out[inside] = self.zeta * np.sqrt(1.0 - (w[inside] / self.nu) ** 2)
-        return out
+        return self.zeta * np.sqrt(np.maximum(1.0 - (w / self.nu) ** 2, 0.0))
 
     def header_items(self):
         return (("density", "ohmic_circular"),
@@ -119,8 +124,7 @@ class BathSpec:
     ----------
     density : SpectralDensity
     beta_hbar : float
-        Inverse temperature times hbar; ``INFINITE`` selects the
-        zero-temperature formulas.
+        Inverse temperature times hbar; ``INFINITE`` is zero temperature.
     Omega : float
         Expansion cutoff frequency.  Must equal ``nu`` for the circular
         density (where the expansion is exact on the support) and must
@@ -187,6 +191,21 @@ def _bose_ratio(y):
     return out
 
 
+def _occupied(spec: BathSpec, omega):
+    """J(omega) / (1 - e^{-beta_hbar omega}), the occupation-weighted density.
+
+    Written as (J/omega) * y/(1 - e^{-y}) / beta_hbar with y = beta_hbar omega,
+    which is regular at omega = 0.  At zero temperature it is the limit
+    theta(omega) J(omega).  The only place the temperature branches.
+    """
+    w = np.asarray(omega, dtype=float)
+    dens = spec.density
+    if spec.zero_temperature:
+        return np.where(w > 0, dens.evaluate(w), 0.0)
+    bh = spec.beta_hbar
+    return dens.over_omega(w) * _bose_ratio(bh * w) / bh
+
+
 def _quad_checked(f, a, b, **kw):
     res = integrate.quad(f, a, b, full_output=1, limit=_QUAD_LIMIT, **kw)
     val, abserr = res[0], res[1]
@@ -198,11 +217,9 @@ def _quad_checked(f, a, b, **kw):
 def alpha_quadrature(spec: BathSpec, t: float) -> complex:
     """Bath correlation alpha(t) by adaptive quadrature (the reference path).
 
-    Finite temperature evaluates
-    Omega * int_{-1}^{1} dx J(Omega x) e^{-i Omega x t} / (1 - e^{-beta_hbar Omega x}),
-    written with the regular integrand (J/omega) * y/(1-e^{-y}) / beta_hbar so
-    the x = 0 point needs no special node.  Zero temperature evaluates
-    Omega * int_0^1 dx J(Omega x) e^{-i Omega x t}.
+    Evaluates Omega * int_{-1}^{1} dx e^{-i Omega x t} occ(Omega x) with the
+    occupation-weighted density occ of :func:`_occupied`, on [-1, 0] and
+    [0, 1].
 
     The oscillatory factor is handled by QUADPACK's cos/sin weights, which
     stay accurate for large Omega*t.
@@ -215,19 +232,9 @@ def alpha_quadrature(spec: BathSpec, t: float) -> complex:
     if t < 0:
         raise ValueError("t must be >= 0")
     Om = spec.Omega
-    dens = spec.density
-    if spec.zero_temperature:
-        def f(x):
-            return float(dens.evaluate(Om * x))
-        re = _quad_checked(f, 0.0, 1.0, weight="cos", wvar=Om * t)
-        im = _quad_checked(f, 0.0, 1.0, weight="sin", wvar=Om * t)
-        return Om * (re - 1j * im)
-
-    bh = spec.beta_hbar
 
     def f(x):
-        xv = np.atleast_1d(x)
-        return float(dens.over_omega(Om * xv)[0] * _bose_ratio(bh * Om * xv)[0] / bh)
+        return float(_occupied(spec, Om * x))
 
     re = im = 0.0
     for a, b in ((-1.0, 0.0), (0.0, 1.0)):
@@ -255,47 +262,41 @@ def build_eta(K: int, Omega: float) -> sparse.csr_matrix:
 
 
 def _chebyshev_t(k: int, x):
-    # cos(k arccos x) is exact on [-1, 1]; quadrature nodes stay inside.
-    return np.cos(k * np.arccos(np.clip(x, -1.0, 1.0)))
+    # cos(k arccos x) is exact on [-1, 1]; quadrature nodes stay inside,
+    # and jacobi_anger_residual checks its x.
+    return np.cos(k * np.arccos(x))
 
 
 def compute_coefficients(spec: BathSpec, *, rel_tol: float = 1e-6) -> BathExpansion:
     """Expansion coefficients c_k plus the eta matrix and initial values.
 
-    Finite temperature:
         c_k = Omega (2 - delta_{0k}) (-i)^k
-              * int_{-1}^{1} dx T_k(x) J(Omega x) / (1 - e^{-beta_hbar Omega x}).
-    Zero temperature: even k carry a sgn(x) weight, odd k do not, each with
-    an Omega/2 prefactor; the odd-k coefficients are then identical to their
-    finite-temperature values (the imaginary part of alpha carries no
-    occupation factor).
+              * int_{-1}^{1} dx T_k(x) J(Omega x) / (1 - e^{-beta_hbar Omega x}),
 
-    Integrals use adaptive Gauss-Kronrod on [-1, 0] and [0, 1]; T_k is
-    evaluated as cos(k arccos x).
+    with the occupation-weighted density of :func:`_occupied`; at zero
+    temperature it vanishes for x < 0.  All K integrands T_k(x) occ(Omega x)
+    form one vector, integrated by adaptive Gauss-Kronrod once on [-1, 0]
+    and once on [0, 1]; T_k is evaluated as cos(k arccos x).
 
+    Raises :class:`QuadratureError` if either half does not converge.
     Warns with :class:`ExpansionWarning` if the t = 0 reconstruction differs
     from the quadrature value by more than ``rel_tol`` relative.
     """
-    Om, K, dens = spec.Omega, spec.K, spec.density
-    c = np.zeros(K, dtype=complex)
-    if spec.zero_temperature:
-        for k in range(K):
-            def f(x, k=k):
-                return _chebyshev_t(k, x) * float(dens.evaluate(Om * x))
-            pos = _quad_checked(f, 0.0, 1.0)
-            neg = _quad_checked(f, -1.0, 0.0)
-            val = 0.5 * (pos - neg) if k % 2 == 0 else 0.5 * (pos + neg)
-            c[k] = (2.0 if k else 1.0) * (-1j) ** k * Om * val
-    else:
-        bh = spec.beta_hbar
-        for k in range(K):
-            def f(x, k=k):
-                xv = np.atleast_1d(x)
-                return float(_chebyshev_t(k, x)
-                             * dens.over_omega(Om * xv)[0]
-                             * _bose_ratio(bh * Om * xv)[0] / bh)
-            val = _quad_checked(f, -1.0, 0.0) + _quad_checked(f, 0.0, 1.0)
-            c[k] = (2.0 if k else 1.0) * (-1j) ** k * Om * val
+    Om, K = spec.Omega, spec.K
+    ks = np.arange(K)
+
+    def f(x):
+        return _chebyshev_t(ks, x) * _occupied(spec, Om * x)
+
+    total = np.zeros(K)
+    for a, b in ((-1.0, 0.0), (0.0, 1.0)):
+        val, err, info = integrate.quad_vec(
+            f, a, b, epsabs=np.finfo(float).tiny, epsrel=_COEFF_RTOL,
+            norm="max", full_output=True)
+        if not info.success:
+            raise QuadratureError(info.message, residual=err)
+        total += val
+    c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
 
     alpha0 = alpha_quadrature(spec, 0.0)
     scale = max(abs(alpha0), 1e-300)
@@ -314,7 +315,7 @@ def compute_coefficients(spec: BathSpec, *, rel_tol: float = 1e-6) -> BathExpans
 def alpha_reconstruct(expansion: BathExpansion, t):
     """Sum_k c_k J_k(Omega t) for scalar or array t."""
     z = expansion.Omega * np.asarray(t, dtype=float)
-    ladder = bessel_j_ladder(expansion.K, z)
+    ladder = special.jv.outer(np.arange(expansion.K), z)
     out = np.tensordot(expansion.c, ladder, axes=(0, 0))
     return complex(out) if np.ndim(t) == 0 else out
 
@@ -328,10 +329,9 @@ def jacobi_anger_residual(x: float, t: float, K: int, Omega: float) -> float:
     if not -1.0 <= x <= 1.0:
         raise ValueError("x must lie in [-1, 1]")
     z = Omega * t
-    ladder = bessel_j_ladder(K, z)
     ks = np.arange(K)
     terms = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks \
-        * _chebyshev_t(ks, x) * ladder
+        * _chebyshev_t(ks, x) * special.jv(ks, z)
     return float(abs(np.exp(-1j * z * x) - terms.sum()))
 
 
@@ -352,8 +352,8 @@ def minimal_K(Omega: float, horizon: float, *, tol: float = 1e-6,
     xs = np.cos(np.linspace(0.0, np.pi, 9))
     ts = np.linspace(0.0, horizon, 33)[1:]
     z = Omega * ts
-    ladder = bessel_j_ladder(K_max, z)                     # [K_max, nt]
     ks = np.arange(K_max)
+    ladder = special.jv.outer(ks, z)                       # [K_max, nt]
     pref = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks       # [K_max]
     cheb = np.cos(ks[:, None] * np.arccos(xs)[None, :])    # [K_max, nx]
     # partial[k, ix, it] = sum of the first k+1 terms
@@ -376,20 +376,11 @@ def tail_mass(spec: BathSpec) -> float:
     weight that window misses.  Exactly zero for the circular density.  A
     diagnostic, not an error bound.
     """
-    dens = spec.density
-    if isinstance(dens, OhmicCircular):
+    if isinstance(spec.density, OhmicCircular):
         return 0.0
-    if spec.zero_temperature:
-        def w(omega):
-            return float(dens.evaluate(omega))
-        total = _quad_checked(w, 0.0, np.inf)
-        tail = _quad_checked(w, spec.Omega, np.inf)
-        return tail / total
-    bh = spec.beta_hbar
 
     def w(omega):
-        ov = np.atleast_1d(omega)
-        return float(dens.over_omega(ov)[0] * _bose_ratio(bh * ov)[0] / bh)
+        return float(_occupied(spec, omega))
 
     total = (_quad_checked(w, -np.inf, 0.0) + _quad_checked(w, 0.0, np.inf))
     tail = (_quad_checked(w, -np.inf, -spec.Omega)
@@ -416,8 +407,7 @@ def write_expansion(path, spec: BathSpec, expansion: BathExpansion) -> None:
     for key, val in spec.density.header_items():
         lines.append(f"# {key} = {val!r}" if isinstance(val, float)
                      else f"# {key} = {val}")
-    bh = "inf" if spec.zero_temperature else repr(float(spec.beta_hbar))
-    lines.append(f"# beta_hbar = {bh}")
+    lines.append(f"# beta_hbar = {float(spec.beta_hbar)!r}")  # inf at T = 0
     lines.append(f"# Omega = {float(spec.Omega)!r}")
     lines.append(f"# K = {spec.K}")
     lines.append("# columns: k re_c im_c")
@@ -463,8 +453,7 @@ def read_expansion(path):
         else:
             raise ConfigError(f"unknown density variant {variant!r}",
                               section="bath", key="density")
-        beta_hbar = INFINITE if header["beta_hbar"] == "inf" \
-            else float(header["beta_hbar"])
+        beta_hbar = float(header["beta_hbar"])
         Omega = float(header["Omega"])
         K = int(header["K"])
     except KeyError as exc:

@@ -54,14 +54,6 @@ def _model_dim(cfg: RunConfig) -> int:
     return 2
 
 
-def _last_point(cfg: RunConfig) -> float:
-    """The latest physical time the run's sweeps reach."""
-    if cfg.experiment == "respond":
-        return (cfg.require("run", "t0")
-                + cfg.require("run", "tau").values()[-1])
-    return cfg.require("run", "record").values()[-1]
-
-
 def _component_count(cfg: RunConfig) -> int:
     """Pure components of the initial state; a thermal mixture has dim."""
     if cfg.experiment == "rdm" and cfg.get("run", "init") == "thermal":
@@ -130,7 +122,7 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
         raise ResourceLimitError(
             f"estimated {total} bytes exceed the {_BYTE_BUDGET} byte budget")
     dt = effective_dt(cfg)
-    steps = 2 * int(round(_last_point(cfg) / dt)) * _component_count(cfg)
+    steps = 2 * int(round(horizon_of(cfg) / dt)) * _component_count(cfg)
     return {"awf_count": num, "dim": dim, "estimated_bytes": total,
             "estimated_steps": steps}
 
@@ -155,6 +147,26 @@ def _load_config(args) -> RunConfig:
     if args.config is None:
         raise ConfigError("--config is required for this subcommand")
     return parse_config_file(args.config)
+
+
+def _start(args, kind: str):
+    """The shared prelude of the experiment subcommands.
+
+    Loads the config and runs :func:`preflight`, which validates it and
+    refuses it before anything is allocated when it is over budget; then
+    checks the experiment kind, starts the clock, makes the output
+    directory and checks the expansion horizon.  Returns
+    (cfg, out, started).
+    """
+    cfg = _load_config(args)
+    preflight(cfg)
+    if cfg.experiment != kind:
+        raise ConfigError(f"config is for {cfg.experiment!r}, expected "
+                          f"{kind!r}", section="experiment", key="kind")
+    started = time.perf_counter()
+    out = _out_dir(args, cfg)
+    _check_horizon(cfg)
+    return cfg, out, started
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -192,14 +204,7 @@ def _plot_from_csv(csv_path: Path, svg_path: Path, columns, *,
 
 
 def _cmd_bath_fit(args) -> int:
-    cfg = _load_config(args)
-    validate_config(cfg)
-    if cfg.experiment != "bath-fit":
-        raise ConfigError(f"config is for {cfg.experiment!r}, expected "
-                          "'bath-fit'", section="experiment", key="kind")
-    started = time.perf_counter()
-    out = _out_dir(args, cfg)
-    _check_horizon(cfg)
+    cfg, out, started = _start(args, "bath-fit")
     spec = build_bath_spec(cfg)
     expansion = compute_coefficients(spec)
     write_expansion(out / "expansion.txt", spec, expansion)
@@ -223,14 +228,7 @@ def _cmd_bath_fit(args) -> int:
 
 
 def _cmd_respond(args) -> int:
-    cfg = _load_config(args)
-    validate_config(cfg)
-    if cfg.experiment != "respond":
-        raise ConfigError(f"config is for {cfg.experiment!r}, expected "
-                          "'respond'", section="experiment", key="kind")
-    started = time.perf_counter()
-    out = _out_dir(args, cfg)
-    _check_horizon(cfg)
+    cfg, out, started = _start(args, "respond")
     comps = build_components(cfg)
     taus = cfg.require("run", "tau").values()
     result = response_function(
@@ -258,14 +256,7 @@ def _cmd_respond(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    cfg = _load_config(args)
-    validate_config(cfg)
-    if cfg.experiment != "anneal":
-        raise ConfigError(f"config is for {cfg.experiment!r}, expected "
-                          "'anneal'", section="experiment", key="kind")
-    started = time.perf_counter()
-    out = _out_dir(args, cfg)
-    _check_horizon(cfg)
+    cfg, out, started = _start(args, "anneal")
     comps = build_components(cfg)
     record = cfg.require("run", "record").values()
     trace = annealing_populations(comps.engine, comps.init, comps.dt, record)
@@ -285,14 +276,7 @@ def _cmd_anneal(args) -> int:
 
 
 def _cmd_rdm(args) -> int:
-    cfg = _load_config(args)
-    validate_config(cfg)
-    if cfg.experiment != "rdm":
-        raise ConfigError(f"config is for {cfg.experiment!r}, expected "
-                          "'rdm'", section="experiment", key="kind")
-    started = time.perf_counter()
-    out = _out_dir(args, cfg)
-    _check_horizon(cfg)
+    cfg, out, started = _start(args, "rdm")
     comps = build_components(cfg)
     record = cfg.require("run", "record").values()
     times, rho = rdm_trajectory(comps.engine, comps.init, comps.dt, record)

@@ -220,14 +220,18 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def horizon_of(cfg: RunConfig) -> Optional[float]:
-    """The largest physical time the experiment reaches, if any."""
+    """The latest physical time the experiment's sweeps reach, if any.
+
+    That is the last point of the snapped grid, not the written stop: the
+    respond sweeps reach t0 + the last lag, the anneal and rdm sweeps the
+    last record time.
+    """
     kind = cfg.experiment
     if kind == "respond":
-        return cfg.require("run", "t0") + cfg.require("run", "tau").stop
-    if kind == "anneal":
-        return cfg.require("model", "t_f")
-    if kind == "rdm":
-        return cfg.require("run", "record").stop
+        return float(cfg.require("run", "t0")
+                     + cfg.require("run", "tau").values()[-1])
+    if kind in ("anneal", "rdm"):
+        return float(cfg.require("run", "record").values()[-1])
     if kind == "bath-fit":
         return cfg.require("run", "t_max")
     return None

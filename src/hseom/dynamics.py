@@ -50,7 +50,6 @@ from .models import Operator, SystemModel, _pruned_csr
 __all__ = [
     "Branch", "WaveStack", "ContourPlan", "Snapshot", "Trajectory",
     "contour_clock", "build_coupling_matrices", "ContourEngine",
-    "grid_dt", "default_dt",
 ]
 
 _GRID_TOL = 1e-9
@@ -511,15 +510,3 @@ class ContourEngine:
                 out[level] = float(np.abs(block).max())
         return out
 
-
-def grid_dt(t: float, dt_target: float) -> float:
-    """Largest step <= dt_target that divides t exactly."""
-    if t <= 0:
-        return dt_target
-    return t / math.ceil(t / dt_target - _GRID_TOL)
-
-
-def default_dt(Omega: float, t: float) -> float:
-    """min(0.05/Omega, t/2000), snapped onto a divisor of t."""
-    target = 0.05 / Omega if t <= 0 else min(0.05 / Omega, t / 2000.0)
-    return grid_dt(t, target)

@@ -20,7 +20,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import ContourEngine, ContourPlan, WaveStack, _GRID_TOL
+from .dynamics import (ContourEngine, ContourPlan, WaveStack, _GRID_TOL,
+                       _step_of)
 from .errors import ConfigError, EquilibrationWarning
 from .models import (DenseOperator, InitialState, LocalizedWithTransform,
                      Operator, SIGMA_X)
@@ -75,14 +76,6 @@ class PopulationTrace:
     p_excited_sum: np.ndarray
     trace: np.ndarray
     metadata: Dict = dataclasses.field(default_factory=dict)
-
-
-def _steps_on_grid(value: float, dt: float, what: str) -> int:
-    step = int(round(value / dt))
-    if abs(step * dt - value) > _GRID_TOL * max(1.0, value):
-        raise ConfigError(f"{what} = {value} is off the dt = {dt} grid",
-                          section="plan")
-    return step
 
 
 def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
@@ -167,7 +160,7 @@ def operator_expectations(engine: ContourEngine, t: float,
     None means the identity, i.e. the trace.  Returns (values, stats dict)
     with the largest entry of each sweep.
     """
-    n = _steps_on_grid(t, dt, "t")
+    n = _step_of(t, dt, t, "t")
     adjoint = engine.adjoint()
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     total = np.zeros(len(operators), dtype=complex)
@@ -188,7 +181,7 @@ def reduced_density_matrix(engine: ContourEngine, t: float,
     and the identity on the way back.
     """
     return _density_matrices(engine, init, dt,
-                             [_steps_on_grid(t, dt, "t")])[0]
+                             [_step_of(t, dt, t, "t")])[0]
 
 
 def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
@@ -207,7 +200,7 @@ def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
     if np.any(np.diff(times) <= 0):
         raise ConfigError("record times must be strictly increasing",
                           section="plan", key="record_times")
-    steps = [_steps_on_grid(t, dt, "record time") for t in times]
+    steps = [_step_of(t, dt, t, "record time") for t in times]
     return times, _density_matrices(engine, init, dt, steps)
 
 
@@ -243,8 +236,8 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     if taus[0] != 0.0:
         raise ConfigError("lag grid must start at 0", section="plan",
                           key="taus")
-    n0 = _steps_on_grid(t0, dt, "t0")
-    turns = [n0 + _steps_on_grid(tau, dt, "tau") for tau in taus]
+    n0 = _step_of(t0, dt, t0, "t0")
+    turns = [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
     n_drift = int(round(0.8 * n0))
 
     sx = DenseOperator(SIGMA_X)
@@ -332,7 +325,8 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     P_ground = 1/2^Ncal.  The identity tracks the trace.  The forward and
     adjoint states advance together from one record time to the next; the
     adjoint of the scheduled backward branch is again a sweep forward in
-    time, so each record time costs only its own segment.
+    time, so each record time costs only its own segment.  Record times
+    past t_f are refused: the schedule ends there.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -341,7 +335,12 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     if np.any(np.diff(times) <= 0):
         raise ConfigError("record times must be strictly increasing",
                           section="plan", key="record_times")
-    steps = [_steps_on_grid(t, dt, "record time") for t in times]
+    t_f = engine.model.t_f
+    if np.any(times > t_f + _GRID_TOL * max(1.0, t_f)):
+        raise ConfigError(f"record time {times.max()} lies past the end of "
+                          f"the schedule, t_f = {t_f}", section="plan",
+                          key="record_times")
+    steps = [_step_of(t, dt, t, "record time") for t in times]
 
     target = engine.model.ramp[1]
     rows = np.repeat(np.arange(target.shape[0]), np.diff(target.indptr))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,70 @@ def test_circular_odd_coefficients_are_analytic(zeta, nu, beta):
     assert abs(exp.c[3] - target) < 1e-8
     for k in range(5, 16, 2):
         assert abs(exp.c[k]) < 1e-8
+
+
+def _reference_coefficients(spec):
+    """c_k from one scalar quad per k, in the angle x = cos(theta).
+
+    The substitution smooths the square-root edge of the circular density,
+    and the occupation J(w) / (1 - e^{-beta w}) is coded here from scratch.
+    """
+    dens, Om = spec.density, spec.Omega
+
+    def occupied(w):
+        if spec.zero_temperature:
+            return float(dens.evaluate(w)) if w > 0.0 else 0.0
+        return float(dens.evaluate(w)) / -math.expm1(-spec.beta_hbar * w)
+
+    c = np.zeros(spec.K, dtype=complex)
+    for k in range(spec.K):
+        def f(th):
+            return math.cos(k * th) * occupied(Om * math.cos(th)) \
+                * math.sin(th)
+        val = sum(integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-14,
+                                 limit=200)[0]
+                  for a, b in ((0.0, math.pi / 2), (math.pi / 2, math.pi)))
+        c[k] = (2.0 if k else 1.0) * (-1j) ** k * Om * val
+    return c
+
+
+@pytest.mark.parametrize("spec", [
+    BathSpec(OhmicCircular(zeta=0.1, nu=3.0), 3.0, 3.0, 12),
+    BathSpec(OhmicCircular(zeta=1.3, nu=2.0), INFINITE, 2.0, 16),
+    BathSpec(OhmicExponential(eta=0.3, gamma=6.0), 3.0, 20.0, 40),
+    BathSpec(OhmicExponential(eta=0.3, gamma=6.0), INFINITE, 20.0, 40),
+], ids=["circular-warm", "circular-cold", "exponential-warm",
+        "exponential-cold"])
+def test_coefficients_match_a_tight_per_k_reference(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref = _reference_coefficients(spec)
+    got = compute_coefficients(spec).c
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("K", [2, 40])
+def test_coefficients_take_two_quadratures_whatever_K(K, monkeypatch):
+    from hseom import bath
+    calls = []
+    original = bath.integrate.quad_vec
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bath.integrate, "quad_vec", counted)
+    compute_coefficients(_circular(K=K))
+    assert calls == [(-1.0, 0.0), (0.0, 1.0)]
+
+
+def test_unconverged_coefficient_quadrature_is_refused(monkeypatch):
+    from hseom import QuadratureError, bath
+    original = bath.integrate.quad_vec
+    monkeypatch.setattr(bath.integrate, "quad_vec",
+                        lambda *a, **kw: original(*a, **{**kw, "limit": 2}))
+    with pytest.raises(QuadratureError):
+        compute_coefficients(_circular())
 
 
 def test_odd_coefficients_do_not_depend_on_temperature():
@@ -77,8 +142,8 @@ def test_alpha_reconstruct_scalar_and_array_agree():
     exp = compute_coefficients(_circular())
     ts = np.array([0.0, 0.4, 1.7])
     arr = alpha_reconstruct(exp, ts)
-    # the ladder's start order depends on max|z|, so agreement is close
-    # rather than bitwise
+    # the sums contract in a different order, so agreement is close rather
+    # than bitwise
     for i, t in enumerate(ts):
         assert abs(arr[i] - alpha_reconstruct(exp, float(t))) < 1e-12
 

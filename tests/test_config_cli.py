@@ -89,6 +89,14 @@ def test_horizon_per_experiment():
     assert horizon_of(preset("anneal-weak")) == pytest.approx(1.0)
     assert horizon_of(preset("rdm-circular")) == pytest.approx(2.0)
     assert horizon_of(preset("bath-fit-circular")) == pytest.approx(2.0)
+    # the last point the sweeps reach: the snapped grid ends at 4.0 ...
+    cfg = preset("respond-circular").replace("run", "tau",
+                                             GridSpec(0.0, 4.04, 0.1))
+    assert horizon_of(cfg) == pytest.approx(6.0)
+    # ... and an anneal stops at its last record time, not at t_f
+    cfg = preset("anneal-weak").replace("run", "record",
+                                        GridSpec(0.0, 0.5, 0.1))
+    assert horizon_of(cfg) == pytest.approx(0.5)
 
 
 def test_grid_spec_rules():
@@ -210,7 +218,8 @@ def test_preflight_bytes_cover_the_built_generator():
     assert report["estimated_bytes"] >= built + 21 * 1024 * 16 * 6
 
 
-def test_preflight_refuses_over_budget_before_building(monkeypatch):
+def test_preflight_refuses_over_budget_before_building(tmp_path,
+                                                       monkeypatch):
     from hseom import ResourceLimitError
     from hseom import cli, presets
     from hseom.dynamics import ContourEngine
@@ -229,6 +238,11 @@ def test_preflight_refuses_over_budget_before_building(monkeypatch):
     assert 56 * 2 ** 16 * 16 * 6 < 2 * 1024 ** 3
     with pytest.raises(ResourceLimitError):
         preflight(cfg)
+    # the run subcommand refuses it too, before building
+    path = tmp_path / "huge.ini"
+    path.write_text(serialize_config(cfg))
+    assert main(["anneal", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 4
 
 
 def test_preflight_refuses_over_cap():
@@ -262,6 +276,14 @@ def test_cli_config_errors_exit_2(tmp_path):
     # config kind must match the subcommand
     assert main(["respond", "--config",
                  str(CONFIG_DIR / "anneal_weak.ini")]) == 2
+    # an anneal record grid must not run past the end of the schedule
+    late = tmp_path / "late.ini"
+    late.write_text(serialize_config(preset("anneal-weak").replace(
+        "run", "record", GridSpec(0.0, 2.0, 0.1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        assert main(["anneal", "--config", str(late),
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hseom import (BathExpansion, Branch, ConfigError, ContourEngine,
                    ContourPlan, DenseOperator, NumericalError, PureState,
                    assemble_generator, build_components, build_eta,
-                   build_space, contour_clock, default_dt, grid_dt, preset,
+                   build_space, contour_clock, preset,
                    pspin_annealing, spin_boson)
 from hseom.dynamics import WaveStack
 from hseom.models import SIGMA_X
@@ -230,15 +230,3 @@ def test_backward_batch_extracts_with_bras(small_engine, rng):
     expected = np.vdot(bras[0], finals[:d, 0])
     assert abs(vals[0] - expected) < 1e-13
 
-
-def test_grid_dt_divides_evenly():
-    dt = grid_dt(2.0, 0.3)
-    n = 2.0 / dt
-    assert abs(n - round(n)) < 1e-9
-    assert dt <= 0.3 + 1e-12
-
-
-def test_default_dt_tracks_omega():
-    assert default_dt(6.0, 2.0) <= 0.05 / 6.0 + 1e-12
-    n = 2.0 / default_dt(6.0, 2.0)
-    assert abs(n - round(n)) < 1e-6

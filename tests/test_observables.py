@@ -304,6 +304,17 @@ def test_annealing_coupling_helps_at_p3(small_expansion):
     assert results[0.1] >= results[0.01]
 
 
+def test_annealing_refuses_record_times_past_t_f(small_expansion):
+    # past t_f the linear ramp would run on and drive the field negative
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
+    engine = ContourEngine(build_space(4, 1), small_expansion, model)
+    init = uniform_superposition_transform(2)
+    with pytest.raises(ConfigError, match="past the end of the schedule"):
+        annealing_populations(engine, init, 0.01, [0.0, 1.0, 1.1])
+    # the end of the schedule itself is a record time like any other
+    assert annealing_populations(engine, init, 0.01, [1.0]).times[0] == 1.0
+
+
 def test_annealing_rejects_fixed_models(small_engine):
     with pytest.raises(ConfigError):
         annealing_populations(small_engine,
