@@ -13,8 +13,7 @@ from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)
-from .dynamics import (Branch, ContourEngine, ContourPlan, Snapshot,
-                       Trajectory, WaveStack, contour_clock)
+from .dynamics import Branch, ContourEngine
 from .errors import (ConfigError, EquilibrationWarning, ExpansionWarning,
                      HorizonWarning, HseomError, NumericalError,
                      QuadratureError, ResourceLimitError)
@@ -26,8 +25,7 @@ from .models import (DenseOperator, DiagonalOperator, LocalizedWithTransform,
                      thermal_state, uniform_superposition_transform)
 from .observables import (CorrelationResult, PopulationTrace, Spectrum,
                           annealing_populations, half_fourier,
-                          operator_expectations, rdm_trajectory,
-                          reduced_density_matrix, response_function,
+                          rdm_trajectory, response_function,
                           two_body_correlation)
 from .oracles import (assemble_generator, closed_schedule_propagate,
                       closed_system_propagate, dephasing_exact)

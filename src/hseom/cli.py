@@ -23,7 +23,7 @@ from .bath import (BathExpansion, alpha_quadrature, alpha_reconstruct,
                    reconstruction_error, tail_mass, write_expansion)
 from .config import (RunConfig, horizon_of, parse_config_file,
                      serialize_config, validate_config)
-from .dynamics import Branch, ContourEngine, ContourPlan, WaveStack
+from .dynamics import Branch, ContourEngine
 from .errors import (ConfigError, ExpansionWarning, HorizonWarning,
                      HseomError, NumericalError, ResourceLimitError)
 from .hierarchy import DEFAULT_MAX_INDICES, awf_count, build_space
@@ -349,10 +349,9 @@ def _validate_rows():
     model = spin_boson(1.0)
     engine = ContourEngine(space, expansion, model)
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    plan = ContourPlan(t=1.0, dt=1e-3)
-    traj = engine.run(plan, PureState(psi0))
+    _, final = engine.run(psi0, 1.0, 1e-3)
     rows.append(("closed_contour_identity",
-                 float(np.abs(traj.final.data[0] - psi0).max()), 1e-9))
+                 float(np.abs(final[0] - psi0).max()), 1e-9))
 
     # commuting coupling against the exact decay factor
     from .bath import BathSpec, OhmicCircular

@@ -205,6 +205,23 @@ def validate_config(cfg: RunConfig) -> None:
                               section="bath", key="density")
         for key in _DENSITY_KEYS[density]:
             cfg.require("bath", key)
+    for section, key in (("integrator", "dt"), ("bath", "Omega"),
+                         ("run", "window_time")):
+        value = cfg.get(section, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"must be positive, got {value}",
+                              section=section, key=key)
+    for section, key, least in (("bath", "K", 2), ("hierarchy", "n_max", 0),
+                                ("run", "t0", 0.0)):
+        value = cfg.get(section, key)
+        if value is not None and value < least:
+            raise ConfigError(f"must be at least {least}, got {value}",
+                              section=section, key=key)
+    for key in ("record", "tau"):
+        grid = cfg.get("run", key)
+        if grid is not None and grid.start < 0:
+            raise ConfigError(f"grid {grid} starts before t = 0",
+                              section="run", key=key)
     if kind in ("respond", "rdm") and cfg.get("model", "kind") not in (
             "spin_boson", "pure_dephasing"):
         raise ConfigError(f"experiment {kind} needs a two-level model",

@@ -21,6 +21,14 @@ and with the system operators into one generator on the flattened stack
 (see :class:`ContourEngine`), so a derivative is one sparse product, or
 three for a schedule.
 
+There is one stepping routine: a classical RK4 step at a fixed dt on
+absolute grid steps s = n dt.  :meth:`ContourEngine.integrate_span` only
+repeats it, so a sweep may be cut into consecutive spans anywhere without
+changing a bit of the result, and callers insert operators or read
+states between spans.  :meth:`ContourEngine.run` walks the contour
+literally in three spans (to the turning point, back to the second
+insertion, back to 2t); it is the definitional reference.
+
 Observables do not run the backward branch at all.  Every contour value is
 <e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of a classical
 RK4 step on a linear equation is again an RK4 step, with the stages'
@@ -34,7 +42,6 @@ initial-state component, O(horizon) whatever the number of record times.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import enum
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,10 +54,7 @@ from .errors import ConfigError, NumericalError
 from .hierarchy import ABSENT, HierarchySpace
 from .models import Operator, SystemModel, _pruned_csr
 
-__all__ = [
-    "Branch", "WaveStack", "ContourPlan", "Snapshot", "Trajectory",
-    "contour_clock", "build_coupling_matrices", "ContourEngine",
-]
+__all__ = ["Branch", "build_coupling_matrices", "ContourEngine"]
 
 _GRID_TOL = 1e-9
 
@@ -64,103 +68,19 @@ class Branch(enum.Enum):
         return 1.0 if self is Branch.C1 else -1.0
 
 
-def contour_clock(s: float, t: float):
-    """Fold the contour parameter onto the physical clock.
-
-    Returns (tau, branch, sign); the turning point s = t belongs to C1.
-    """
-    tol = _GRID_TOL * max(1.0, t)
-    if s < -tol or s > 2.0 * t + tol:
-        raise ValueError(f"s = {s} outside the contour [0, {2.0 * t}]")
-    if s <= t:
-        return s, Branch.C1, 1.0
-    return 2.0 * t - s, Branch.C2, -1.0
-
-
-@dataclasses.dataclass(eq=False)
-class WaveStack:
-    """One row per hierarchy index; row 0 is the physical wave function."""
-
-    data: np.ndarray   # complex [num_awf, dim]
-    s: float
-    branch: Branch
-
-
-@dataclasses.dataclass(eq=False)
-class Snapshot:
-    s: float
-    branch: Branch
-    rwf: np.ndarray
-    stack: Optional[np.ndarray] = None
-
-
-@dataclasses.dataclass(eq=False)
-class Trajectory:
-    snapshots: List[Snapshot]
-    final: WaveStack
-    c1_max_abs: float
-    c2_max_abs: float
-
-
 def _step_of(s: float, dt: float, scale: float, what: str) -> int:
+    """The grid step of contour time s; refuses s < 0, dt <= 0, off-grid s."""
+    if not dt > 0:
+        raise ConfigError(f"dt = {dt} must be positive", section="integrator",
+                          key="dt")
+    if s < 0:
+        raise ConfigError(f"{what} at s = {s} precedes the start of the "
+                          f"contour", section="plan")
     step = int(round(s / dt))
     if abs(step * dt - s) > _GRID_TOL * max(1.0, scale):
         raise ConfigError(f"{what} at s = {s} is off the dt = {dt} grid",
                           section="plan")
     return step
-
-
-@dataclasses.dataclass(eq=False)
-class ContourPlan:
-    """Step grid, operator insertions, and record times for one contour run.
-
-    Insertions are (s, operator) pairs applied to every stack row when the
-    integrator reaches that grid point; the defaults for a two-operator
-    correlation are (t, A) and (2t - t', B).  All s values must sit on the
-    dt grid, which is checked here rather than discovered mid-run.
-    """
-
-    t: float
-    dt: float
-    t_prime: float = 0.0
-    insertions: Sequence[Tuple[float, Operator]] = ()
-    record_times: Sequence[float] = ()
-    record_full: bool = False
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ConfigError("t must be >= 0", section="plan", key="t")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive", section="plan", key="dt")
-        if not 0.0 <= self.t_prime <= self.t + _GRID_TOL * max(1.0, self.t):
-            raise ConfigError("t_prime must lie in [0, t]", section="plan",
-                              key="t_prime")
-        self.n_half = _step_of(self.t, self.dt, self.t, "turning point")
-        self.insertion_steps = []
-        for s, op in sorted(self.insertions, key=lambda pair: pair[0]):
-            if s < 0 or s > 2.0 * self.t + _GRID_TOL * max(1.0, self.t):
-                raise ConfigError(f"insertion at s = {s} outside the contour",
-                                  section="plan")
-            self.insertion_steps.append(
-                (_step_of(s, self.dt, self.t, "insertion"), op))
-        self.record_steps = [
-            _step_of(s, self.dt, self.t, "record time")
-            for s in self.record_times]
-
-    @classmethod
-    def correlation(cls, t: float, t_prime: float, dt: float,
-                    A: Optional[Operator] = None,
-                    B: Optional[Operator] = None,
-                    record_times: Sequence[float] = (),
-                    record_full: bool = False) -> "ContourPlan":
-        """Plan with A applied at the turning point and B at s = 2t - t'."""
-        ins = []
-        if A is not None:
-            ins.append((t, A))
-        if B is not None:
-            ins.append((2.0 * t - t_prime, B))
-        return cls(t=t, dt=dt, t_prime=t_prime, insertions=ins,
-                   record_times=record_times, record_full=record_full)
 
 
 def build_coupling_matrices(space: HierarchySpace,
@@ -344,41 +264,37 @@ class ContourEngine:
                 f"magnitude {largest:.3e}")
         return peak
 
+    def _rk4_step(self, y: np.ndarray, s: float, dt: float, sign: float,
+                  tau_of) -> None:
+        """Advance y in place by one classical RK4 step from s."""
+        if self._ramp is None or tau_of is None:
+            t1 = t2 = t3 = 0.0
+        else:
+            t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
+        k1 = self._deriv_flat(y, t1, sign)
+        k2 = self._deriv_flat(y + (0.5 * dt) * k1, t2, sign)
+        k3 = self._deriv_flat(y + (0.5 * dt) * k2, t2, sign)
+        k4 = self._deriv_flat(y + dt * k3, t3, sign)
+        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     def integrate_span(self, y: np.ndarray, step0: int, n_steps: int,
-                       dt: float, sign: float, tau_of=None,
-                       events: Optional[Dict[int, List[Operator]]] = None,
-                       snap_steps: Optional[Dict[int, object]] = None):
+                       dt: float, sign: float, tau_of=None):
         """RK4 over n_steps from absolute grid step step0.
 
-        ``tau_of`` maps the contour parameter s to the physical clock for
-        scheduled Hamiltonians (ignored when time-independent).  Events and
-        snapshots key on absolute steps; both fire at segment boundaries,
-        events first.  Returns (y, snapshots dict, max |entry| seen).
+        ``tau_of`` maps the contour parameter s = step * dt to the physical
+        clock for scheduled Hamiltonians (ignored when time-independent).
+        Every step depends only on the state and its absolute step, so one
+        span of n steps equals any split of it into consecutive spans, bit
+        for bit.  Every state, the first included, is checked for
+        finiteness.  Returns (y, max |entry| seen); the input is not
+        modified.
         """
         y = y.astype(complex, copy=True)
-        snaps = {}
-        max_abs = 0.0
-        for local in range(n_steps + 1):
-            step = step0 + local
-            s = step * dt
-            if events is not None and step in events:
-                for op in events[step]:
-                    y = self.apply_all_rows(y, op)
-            if snap_steps is not None and step in snap_steps:
-                snaps[snap_steps[step]] = y.copy()
-            max_abs = max(max_abs, self._check_finite(y, s))
-            if local == n_steps:
-                break
-            if self._ramp is None or tau_of is None:
-                t1 = t2 = t3 = 0.0
-            else:
-                t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
-            k1 = self._deriv_flat(y, t1, sign)
-            k2 = self._deriv_flat(y + (0.5 * dt) * k1, t2, sign)
-            k3 = self._deriv_flat(y + (0.5 * dt) * k2, t2, sign)
-            k4 = self._deriv_flat(y + dt * k3, t3, sign)
-            y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y, snaps, max_abs
+        max_abs = self._check_finite(y, step0 * dt)
+        for step in range(step0, step0 + n_steps):
+            self._rk4_step(y, step * dt, dt, sign, tau_of)
+            max_abs = max(max_abs, self._check_finite(y, (step + 1) * dt))
+        return y, max_abs
 
     def backward_batch(self, columns: np.ndarray, steps: np.ndarray,
                        dt: float,
@@ -430,75 +346,43 @@ class ContourEngine:
                 break
             Xa = X[:, :active]
             max_abs = max(max_abs, self._check_finite(Xa, step * dt))
-            k1 = self._deriv_flat(Xa, 0.0, -1.0)
-            k2 = self._deriv_flat(Xa + (0.5 * dt) * k1, 0.0, -1.0)
-            k3 = self._deriv_flat(Xa + (0.5 * dt) * k2, 0.0, -1.0)
-            k4 = self._deriv_flat(Xa + dt * k3, 0.0, -1.0)
-            X[:, :active] = Xa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            self._rk4_step(Xa, step * dt, dt, -1.0, None)
             step += 1
         return (out if bras is not None else finals), max_abs
 
-    def _initial_data(self, init) -> np.ndarray:
-        if isinstance(init, WaveStack):
-            arr = np.asarray(init.data, dtype=complex)
-        elif isinstance(init, np.ndarray):
-            arr = np.asarray(init, dtype=complex)
-        else:
-            parts = init.components()
-            if len(parts) != 1:
-                raise ValueError("a mixture cannot be propagated in one "
-                                 "run; loop over components()")
-            arr = parts[0][1]
-        if arr.ndim == 1 and arr.shape == (self.dim,):
-            return self.initial_stack(arr)
-        if arr.shape != (self.num_awf, self.dim):
-            raise ValueError(f"stack shape {arr.shape} does not match "
-                             f"({self.num_awf}, {self.dim})")
-        return arr
+    def run(self, psi0: np.ndarray, t: float, dt: float, *,
+            A: Optional[Operator] = None, B: Optional[Operator] = None,
+            t_prime: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+        """The contour 0 -> t -> 2t from e0 x psi0, walked literally.
 
-    def run(self, plan: ContourPlan, init) -> Trajectory:
-        """Full contour 0 -> t -> 2t with the plan's insertions.
-
-        ``init`` may be a WaveStack, a system vector (row 0 of a fresh
-        stack), or a single-component initial state.  Snapshots at the
-        plan's record times are taken after any insertion at the same
-        grid point and store the physical row only, unless
-        ``record_full`` is set.
+        Three spans: forward along C1 to the turning point s = t, where A
+        acts on every row; back along C2 to s = 2t - t', where B acts; back
+        to s = 2t.  None means the identity.  This is the definitional
+        reference the adjoint-sweep observables are checked against.
+        Returns the [num_awf, dim] stacks at the turning point, before A,
+        and at s = 2t.  t, t' and 2t - t' must sit on the dt grid, with
+        0 <= t' <= t.
         """
-        data = self._initial_data(init)
-        n_half = plan.n_half
-        events_c1: Dict[int, List[Operator]] = {}
-        events_c2: Dict[int, List[Operator]] = {}
-        for step, op in plan.insertion_steps:
-            (events_c1 if step <= n_half else events_c2).setdefault(
-                step, []).append(op)
-        snaps_c1 = {step: i for i, step in enumerate(plan.record_steps)
-                    if step <= n_half}
-        snaps_c2 = {step: i for i, step in enumerate(plan.record_steps)
-                    if step > n_half}
+        n = _step_of(t, dt, t, "turning point")
+        if not 0.0 <= t_prime <= t + _GRID_TOL * max(1.0, t):
+            raise ConfigError("t_prime must lie in [0, t]", section="plan",
+                              key="t_prime")
+        n_b = 2 * n - _step_of(t_prime, dt, t, "t_prime")
+        y, _ = self.integrate_span(self.initial_stack(psi0).ravel(), 0, n,
+                                   dt, +1.0, tau_of=lambda s: s)
+        turn = y.reshape(self.num_awf, self.dim)
+        if A is not None:
+            y = self.apply_all_rows(y, A)
 
-        y = data.ravel()
-        y, got1, max1 = self.integrate_span(
-            y, 0, n_half, plan.dt, +1.0, tau_of=lambda s: s,
-            events=events_c1, snap_steps=snaps_c1)
-        y, got2, max2 = self.integrate_span(
-            y, n_half, n_half, plan.dt, -1.0,
-            tau_of=lambda s: 2.0 * plan.t - s,
-            events=events_c2, snap_steps=snaps_c2)
+        def back(s):
+            return 2.0 * t - s
 
-        snapshots = []
-        collected = {**got1, **got2}
-        for i, step in enumerate(plan.record_steps):
-            stack2d = collected[i].reshape(self.num_awf, self.dim)
-            s = step * plan.dt
-            branch = Branch.C1 if step <= n_half else Branch.C2
-            snapshots.append(Snapshot(
-                s=s, branch=branch, rwf=stack2d[0].copy(),
-                stack=stack2d.copy() if plan.record_full else None))
-        final = WaveStack(data=y.reshape(self.num_awf, self.dim),
-                          s=2.0 * plan.t, branch=Branch.C2)
-        return Trajectory(snapshots=snapshots, final=final,
-                          c1_max_abs=max1, c2_max_abs=max2)
+        y, _ = self.integrate_span(y, n, n_b - n, dt, -1.0, tau_of=back)
+        if B is not None:
+            y = self.apply_all_rows(y, B)
+        y, _ = self.integrate_span(y, n_b, 2 * n - n_b, dt, -1.0,
+                                   tau_of=back)
+        return turn, y.reshape(self.num_awf, self.dim)
 
     def level_norms(self, stack: np.ndarray) -> np.ndarray:
         """Max row magnitude per hierarchy level, an overflow diagnostic."""

@@ -20,18 +20,19 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import (ContourEngine, ContourPlan, WaveStack, _GRID_TOL,
-                       _step_of)
+from .dynamics import ContourEngine, _GRID_TOL, _step_of
 from .errors import ConfigError, EquilibrationWarning
 from .models import (DenseOperator, InitialState, LocalizedWithTransform,
                      Operator, SIGMA_X)
 
 __all__ = [
     "CorrelationResult", "Spectrum", "PopulationTrace",
-    "two_body_correlation", "operator_expectations",
-    "reduced_density_matrix", "rdm_trajectory", "response_function",
+    "two_body_correlation", "rdm_trajectory", "response_function",
     "half_fourier", "annealing_populations",
 ]
+
+# relative energy tolerance that groups the target's levels into clusters
+_CLUSTER_TOL = 1e-8
 
 
 @dataclasses.dataclass(eq=False)
@@ -79,28 +80,48 @@ class PopulationTrace:
 
 
 def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
-                      v: np.ndarray, dt: float, steps: Sequence[int],
-                      peaks: Dict[str, float]):
-    """Forward and adjoint stacks of the component v at each grid step.
+                      y: np.ndarray, a: np.ndarray, step0: int, dt: float,
+                      steps: Sequence[int], peaks: Dict[str, float]):
+    """Forward and adjoint flat states at each grid step, side by side.
 
-    ``steps`` must be non-decreasing.  Both sweeps start from e0 x v and
-    advance side by side, segment by segment, so no snapshots are kept.
-    Yields (index into steps, y, a) with <a, (I x O) y> = tr{O rho_v(t)};
-    ``peaks`` keeps the largest entry of each sweep under "c1_max_abs"
-    and "adjoint_max_abs".
+    ``y`` and ``a`` are the states at grid step ``step0``; ``steps`` must
+    be non-decreasing and not before it.  Both advance segment by segment,
+    so no snapshots are kept.  Yields (index into steps, y, a); started
+    from e0 x v at step 0, <a, (I x O) y> = tr{O rho_v(t)}.  ``peaks``
+    keeps the largest entry of each sweep under "c1_max_abs" and
+    "adjoint_max_abs".
     """
-    y = a = engine.initial_stack(v).ravel()
-    prev = 0
+    prev = step0
     for r, step in enumerate(steps):
         if step > prev:
-            y, _, top = engine.integrate_span(
+            y, top = engine.integrate_span(
                 y, prev, step - prev, dt, +1.0, tau_of=lambda s: s)
             peaks["c1_max_abs"] = max(peaks["c1_max_abs"], top)
-            a, _, top = adjoint.integrate_span(
+            a, top = adjoint.integrate_span(
                 a, prev, step - prev, dt, -1.0, tau_of=lambda s: s)
             peaks["adjoint_max_abs"] = max(peaks["adjoint_max_abs"], top)
             prev = step
         yield r, y, a
+
+
+def _record_steps(engine: ContourEngine, times: np.ndarray,
+                  dt: float) -> list:
+    """Grid steps of strictly increasing record times.
+
+    A schedule ends at t_f, so for a scheduled model record times past it
+    are refused: there the linear ramp would run on and drive the field
+    negative.
+    """
+    if np.any(np.diff(times) <= 0):
+        raise ConfigError("record times must be strictly increasing",
+                          section="plan", key="record_times")
+    t_f = engine.model.t_f
+    if engine.model.time_dependent and np.any(
+            times > t_f + _GRID_TOL * max(1.0, t_f)):
+        raise ConfigError(f"record time {times.max()} lies past the end of "
+                          f"the schedule, t_f = {t_f}", section="plan",
+                          key="record_times")
+    return [_step_of(t, dt, t, "record time") for t in times]
 
 
 def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
@@ -115,8 +136,9 @@ def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     rho = np.zeros((len(steps), d, d), dtype=complex)
     for w, v in init.components():
-        for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
-                                         peaks):
+        start = engine.initial_stack(v).ravel()
+        for r, y, a in _advance_together(engine, adjoint, start, start, 0,
+                                         dt, steps, peaks):
             rho[r] += w * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
     return rho
 
@@ -133,75 +155,33 @@ def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
     ``A`` is inserted at the turning point s = t and ``B`` at s = 2t - t';
     pass None for either to mean the identity.
     """
-    plan = ContourPlan.correlation(t=t, t_prime=t_prime, dt=dt, A=A, B=B)
     if isinstance(init, LocalizedWithTransform):
         v = init.initial_vector()
-        traj = engine.run(plan, WaveStack(engine.initial_stack(v), 0.0, None))
-        return complex(np.vdot(v, traj.final.data[0]))
+        _, final = engine.run(v, t, dt, A=A, B=B, t_prime=t_prime)
+        return complex(np.vdot(v, final[0]))
     rho0 = init.density()
     total = 0.0 + 0.0j
     for col in range(engine.dim):
         start = rho0[:, col]
         if np.abs(start).max() == 0.0:
             continue
-        traj = engine.run(plan,
-                          WaveStack(engine.initial_stack(start), 0.0, None))
-        total += traj.final.data[0][col]
+        _, final = engine.run(start, t, dt, A=A, B=B, t_prime=t_prime)
+        total += final[0][col]
     return complex(total)
-
-
-def operator_expectations(engine: ContourEngine, t: float,
-                          init: InitialState, dt: float,
-                          operators: Sequence[Optional[Operator]]):
-    """tr{A_i(t) rho(t)} for several A_i from one pair of sweeps.
-
-    One forward and one adjoint sweep to t per initial-state component;
-    every requested operator is then one inner product between them.
-    None means the identity, i.e. the trace.  Returns (values, stats dict)
-    with the largest entry of each sweep.
-    """
-    n = _step_of(t, dt, t, "t")
-    adjoint = engine.adjoint()
-    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
-    total = np.zeros(len(operators), dtype=complex)
-    for w, v in init.components():
-        for _, y, a in _advance_together(engine, adjoint, v, dt, [n],
-                                         peaks):
-            total += w * np.array([
-                np.vdot(a, y if op is None else engine.apply_all_rows(y, op))
-                for op in operators])
-    return total, peaks
-
-
-def reduced_density_matrix(engine: ContourEngine, t: float,
-                           init: InitialState, dt: float) -> np.ndarray:
-    """rho_S(t) from one forward and one adjoint sweep per component.
-
-    rho_ij is the contour value with |j><i| inserted at the turning point
-    and the identity on the way back.
-    """
-    return _density_matrices(engine, init, dt,
-                             [_step_of(t, dt, t, "t")])[0]
 
 
 def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
                    record_times) -> Tuple[np.ndarray, np.ndarray]:
-    """rho_S(t) on a grid of record times, time-independent models only.
+    """rho_S(t) on a grid of record times.
 
     One forward and one adjoint sweep per initial-state component serve
-    every record time.  Returns (times, rho) with rho of shape
-    [n_times, dim, dim].
+    every record time, for a fixed or a scheduled model; a schedule's
+    record times must not pass t_f.  Returns (times, rho) with rho of
+    shape [n_times, dim, dim].
     """
-    if engine.model.time_dependent:
-        raise ConfigError("rdm_trajectory needs a time-independent model; "
-                          "use annealing_populations for schedules",
-                          section="model")
     times = np.asarray(record_times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ConfigError("record times must be strictly increasing",
-                          section="plan", key="record_times")
-    steps = [_step_of(t, dt, t, "record time") for t in times]
-    return times, _density_matrices(engine, init, dt, steps)
+    return times, _density_matrices(engine, init, dt,
+                                    _record_steps(engine, times, dt))
 
 
 def response_function(engine: ContourEngine, taus, t0: float, dt: float,
@@ -209,18 +189,16 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     """First-order response of the dissipative qubit after equilibration.
 
     Psi(t0 + tau; t0) is the contour from |1><1| with sigma_x at the
-    turning point t0 + tau and again tau later on the way back.  Three
-    single-column sweeps give every lag: forward to t0 + max(tau) with a
-    snapshot at each t0 + tau_m; adjoint over [0, t0]; then, after
-    sigma_x, the adjoint continued over [t0, t0 + max(tau)] with a
-    snapshot at each lag.  Then
-    Psi(tau_m) = <a2(t0 + tau_m) | sigma_x y(t0 + tau_m)>.  The result
-    values are the complex correlators; the physical response is their
-    imaginary part.
+    turning point t0 + tau and again tau later on the way back.  The
+    forward and adjoint sweeps advance together over [0, t0]; sigma_x
+    then acts on the adjoint, and both advance over [t0, t0 + max(tau)],
+    giving Psi(tau_m) = <a(t0 + tau_m) | sigma_x y(t0 + tau_m)> at each
+    lag.  The result values are the complex correlators; the physical
+    response is their imaginary part.
 
-    The population P_1 at 0.8 t0 and at t0 comes from the first adjoint
-    sweep; their difference is the equilibration drift, recorded in the
-    metadata and warned about above ``drift_tolerance``.
+    The population P_1 at 0.8 t0 and at t0 comes from the first leg; their
+    difference is the equilibration drift, recorded in the metadata and
+    warned about above ``drift_tolerance``.
     """
     if engine.dim != 2 or engine.model.time_dependent:
         raise ConfigError("response_function expects the time-independent "
@@ -238,42 +216,31 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
                           key="taus")
     n0 = _step_of(t0, dt, t0, "t0")
     turns = [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
-    n_drift = int(round(0.8 * n0))
 
     sx = DenseOperator(SIGMA_X)
-    proj1 = np.zeros((2, 2), dtype=complex)
-    proj1[1, 1] = 1.0
-    proj1 = DenseOperator(proj1)
+    proj1 = DenseOperator(np.diag([0.0, 1.0]).astype(complex))
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     adjoint = engine.adjoint()
+    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
 
-    def on(steps):
-        return {step: step for step in steps}
-
-    _, fwd, max_fwd = engine.integrate_span(
-        start, 0, turns[-1], dt, +1.0, tau_of=lambda s: s,
-        snap_steps=on(turns + [n_drift, n0]))
-    a_t0, settle, max_adj = adjoint.integrate_span(
-        start, 0, n0, dt, -1.0, tau_of=lambda s: s,
-        snap_steps=on([n_drift, n0]))
-    _, lagged, top = adjoint.integrate_span(
-        adjoint.apply_all_rows(a_t0, sx), n0, turns[-1] - n0, dt, -1.0,
-        tau_of=lambda s: s, snap_steps=on(turns))
-    max_adj = max(max_adj, top)
-
-    psi = np.array([np.vdot(lagged[n], engine.apply_all_rows(fwd[n], sx))
-                    for n in turns])
-    p1 = {n: np.vdot(settle[n], engine.apply_all_rows(fwd[n], proj1)).real
-          for n in (n_drift, n0)}
-    drift = abs(p1[n0] - p1[n_drift])
+    p1 = []
+    for _, y, a in _advance_together(engine, adjoint, start, start, 0, dt,
+                                     [int(round(0.8 * n0)), n0], peaks):
+        p1.append(np.vdot(a, engine.apply_all_rows(y, proj1)).real)
+    # the loop leaves y and a at t0, where the lags start
+    lagged = _advance_together(engine, adjoint, y,
+                               adjoint.apply_all_rows(a, sx), n0, dt, turns,
+                               peaks)
+    psi = np.array([np.vdot(a, engine.apply_all_rows(y, sx))
+                    for _, y, a in lagged])
+    drift = abs(p1[1] - p1[0])
     if drift > drift_tolerance:
         warnings.warn(
             f"populations still drifting at t0 = {t0}: |dP| = {drift:.3e} "
             f"over the last fifth of the settling run", EquilibrationWarning,
             stacklevel=2)
     meta = {"t0": t0, "dt": dt, "drift": float(drift),
-            "p1_at_t0": float(p1[n0]),
-            "c1_max_abs": float(max_fwd), "adjoint_max_abs": float(max_adj)}
+            "p1_at_t0": float(p1[1]), **peaks}
     return CorrelationResult(times=taus, values=psi, metadata=meta)
 
 
@@ -310,8 +277,7 @@ def half_fourier(result: CorrelationResult, omega_grid, *,
 
 
 def annealing_populations(engine: ContourEngine, init: InitialState,
-                          dt: float, record_times, *,
-                          cluster_tol: float = 1e-8) -> PopulationTrace:
+                          dt: float, record_times) -> PopulationTrace:
     """Populations of the target ground and first-excited states vs time.
 
     The target H(t_f) must be diagonal in the computational basis, as the
@@ -326,21 +292,15 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     adjoint states advance together from one record time to the next; the
     adjoint of the scheduled backward branch is again a sweep forward in
     time, so each record time costs only its own segment.  Record times
-    past t_f are refused: the schedule ends there.
+    past t_f are refused: the schedule ends there.  Levels closer than
+    ``_CLUSTER_TOL`` times the target's spectral width (at least 1) are
+    one level.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
                           section="model")
     times = np.asarray(record_times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ConfigError("record times must be strictly increasing",
-                          section="plan", key="record_times")
-    t_f = engine.model.t_f
-    if np.any(times > t_f + _GRID_TOL * max(1.0, t_f)):
-        raise ConfigError(f"record time {times.max()} lies past the end of "
-                          f"the schedule, t_f = {t_f}", section="plan",
-                          key="record_times")
-    steps = [_step_of(t, dt, t, "record time") for t in times]
+    steps = _record_steps(engine, times, dt)
 
     target = engine.model.ramp[1]
     rows = np.repeat(np.arange(target.shape[0]), np.diff(target.indptr))
@@ -351,12 +311,12 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     energies = target.diagonal().real
     lowest = energies.min()
     scale = max(1.0, float(energies.max() - lowest))
-    ground = np.nonzero(energies <= lowest + cluster_tol * scale)[0]
-    above = energies > lowest + cluster_tol * scale
+    ground = np.nonzero(energies <= lowest + _CLUSTER_TOL * scale)[0]
+    above = energies > lowest + _CLUSTER_TOL * scale
     levels = [ground]
     if above.any():
         e1 = energies[above].min()
-        cluster = np.nonzero(np.abs(energies - e1) <= cluster_tol * scale)[0]
+        cluster = np.nonzero(np.abs(energies - e1) <= _CLUSTER_TOL * scale)[0]
         levels += [cluster[:1], cluster]
 
     d = engine.dim
@@ -365,8 +325,9 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     adjoint = engine.adjoint()
     peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
     for w, v in init.components():
-        for r, y, a in _advance_together(engine, adjoint, v, dt, steps,
-                                         peaks):
+        start = engine.initial_stack(v).ravel()
+        for r, y, a in _advance_together(engine, adjoint, start, start, 0,
+                                         dt, steps, peaks):
             Y, A = y.reshape(-1, d), a.reshape(-1, d)
             for i, idx in enumerate(levels):
                 pops[i, r] += w * np.vdot(A[:, idx], Y[:, idx]).real
@@ -375,5 +336,5 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     p_g, p_rep, p_sum = pops
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
-                           metadata={"dt": dt, "cluster_tol": cluster_tol,
+                           metadata={"dt": dt, "cluster_tol": _CLUSTER_TOL,
                                      **peaks})

@@ -22,7 +22,6 @@ from hseom import (
     BathSpec,
     Branch,
     ContourEngine,
-    ContourPlan,
     HorizonWarning,
     OhmicCircular,
     PureState,
@@ -126,11 +125,10 @@ def test_criterion_04_closed_system_equivalence():
     engine = ContourEngine(build_space(K, 2), expansion, model)
     psi0 = np.array([0.6, 0.8], dtype=complex)
     t = 1.0
-    plan = ContourPlan(t=t, dt=1e-3, record_times=(t,))
-    traj = engine.run(plan, PureState(psi0))
+    turn, final = engine.run(psi0, t, 1e-3)
     exact = closed_system_propagate(model, psi0, t)
-    err_forward = float(np.abs(traj.snapshots[0].rwf - exact).max())
-    err_return = float(np.abs(traj.final.data[0] - psi0).max())
+    err_forward = float(np.abs(turn[0] - exact).max())
+    err_return = float(np.abs(final[0] - psi0).max())
     ok = err_forward <= 1e-9 and err_return <= 1e-9
     _report(4, ok, f"forward vs unitary {err_forward:.1e}, "
                    f"round trip {err_return:.1e} at dt = 1e-3")

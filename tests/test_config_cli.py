@@ -284,6 +284,25 @@ def test_cli_config_errors_exit_2(tmp_path):
         warnings.simplefilter("ignore", HorizonWarning)
         assert main(["anneal", "--config", str(late),
                      "--out", str(tmp_path / "out")]) == 2
+    # malformed values that used to run to a wrong answer or crash
+    negative = GridSpec(-0.5, 0.5, 0.25)
+    for name, section, key, value in (
+            ("rdm-circular", "integrator", "dt", -0.01),
+            ("rdm-circular", "integrator", "dt", 0.0),
+            ("rdm-circular", "bath", "Omega", 0.0),
+            ("respond-circular", "run", "window_time", 0.0),
+            ("rdm-circular", "hierarchy", "n_max", -1),
+            ("rdm-circular", "bath", "K", 0),
+            ("rdm-circular", "run", "record", negative),
+            ("anneal-weak", "run", "record", negative),
+            ("respond-circular", "run", "t0", -1.0)):
+        cfg = preset(name).replace(section, key, value)
+        path = tmp_path / f"{name}-{key}.ini"
+        path.write_text(serialize_config(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HorizonWarning)
+            assert main([cfg.experiment, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2, (key, value)
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch):

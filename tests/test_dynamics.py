@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from hseom import (BathExpansion, Branch, ConfigError, ContourEngine,
-                   ContourPlan, DenseOperator, NumericalError, PureState,
-                   assemble_generator, build_components, build_eta,
-                   build_space, contour_clock, preset,
+                   DenseOperator, NumericalError, assemble_generator,
+                   build_components, build_eta, build_space, preset,
                    pspin_annealing, spin_boson)
-from hseom.dynamics import WaveStack
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
 
@@ -23,32 +21,21 @@ def free_engine():
     return ContourEngine(build_space(2, 2), _free_expansion(), spin_boson(1.3))
 
 
-def test_contour_clock():
-    assert contour_clock(0.7, 2.0) == (0.7, Branch.C1, +1.0)
-    assert contour_clock(2.0, 2.0) == (2.0, Branch.C1, +1.0)
-    tau, branch, sign = contour_clock(3.1, 2.0)
-    assert abs(tau - 0.9) < 1e-12
-    assert branch is Branch.C2 and sign == -1.0
-    with pytest.raises(ValueError):
-        contour_clock(4.5, 2.0)
-
-
 def test_forward_branch_matches_exact_unitary(free_engine):
     model = spin_boson(1.3)
     psi0 = np.array([0.6, 0.8], dtype=complex)
     t = 1.0
-    plan = ContourPlan(t=t, dt=1e-3, record_times=(t,))
-    traj = free_engine.run(plan, PureState(psi0))
+    turn, _ = free_engine.run(psi0, t, 1e-3)
     exact = closed_system_propagate(model, psi0, t)
-    assert np.abs(traj.snapshots[0].rwf - exact).max() < 1e-9
+    assert np.abs(turn[0] - exact).max() < 1e-9
 
 
 def test_full_contour_is_identity(free_engine):
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    traj = free_engine.run(ContourPlan(t=1.0, dt=1e-3), PureState(psi0))
-    assert np.abs(traj.final.data[0] - psi0).max() < 1e-9
+    _, final = free_engine.run(psi0, 1.0, 1e-3)
+    assert np.abs(final[0] - psi0).max() < 1e-9
     # the auxiliary rows stay empty without coupling
-    assert np.abs(traj.final.data[1:]).max() < 1e-12
+    assert np.abs(final[1:]).max() < 1e-12
 
 
 def test_full_contour_identity_with_coupling(circular_expansion):
@@ -57,21 +44,20 @@ def test_full_contour_identity_with_coupling(circular_expansion):
     space = build_space(20, 2)
     engine = ContourEngine(space, circular_expansion, spin_boson(np.pi))
     psi0 = np.array([0.0, 1.0], dtype=complex)
-    traj = engine.run(ContourPlan(t=0.5, dt=0.0025), PureState(psi0))
-    assert np.abs(traj.final.data[0] - psi0).max() < 1e-9
+    _, final = engine.run(psi0, 0.5, 0.0025)
+    assert np.abs(final[0] - psi0).max() < 1e-9
 
 
 def test_rk4_error_scales_fourth_order(small_engine):
-    # Probe the forward snapshot at s = t.  The full round trip is useless
+    # Probe the forward state at s = t.  The full round trip is useless
     # here: the backward branch retraces the same steps with the negated
     # generator, the leading error terms cancel, and the return appears to
     # converge at order five or better.
     psi0 = np.array([1.0, 0.0], dtype=complex)
 
     def mid_rwf(dt):
-        plan = ContourPlan(t=1.0, dt=dt, record_times=(1.0,))
-        traj = small_engine.run(plan, PureState(psi0))
-        return traj.snapshots[0].rwf
+        turn, _ = small_engine.run(psi0, 1.0, dt)
+        return turn[0]
 
     ref = mid_rwf(0.003125)
     err_coarse = np.abs(mid_rwf(0.05) - ref).max()
@@ -153,49 +139,55 @@ def test_apply_all_rows_acts_on_every_column(small_engine, rng):
                               block[:, r].reshape(m, d) @ SIGMA_X.T)
 
 
-def test_run_ends_on_the_backward_branch(small_space, small_expansion):
-    engine = ContourEngine(small_space, small_expansion, spin_boson(1.0))
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    traj = engine.run(ContourPlan(t=0.25, dt=0.0125), PureState(psi0))
-    assert traj.final.s == 0.5
-    assert traj.final.branch is Branch.C2
-
-
-def test_snapshots_carry_branch_and_time(small_engine):
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    plan = ContourPlan(t=0.5, dt=0.0125, record_times=(0.25, 0.5, 0.75),
-                       record_full=True)
-    traj = small_engine.run(plan, PureState(psi0))
-    assert [snap.s for snap in traj.snapshots] == [0.25, 0.5, 0.75]
-    assert [snap.branch for snap in traj.snapshots] == [
-        Branch.C1, Branch.C1, Branch.C2]
-    for snap in traj.snapshots:
-        assert snap.stack.shape == (small_engine.num_awf, 2)
-        assert np.array_equal(snap.stack[0], snap.rwf)
-
-
 def test_insertion_changes_the_return(small_engine):
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    plan = ContourPlan.correlation(t=0.5, t_prime=0.0, dt=0.0125,
-                                   A=small_engine.model.V)
-    traj = small_engine.run(plan, PureState(psi0))
-    assert np.abs(traj.final.data[0] - psi0).max() > 1e-3
+    _, final = small_engine.run(psi0, 0.5, 0.0125, A=small_engine.model.V)
+    assert np.abs(final[0] - psi0).max() > 1e-3
 
 
 def test_off_grid_times_are_rejected(small_engine):
+    psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ConfigError):
-        ContourPlan(t=1.0, dt=0.3)
+        small_engine.run(psi0, 1.0, 0.3)
     with pytest.raises(ConfigError):
-        ContourPlan(t=1.0, dt=0.01, record_times=(0.505,))
+        small_engine.run(psi0, 1.0, 0.01, t_prime=0.505)
     with pytest.raises(ConfigError):
-        ContourPlan(t=1.0, dt=0.01, insertions=((0.3333, None),))
+        small_engine.run(psi0, 1.0, 0.01, t_prime=0.3333)
+
+
+def test_run_refuses_times_off_the_contour(small_engine):
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for t, dt, t_prime in ((-0.5, 0.01, 0.0), (1.0, 0.0, 0.0),
+                           (1.0, -0.01, 0.0), (1.0, 0.01, -0.1),
+                           (1.0, 0.01, 1.1)):
+        with pytest.raises(ConfigError):
+            small_engine.run(psi0, t, dt, t_prime=t_prime)
 
 
 def test_non_finite_states_raise(small_engine):
-    bad = np.full((small_engine.num_awf, 2), np.nan, dtype=complex)
     with pytest.raises(NumericalError):
-        small_engine.run(ContourPlan(t=0.1, dt=0.05),
-                         WaveStack(data=bad, s=0.0, branch=Branch.C1))
+        small_engine.run(np.full(2, np.nan, dtype=complex), 0.1, 0.05)
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_spans_split_anywhere_bit_for_bit(scheduled, small_space,
+                                          small_expansion, rng):
+    # every step depends only on the state and its absolute step, which
+    # is what makes the segmented observables exact
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
+        else spin_boson(1.0)
+    engine = ContourEngine(small_space, small_expansion, model)
+    size = engine.num_awf * engine.dim
+    y0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for sign in (+1.0, -1.0):
+        whole, top = engine.integrate_span(y0, 3, 40, 0.0125, sign,
+                                           tau_of=lambda s: s)
+        part, top1 = engine.integrate_span(y0, 3, 17, 0.0125, sign,
+                                           tau_of=lambda s: s)
+        part, top2 = engine.integrate_span(part, 20, 23, 0.0125, sign,
+                                           tau_of=lambda s: s)
+        assert np.array_equal(whole, part)
+        assert top == max(top1, top2)
 
 
 def test_backward_batch_matches_single_runs(small_engine, rng):

@@ -17,11 +17,9 @@ from hseom import (
     build_space,
     closed_system_propagate,
     half_fourier,
-    operator_expectations,
     pspin_annealing,
     pure_dephasing,
     rdm_trajectory,
-    reduced_density_matrix,
     response_function,
     spin_boson,
     SystemModel,
@@ -78,19 +76,11 @@ def test_closed_limit_matches_two_level_oracle():
 
 def test_expectations_identity_and_projector(small_engine):
     psi0 = np.array([0.0, 1.0], dtype=complex)
-    proj1 = np.zeros((2, 2), dtype=complex)
-    proj1[1, 1] = 1.0
-    vals, stats = operator_expectations(
-        small_engine, 0.5, PureState(psi0), 0.01,
-        [None, DenseOperator(proj1)])
-    assert abs(vals[0] - 1.0) < 1e-6          # trace preserved
-    assert 0.0 < vals[1].real < 1.0           # population has moved
-    assert stats["c1_max_abs"] >= 1.0
-    assert stats["adjoint_max_abs"] >= 1.0
-
-    at_zero, _ = operator_expectations(
-        small_engine, 0.0, PureState(psi0), 0.01, [DenseOperator(SIGMA_Z)])
-    assert abs(at_zero[0] - 1.0) < 1e-12      # <sigma_z> of |1> is +1
+    _, rho = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0, 0.5])
+    assert abs(np.trace(rho[1]) - 1.0) < 1e-6        # trace preserved
+    assert 0.0 < rho[1, 1, 1].real < 1.0             # population has moved
+    # <sigma_z> of |1> is +1
+    assert abs(np.trace(SIGMA_Z @ rho[0]) - 1.0) < 1e-12
 
 
 def test_dephasing_keeps_populations(small_expansion):
@@ -107,12 +97,12 @@ def test_dephasing_keeps_populations(small_expansion):
 
 def test_rdm_at_zero_returns_initial_density(small_engine):
     psi0 = np.array([0.6, 0.8j], dtype=complex)
-    rho = reduced_density_matrix(small_engine, 0.0, PureState(psi0), 0.01)
+    _, (rho,) = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0])
     assert np.abs(rho - np.outer(psi0, psi0.conj())).max() < 1e-10
 
     mix = MixedState([(0.25, np.array([1.0, 0.0], dtype=complex)),
                       (0.75, np.array([0.0, 1.0], dtype=complex))])
-    rho = reduced_density_matrix(small_engine, 0.0, mix, 0.01)
+    _, (rho,) = rdm_trajectory(small_engine, mix, 0.01, [0.0])
     assert np.abs(rho - np.diag([0.25, 0.75])).max() < 1e-10
 
 
@@ -124,7 +114,7 @@ def test_rdm_trajectory_structure(small_engine):
     for r in rho:
         assert np.abs(r - r.conj().T).max() < 1e-8
         assert abs(np.trace(r) - 1.0) < 1e-8
-    single = reduced_density_matrix(small_engine, 0.5, PureState(plus), 0.01)
+    _, (single,) = rdm_trajectory(small_engine, PureState(plus), 0.01, [0.5])
     assert np.abs(rho[1] - single).max() < 1e-10
 
 
@@ -145,16 +135,33 @@ def test_rdm_trajectory_matches_full_contour(small_engine, mixed):
                 assert abs(rho[r, i, j] - exact) < 1e-12
 
 
-def test_rdm_trajectory_rejects_schedules(small_expansion):
+def test_rdm_trajectory_matches_full_contour_on_a_schedule(
+        small_expansion):
+    # the scheduled discrete adjoint serves rho(t) as it serves the anneal
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
     init = uniform_superposition_transform(2)
-    with pytest.raises(ConfigError):
-        rdm_trajectory(engine, init, 0.01, [0.5])
-    with pytest.raises(ConfigError):
-        rdm_trajectory(ContourEngine(build_space(4, 1), small_expansion,
-                                     spin_boson(1.0)),
-                       PureState(np.array([1.0, 0.0])), 0.01, [0.5, 0.5])
+    record, dt = [0.0, 0.4, 1.0], 0.01
+    _, rho = rdm_trajectory(engine, init, dt, record)
+    for r, t in enumerate(record):
+        for i, j in ((0, 0), (1, 2), (3, 0)):
+            flip = np.zeros((4, 4), dtype=complex)
+            flip[j, i] = 1.0
+            exact = two_body_correlation(engine, DenseOperator(flip), None,
+                                         t, 0.0, init, dt)
+            assert abs(rho[r, i, j] - exact) < 1e-12
+    # the schedule ends at t_f, here as in the anneal
+    with pytest.raises(ConfigError, match="past the end of the schedule"):
+        rdm_trajectory(engine, init, dt, [0.5, 1.5])
+
+
+def test_rdm_trajectory_rejects_bad_record_grids(small_engine):
+    ket0 = PureState(np.array([1.0, 0.0]))
+    # unordered, before the start of the contour, or on no forward grid
+    for record, dt in (([0.5, 0.5], 0.01), ([-0.5, 0.0, 0.5], 0.01),
+                       ([0.0, 0.5], -0.01), ([0.0, 0.5], 0.0)):
+        with pytest.raises(ConfigError):
+            rdm_trajectory(small_engine, ket0, dt, record)
 
 
 def test_response_closed_limit_peaks_at_omega0():
