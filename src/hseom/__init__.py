@@ -14,9 +14,9 @@ from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)
 from .dynamics import Branch, ContourEngine
-from .errors import (ConfigError, EquilibrationWarning, ExpansionWarning,
-                     HorizonWarning, HseomError, NumericalError,
-                     QuadratureError, ResourceLimitError)
+from .errors import (ConfigError, EquilibrationWarning, HorizonWarning,
+                     HseomError, NumericalError, QuadratureError,
+                     ResourceLimitError)
 from .hierarchy import (ABSENT, HierarchySpace, awf_count, build_space)
 from .models import (DenseOperator, DiagonalOperator, LocalizedWithTransform,
                      MixedState, PauliSumOperator, PauliTerm, PureState,

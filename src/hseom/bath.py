@@ -7,9 +7,13 @@ The bath enters the hierarchy through three ingredients bundled in
 :class:`BathExpansion`: the complex coefficients ``c_k`` of the expansion
 alpha(t) = sum_k c_k J_k(Omega t), the banded matrix ``eta`` that closes the
 basis-function derivatives, and the initial values ``phi_at_zero``.  The
+c_k come from a fixed Gauss-Legendre rule in theta = arccos x, with
+n = max(64, K) nodes on each of [0, pi/2] and [pi/2, pi]; the sums with n
+and 2n nodes must agree, or :func:`compute_coefficients` refuses.  The
 exact alpha(t) by adaptive quadrature (:func:`alpha_quadrature`) is kept as
 the reference the expansion is judged against; the propagation code never
-calls it.
+calls it.  Only that reference and :func:`tail_mass` import
+:mod:`scipy.integrate`, and they do so when called, so a run never loads it.
 
 Temperature enters in one place, the occupation-weighted density
 J(omega) / (1 - e^{-beta_hbar omega}) of :func:`_occupied`; the
@@ -21,13 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Union
 
 import numpy as np
-from scipy import integrate, sparse, special
+from scipy import sparse, special
 
-from .errors import ConfigError, ExpansionWarning, NumericalError, QuadratureError
+from .errors import ConfigError, NumericalError, QuadratureError
 
 __all__ = [
     "INFINITE",
@@ -54,9 +57,8 @@ __all__ = [
 INFINITE = math.inf
 
 _QUAD_LIMIT = 400
-# Relative accuracy of the coefficient quadrature, on the largest |integral|
-# of each half-interval.  The absolute floor passed with it only lets a half
-# on which the integrand vanishes (omega < 0 at zero temperature) converge.
+# Largest disagreement allowed between the n- and 2n-node coefficient
+# integrals, relative to the largest |integral|.
 _COEFF_RTOL = 1e-10
 
 
@@ -207,6 +209,8 @@ def _occupied(spec: BathSpec, omega):
 
 
 def _quad_checked(f, a, b, **kw):
+    from scipy import integrate  # lazy: 0.15 s of import that no run needs
+
     res = integrate.quad(f, a, b, full_output=1, limit=_QUAD_LIMIT, **kw)
     val, abserr = res[0], res[1]
     if len(res) > 3 and abserr > 1e-6 * max(1.0, abs(val)):
@@ -262,49 +266,59 @@ def build_eta(K: int, Omega: float) -> sparse.csr_matrix:
 
 
 def _chebyshev_t(k: int, x):
-    # cos(k arccos x) is exact on [-1, 1]; quadrature nodes stay inside,
-    # and jacobi_anger_residual checks its x.
+    # cos(k arccos x) is exact on [-1, 1]; jacobi_anger_residual checks
+    # its x.
     return np.cos(k * np.arccos(x))
 
 
-def compute_coefficients(spec: BathSpec, *, rel_tol: float = 1e-6) -> BathExpansion:
+def _node_count(K: int) -> int:
+    """Gauss-Legendre nodes per half of [0, pi] for K coefficients."""
+    return max(64, K)
+
+
+def _theta_integrals(spec: BathSpec, n: int) -> np.ndarray:
+    """int_0^pi cos(k theta) occ(Omega cos theta) sin(theta) dtheta, k < K.
+
+    Gauss-Legendre with n nodes on each of [0, pi/2] and [pi/2, pi], so
+    that the integrand's kink at omega = 0 (|omega| in the exponential
+    density, the step at zero temperature) falls on the split.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    quarter = np.pi / 4.0
+    theta = np.concatenate([quarter * (nodes + 1.0), quarter * (nodes + 3.0)])
+    g = np.tile(quarter * weights, 2) * np.sin(theta) \
+        * _occupied(spec, spec.Omega * np.cos(theta))
+    return np.cos(np.outer(np.arange(spec.K), theta)) @ g
+
+
+def compute_coefficients(spec: BathSpec) -> BathExpansion:
     """Expansion coefficients c_k plus the eta matrix and initial values.
 
         c_k = Omega (2 - delta_{0k}) (-i)^k
               * int_{-1}^{1} dx T_k(x) J(Omega x) / (1 - e^{-beta_hbar Omega x}),
 
     with the occupation-weighted density of :func:`_occupied`; at zero
-    temperature it vanishes for x < 0.  All K integrands T_k(x) occ(Omega x)
-    form one vector, integrated by adaptive Gauss-Kronrod once on [-1, 0]
-    and once on [0, 1]; T_k is evaluated as cos(k arccos x).
+    temperature it vanishes for x < 0.  The integral is taken in
+    theta = arccos x, where T_k(x) dx becomes cos(k theta) sin(theta) dtheta
+    and the circular density's square-root edge at x = +-1 becomes smooth:
+    a fixed Gauss-Legendre rule with n = max(64, K) nodes on each of
+    [0, pi/2] and [pi/2, pi], evaluated once with n and once with 2n nodes.
+    The 2n sums are returned.
 
-    Raises :class:`QuadratureError` if either half does not converge.
-    Warns with :class:`ExpansionWarning` if the t = 0 reconstruction differs
-    from the quadrature value by more than ``rel_tol`` relative.
+    Raises :class:`QuadratureError` if the two sums differ by more than
+    ``_COEFF_RTOL`` times the largest |integral|.
     """
     Om, K = spec.Omega, spec.K
+    n = _node_count(K)
+    coarse = _theta_integrals(spec, n)
+    total = _theta_integrals(spec, 2 * n)
+    miss = float(np.abs(total - coarse).max())
+    if miss > _COEFF_RTOL * np.abs(total).max():
+        raise QuadratureError(
+            f"{n} and {2 * n} Gauss-Legendre nodes per half disagree on the "
+            f"K = {K} coefficients", residual=miss)
     ks = np.arange(K)
-
-    def f(x):
-        return _chebyshev_t(ks, x) * _occupied(spec, Om * x)
-
-    total = np.zeros(K)
-    for a, b in ((-1.0, 0.0), (0.0, 1.0)):
-        val, err, info = integrate.quad_vec(
-            f, a, b, epsabs=np.finfo(float).tiny, epsrel=_COEFF_RTOL,
-            norm="max", full_output=True)
-        if not info.success:
-            raise QuadratureError(info.message, residual=err)
-        total += val
     c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
-
-    alpha0 = alpha_quadrature(spec, 0.0)
-    scale = max(abs(alpha0), 1e-300)
-    if abs(c[0] - alpha0) / scale > rel_tol:
-        warnings.warn(
-            f"expansion reproduces alpha(0) to {abs(c[0] - alpha0) / scale:.2e} "
-            f"relative, above the {rel_tol:.1e} tolerance; consider larger K",
-            ExpansionWarning, stacklevel=2)
 
     phi0 = np.zeros(K)
     phi0[0] = 1.0

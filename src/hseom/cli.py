@@ -18,16 +18,18 @@ from typing import Dict, Optional
 import numpy as np
 import scipy
 
-from .bath import (BathExpansion, alpha_quadrature, alpha_reconstruct,
-                   build_eta, compute_coefficients, jacobi_anger_residual,
-                   reconstruction_error, tail_mass, write_expansion)
+from .bath import (BathExpansion, BathSpec, OhmicCircular, alpha_quadrature,
+                   alpha_reconstruct, build_eta, compute_coefficients,
+                   jacobi_anger_residual, reconstruction_error, tail_mass,
+                   write_expansion)
 from .config import (RunConfig, horizon_of, parse_config_file,
                      serialize_config, validate_config)
 from .dynamics import Branch, ContourEngine
-from .errors import (ConfigError, ExpansionWarning, HorizonWarning,
-                     HseomError, NumericalError, ResourceLimitError)
+from .errors import (ConfigError, HorizonWarning, HseomError,
+                     NumericalError, ResourceLimitError)
 from .hierarchy import DEFAULT_MAX_INDICES, awf_count, build_space
-from .models import DenseOperator, PureState, SystemModel, spin_boson
+from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
+                     spin_boson)
 from .observables import (annealing_populations, half_fourier,
                           rdm_trajectory, response_function)
 from .oracles import assemble_generator, dephasing_exact
@@ -317,28 +319,24 @@ def _validate_rows():
         return SystemModel(dim=dim, V=DenseOperator(v), time_dependent=False,
                            _ham_at=lambda tau, m=DenseOperator(h): m)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExpansionWarning)
-        for dim, K, n_max in ((2, 3, 2), (2, 5, 1), (4, 2, 2)):
-            from .bath import BathSpec, OhmicCircular
-            spec = BathSpec(OhmicCircular(zeta=0.3, nu=2.0), 3.0, 2.0, K)
-            expansion = compute_coefficients(spec)
-            space = build_space(K, n_max)
-            model = random_model(dim)
-            engine = ContourEngine(space, expansion, model)
-            worst = 0.0
-            for branch in (Branch.C1, Branch.C2):
-                gen = assemble_generator(space, expansion, model, 0.37,
-                                         branch)
-                stack = rng.standard_normal(
-                    (space.num_indices, dim)) + 1j * rng.standard_normal(
-                        (space.num_indices, dim))
-                lhs = engine._deriv_flat(stack.ravel(), 0.37, branch.sign)
-                rhs = gen.apply(stack.ravel())
-                scale = max(1.0, float(np.abs(rhs).max()))
-                worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-            rows.append((f"rhs_vs_generator_d{dim}_K{K}_N{n_max}",
-                         worst, 1e-13))
+    for dim, K, n_max in ((2, 3, 2), (2, 5, 1), (4, 2, 2)):
+        spec = BathSpec(OhmicCircular(zeta=0.3, nu=2.0), 3.0, 2.0, K)
+        expansion = compute_coefficients(spec)
+        space = build_space(K, n_max)
+        model = random_model(dim)
+        engine = ContourEngine(space, expansion, model)
+        worst = 0.0
+        for branch in (Branch.C1, Branch.C2):
+            gen = assemble_generator(space, expansion, model, 0.37, branch)
+            stack = rng.standard_normal(
+                (space.num_indices, dim)) + 1j * rng.standard_normal(
+                    (space.num_indices, dim))
+            lhs = engine._deriv_flat(stack.ravel(), 0.37, branch.sign)
+            rhs = gen.apply(stack.ravel())
+            scale = max(1.0, float(np.abs(rhs).max()))
+            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+        rows.append((f"rhs_vs_generator_d{dim}_K{K}_N{n_max}",
+                     worst, 1e-13))
 
     # zero-coupling contour: the full round trip is the identity map
     K = 2
@@ -354,8 +352,6 @@ def _validate_rows():
                  float(np.abs(final[0] - psi0).max()), 1e-9))
 
     # commuting coupling against the exact decay factor
-    from .bath import BathSpec, OhmicCircular
-    from .models import pure_dephasing
     spec = BathSpec(OhmicCircular(zeta=0.1, nu=3.0), 3.0, 3.0, 8)
     expansion = compute_coefficients(spec)
     space = build_space(8, 4)

@@ -212,7 +212,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"must be positive, got {value}",
                               section=section, key=key)
     for section, key, least in (("bath", "K", 2), ("hierarchy", "n_max", 0),
-                                ("run", "t0", 0.0)):
+                                ("run", "t0", 0.0), ("model", "Ncal", 1)):
         value = cfg.get(section, key)
         if value is not None and value < least:
             raise ConfigError(f"must be at least {least}, got {value}",

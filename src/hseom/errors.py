@@ -40,10 +40,6 @@ class ResourceLimitError(HseomError):
     """A requested computation exceeds the configured memory or size budget."""
 
 
-class ExpansionWarning(UserWarning):
-    """The Bessel-series bath expansion is inaccurate for the requested use."""
-
-
 class HorizonWarning(UserWarning):
     """The configured K is too small for the simulated time horizon."""
 

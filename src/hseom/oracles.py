@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import integrate, sparse, special
+from scipy import sparse, special
 
 from .bath import BathSpec, alpha_quadrature
 from .dynamics import Branch
@@ -65,6 +65,8 @@ def closed_schedule_propagate(model: SystemModel, psi0: np.ndarray,
     Complex state handled directly; DOP853 keeps the error far below the
     tolerances the tests use this oracle at.
     """
+    from scipy import integrate  # lazy: 0.15 s of import that no run needs
+
     if model.dim > 64:
         raise ResourceLimitError("schedule oracle is limited to dim 64")
 
@@ -160,6 +162,8 @@ def dephasing_exact(spec: BathSpec, coupling_scale: float,
     The integral is evaluated by adaptive quadrature on top of the
     quadrature bath correlation, so the whole chain is expansion-free.
     """
+    from scipy import integrate  # lazy: 0.15 s of import that no run needs
+
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0 or coupling_scale == 0.0:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from hseom import (INFINITE, BathSpec, ConfigError, ExpansionWarning,
-                   OhmicCircular, OhmicExponential, alpha_quadrature,
-                   alpha_reconstruct, build_eta, compute_coefficients,
+from hseom import (INFINITE, BathSpec, ConfigError, OhmicCircular,
+                   OhmicExponential, QuadratureError, alpha_quadrature,
+                   alpha_reconstruct, bath, build_eta, compute_coefficients,
                    jacobi_anger_residual, minimal_K, read_expansion,
                    reconstruction_error, tail_mass, write_expansion)
 
@@ -60,8 +60,11 @@ def _reference_coefficients(spec):
     BathSpec(OhmicCircular(zeta=1.3, nu=2.0), INFINITE, 2.0, 16),
     BathSpec(OhmicExponential(eta=0.3, gamma=6.0), 3.0, 20.0, 40),
     BathSpec(OhmicExponential(eta=0.3, gamma=6.0), INFINITE, 20.0, 40),
+    # past K = 64, where 64 nodes per half miss by 0.1-0.2
+    BathSpec(OhmicCircular(zeta=0.1, nu=3.0), 3.0, 3.0, 160),
+    BathSpec(OhmicExponential(eta=0.3, gamma=6.0), INFINITE, 20.0, 160),
 ], ids=["circular-warm", "circular-cold", "exponential-warm",
-        "exponential-cold"])
+        "exponential-cold", "circular-warm-K160", "exponential-cold-K160"])
 def test_coefficients_match_a_tight_per_k_reference(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -70,28 +73,34 @@ def test_coefficients_match_a_tight_per_k_reference(spec):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("K", [2, 40])
-def test_coefficients_take_two_quadratures_whatever_K(K, monkeypatch):
-    from hseom import bath
+@pytest.mark.parametrize("K", [2, 40, 160])
+def test_coefficient_rule_takes_n_and_2n_nodes(K, monkeypatch):
+    # n = max(64, K) nodes per half, checked against 2n; the 2n sums are
+    # the coefficients
     calls = []
-    original = bath.integrate.quad_vec
+    original = bath._theta_integrals
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
+    def counted(spec, n):
+        calls.append(n)
+        return original(spec, n)
 
-    monkeypatch.setattr(bath.integrate, "quad_vec", counted)
-    compute_coefficients(_circular(K=K))
-    assert calls == [(-1.0, 0.0), (0.0, 1.0)]
+    monkeypatch.setattr(bath, "_theta_integrals", counted)
+    spec = _circular(K=K)
+    c = compute_coefficients(spec).c
+    n = max(64, K)
+    assert calls == [n, 2 * n]
+    ks = np.arange(K)
+    assert np.array_equal(c, np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks
+                          * spec.Omega * original(spec, 2 * n))
 
 
 def test_unconverged_coefficient_quadrature_is_refused(monkeypatch):
-    from hseom import QuadratureError, bath
-    original = bath.integrate.quad_vec
-    monkeypatch.setattr(bath.integrate, "quad_vec",
-                        lambda *a, **kw: original(*a, **{**kw, "limit": 2}))
+    # 32 nodes per half miss K = 80 by about 0.26; 64 do not
+    monkeypatch.setattr(bath, "_node_count", lambda K: 32)
     with pytest.raises(QuadratureError):
-        compute_coefficients(_circular())
+        compute_coefficients(_circular(K=80))
+    monkeypatch.setattr(bath, "_node_count", lambda K: 64)
+    compute_coefficients(_circular(K=80))
 
 
 def test_odd_coefficients_do_not_depend_on_temperature():
@@ -215,14 +224,6 @@ def test_expansion_file_round_trip(tmp_path):
     assert back.K == exp.K
     assert back.Omega == exp.Omega
     assert np.array_equal(back.c, exp.c)
-
-
-def test_expansion_warning_channel():
-    # the t = 0 self-check only sees quadrature inconsistency (c_0 and
-    # alpha(0) are the same integral); horizon adequacy is the job of
-    # jacobi_anger_residual.  Exercise the channel at zero tolerance.
-    with pytest.warns(ExpansionWarning):
-        compute_coefficients(_circular(K=8), rel_tol=0.0)
 
 
 @pytest.mark.parametrize("build", [

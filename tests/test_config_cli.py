@@ -1,6 +1,9 @@
 """Config file grammar, resource preflight, and the command-line surface."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -293,6 +296,7 @@ def test_cli_config_errors_exit_2(tmp_path):
             ("respond-circular", "run", "window_time", 0.0),
             ("rdm-circular", "hierarchy", "n_max", -1),
             ("rdm-circular", "bath", "K", 0),
+            ("anneal-weak", "model", "Ncal", 0),
             ("rdm-circular", "run", "record", negative),
             ("anneal-weak", "run", "record", negative),
             ("respond-circular", "run", "t0", -1.0)):
@@ -310,6 +314,40 @@ def test_cli_numerical_failure_exits_3(monkeypatch):
     monkeypatch.setattr(cli_module, "_validate_rows",
                         lambda: [("doomed", 1.0, 1e-6)])
     assert main(["validate"]) == 3
+
+
+_RUNS_THEN_BATH_FIT = """
+import sys
+from hseom.cli import main
+configs, out, fit = sys.argv[1:]
+for command, name in (("respond", "respond_circular"),
+                      ("rdm", "rdm_circular"), ("anneal", "anneal_weak")):
+    assert main([command, "--config", f"{configs}/{name}.ini",
+                 "--out", out]) == 0, command
+print("after runs", "scipy.integrate" in sys.modules)
+assert main(["bath-fit", "--config", fit, "--out", out]) == 0
+print("after bath-fit", "scipy.integrate" in sys.modules)
+"""
+
+
+def test_runs_never_import_scipy_integrate(tmp_path):
+    # the coefficient rule needs only numpy; bath-fit's adaptive reference
+    # imports scipy.integrate when it is called
+    fit = tmp_path / "fit.ini"
+    fit.write_text(serialize_config(
+        preset("bath-fit-circular").replace("run", "t_max", 0.0)))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _RUNS_THEN_BATH_FIT,
+         str(CONFIG_DIR), str(tmp_path / "out"), str(fit)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "after runs False" in lines
+    assert "after bath-fit True" in lines
 
 
 def test_cli_bath_fit_artifacts(tmp_path):
