@@ -33,8 +33,7 @@ from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
 from .observables import (annealing_populations, half_fourier,
                           rdm_trajectory, response_function)
 from .oracles import assemble_generator, dephasing_exact
-from .presets import (build_bath_spec, build_components, effective_dt,
-                      preset)
+from .presets import build_bath_spec, build_components, preset
 from .reporting import line_plot, read_csv, write_csv, write_manifest
 
 __all__ = ["main", "preflight"]
@@ -95,22 +94,18 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
                    for nnz in parts)
 
 
-def preflight(cfg: RunConfig) -> Dict[str, object]:
-    """Resource report: AWF count, bytes with workspace, step estimate.
+def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
+    """Validate and size a config; nothing is built.
 
-    ``estimated_bytes`` counts the state with its integrator workspace and
-    the CSR generator with its adjoint.  ``estimated_steps`` is the
-    column-steps the run takes: a forward and an adjoint sweep to its last
-    point per initial-state component.  Raises ResourceLimitError, before
-    anything is built, when the estimate exceeds the byte budget or the
-    index count exceeds the configured cap.
+    Returns the AWF count, the system dimension and ``estimated_bytes``,
+    the state with its integrator workspace plus the CSR generator with
+    its adjoint.  Raises ResourceLimitError when the estimate exceeds the
+    byte budget or the index count exceeds the configured cap.
     """
     validate_config(cfg)
-    kind = cfg.experiment
-    if kind in ("bath-fit", "validate"):
+    if cfg.experiment in ("bath-fit", "validate"):
         k = cfg.get("bath", "K", 0)
-        return {"awf_count": 0, "dim": 0,
-                "estimated_bytes": int(k) * 16, "estimated_steps": 0}
+        return {"awf_count": 0, "dim": 0, "estimated_bytes": int(k) * 16}
     num = awf_count(cfg.require("bath", "K"),
                     cfg.require("hierarchy", "n_max"))
     cap = cfg.get("hierarchy", "max_indices", DEFAULT_MAX_INDICES)
@@ -123,10 +118,32 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
             f"estimated {total} bytes exceed the {_BYTE_BUDGET} byte budget")
-    dt = effective_dt(cfg)
-    steps = 2 * int(round(horizon_of(cfg) / dt)) * _component_count(cfg)
-    return {"awf_count": num, "dim": dim, "estimated_bytes": total,
-            "estimated_steps": steps}
+    return {"awf_count": num, "dim": dim, "estimated_bytes": total}
+
+
+def _step_entries(comps) -> Dict[str, str]:
+    """The step a run takes, for its manifest."""
+    return {"dt": repr(comps.dt), "dt_norm": repr(comps.dt_norm)}
+
+
+def preflight(cfg: RunConfig) -> Dict[str, object]:
+    """Resource report: AWF count, bytes with workspace, step and steps.
+
+    The refusals of :func:`_refuse_oversize` come first, before anything
+    is allocated.  A propagation experiment is then built, because its
+    default dt comes from the generator's norm bound; the report gives
+    that ``dt``, ``dt_norm`` = dt * ||G||_1 and ``estimated_steps``, the
+    column-steps the run takes: a forward and an adjoint sweep to its last
+    point per initial-state component.
+    """
+    report = _refuse_oversize(cfg)
+    if cfg.experiment in ("bath-fit", "validate"):
+        return {**report, "estimated_steps": 0}
+    comps = build_components(cfg)
+    steps = 2 * int(round(horizon_of(cfg) / comps.dt)) \
+        * _component_count(cfg)
+    return {**report, "estimated_steps": steps, "dt": comps.dt,
+            "dt_norm": comps.dt_norm}
 
 
 def _check_horizon(cfg: RunConfig) -> None:
@@ -154,14 +171,14 @@ def _load_config(args) -> RunConfig:
 def _start(args, kind: str):
     """The shared prelude of the experiment subcommands.
 
-    Loads the config and runs :func:`preflight`, which validates it and
-    refuses it before anything is allocated when it is over budget; then
-    checks the experiment kind, starts the clock, makes the output
-    directory and checks the expansion horizon.  Returns
+    Loads the config and runs the refusals of :func:`preflight`, which
+    validate it and refuse it before anything is allocated when it is over
+    budget; then checks the experiment kind, starts the clock, makes the
+    output directory and checks the expansion horizon.  Returns
     (cfg, out, started).
     """
     cfg = _load_config(args)
-    preflight(cfg)
+    _refuse_oversize(cfg)
     if cfg.experiment != kind:
         raise ConfigError(f"config is for {cfg.experiment!r}, expected "
                           f"{kind!r}", section="experiment", key="kind")
@@ -248,8 +265,10 @@ def _cmd_respond(args) -> int:
                    ["im"], negate=("im",), xlabel="omega",
                    ylabel="-Im of transform", title="response spectrum")
     _finish(out, cfg, started, {
+        **_step_entries(comps),
         "drift": repr(float(result.metadata["drift"])),
         "p1_at_t0": repr(float(result.metadata["p1_at_t0"])),
+        "max_trace_error": repr(result.metadata["max_trace_error"]),
     })
     peak = omegas[int(np.argmax(-transform.values.imag))]
     print(f"response computed over {len(taus)} delays; "
@@ -270,7 +289,8 @@ def _cmd_anneal(args) -> int:
                    ["P_ground", "P_e_rep", "P_e_sum"], xlabel="t",
                    ylabel="population", title="target-basis populations")
     _finish(out, cfg, started, {
-        "max_trace_error": repr(float(np.abs(trace.trace - 1.0).max())),
+        **_step_entries(comps),
+        "max_trace_error": repr(trace.metadata["max_trace_error"]),
     })
     print(f"annealing populations recorded at {len(record)} times; "
           f"final P_ground = {trace.p_ground[-1]:.4f}")
@@ -296,6 +316,7 @@ def _cmd_rdm(args) -> int:
     herm = float(max(np.abs(r - r.conj().T).max() for r in rho))
     tr = float(max(abs(np.trace(r) - 1.0) for r in rho))
     _finish(out, cfg, started, {
+        **_step_entries(comps),
         "max_hermiticity_error": repr(herm),
         "max_trace_error": repr(tr),
     })

@@ -140,6 +140,12 @@ def _coo_from_parts(vals, rows, cols, M) -> sparse.csr_matrix:
         shape=(M, M)).tocsr()
 
 
+def _column_sums(A: sparse.csr_matrix) -> np.ndarray:
+    """The absolute column sums of a CSR matrix."""
+    return np.bincount(A.indices, weights=np.abs(A.data),
+                       minlength=A.shape[1])
+
+
 class ContourEngine:
     """Precomputed machinery for repeated contour runs of one setup.
 
@@ -154,6 +160,13 @@ class ContourEngine:
     ramp linearly from H(0) to H(t_f).  A time-independent model folds
     -i kron(I, H) into G_c and has no other parts, so its derivative is a
     single sparse product; a schedule's takes three.
+
+    ``norm_bound`` bounds ||G(tau)||_1 over the whole schedule, and so the
+    spectral radius of G(tau) and of its adjoint.  Column (m, b) of |G|
+    sums to at most |E|_m + |B|_m |V|_b + |H|_b, with |A|_j the j-th
+    absolute column sum of A; H is taken at both ends of the ramp, which
+    bound the rest because a norm is convex.  It is read off E, B, V and
+    H, never off the generator itself.
     """
 
     def __init__(self, space: HierarchySpace, expansion: BathExpansion,
@@ -164,6 +177,10 @@ class ContourEngine:
         self.num_awf = space.num_indices
         self.dim = model.dim
         E, B = build_coupling_matrices(space, expansion)
+        lift = _column_sums(E)[:, None] + np.outer(_column_sums(B),
+                                                   _column_sums(model.V_csr))
+        lift += np.maximum(*(_column_sums(H) for H in model.ramp))
+        self.norm_bound = float(lift.max())
         Id = sparse.identity(self.dim, format="csr", dtype=complex)
         # CSR, not the default BSR, which would store each block's zeros
         G = sparse.kron(E, Id, format="csr") \

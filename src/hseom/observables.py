@@ -10,29 +10,38 @@ between a forward sweep y and an adjoint sweep a (see
 sweeps serves every record time.  The cost is one forward and one adjoint
 sweep per initial-state component, O(horizon) whatever the number of
 record times; results are averaged over the initial mixture.
+
+In continuous time the closed contour is the identity, so the trace of
+every rho_S(t) is 1 and whatever a run measures beyond that is the
+integrator's own error.  :func:`rdm_trajectory`,
+:func:`annealing_populations` and :func:`response_function` refuse a
+result whose trace leaves 1 by more than ``TRACE_TOL``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import ContourEngine, _GRID_TOL, _step_of
-from .errors import ConfigError, EquilibrationWarning
+from .errors import ConfigError, EquilibrationWarning, NumericalError
 from .models import (DenseOperator, InitialState, LocalizedWithTransform,
                      Operator, SIGMA_X)
 
 __all__ = [
     "CorrelationResult", "Spectrum", "PopulationTrace",
     "two_body_correlation", "rdm_trajectory", "response_function",
-    "half_fourier", "annealing_populations",
+    "half_fourier", "annealing_populations", "TRACE_TOL",
 ]
 
 # relative energy tolerance that groups the target's levels into clusters
 _CLUSTER_TOL = 1e-8
+# largest |tr rho_S - 1| a result may carry
+TRACE_TOL = 1e-4
 
 
 @dataclasses.dataclass(eq=False)
@@ -124,6 +133,22 @@ def _record_steps(engine: ContourEngine, times: np.ndarray,
     return [_step_of(t, dt, t, "record time") for t in times]
 
 
+def _check_trace(error: float, dt: float, what: str) -> float:
+    """Refuse a trace error above TRACE_TOL; returns the error.
+
+    The message names a step to retry with: dt / n divides every grid dt
+    does, and RK4's error falls as dt^4, so n is the whole number, at least
+    2, that should bring the error under the tolerance.
+    """
+    if error > TRACE_TOL:
+        n = max(2, math.ceil((error / TRACE_TOL) ** 0.25))
+        raise NumericalError(
+            f"{what} leaves 1 by {error:.2e}, more than {TRACE_TOL:g}, at "
+            f"dt = {dt!r}; set [integrator] dt = {dt / n!r} (dt / {n}) or "
+            f"a smaller divisor of the time grid")
+    return error
+
+
 def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
                       steps: Sequence[int]) -> np.ndarray:
     """rho_S at each grid step: sum over components of Y^T conj(A).
@@ -177,11 +202,15 @@ def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
     One forward and one adjoint sweep per initial-state component serve
     every record time, for a fixed or a scheduled model; a schedule's
     record times must not pass t_f.  Returns (times, rho) with rho of
-    shape [n_times, dim, dim].
+    shape [n_times, dim, dim]; raises NumericalError when a trace leaves 1
+    by more than ``TRACE_TOL``.
     """
     times = np.asarray(record_times, dtype=float)
-    return times, _density_matrices(engine, init, dt,
-                                    _record_steps(engine, times, dt))
+    rho = _density_matrices(engine, init, dt,
+                            _record_steps(engine, times, dt))
+    _check_trace(float(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max()),
+                 dt, "tr rho")
+    return times, rho
 
 
 def response_function(engine: ContourEngine, taus, t0: float, dt: float,
@@ -198,7 +227,9 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
 
     The population P_1 at 0.8 t0 and at t0 comes from the first leg; their
     difference is the equilibration drift, recorded in the metadata and
-    warned about above ``drift_tolerance``.
+    warned about above ``drift_tolerance``.  Psi(0) = tr rho(t0) must be 1:
+    |Psi(0) - 1| is recorded as ``max_trace_error`` and refused with
+    NumericalError above ``TRACE_TOL``.
     """
     if engine.dim != 2 or engine.model.time_dependent:
         raise ConfigError("response_function expects the time-independent "
@@ -233,6 +264,8 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
                                peaks)
     psi = np.array([np.vdot(a, engine.apply_all_rows(y, sx))
                     for _, y, a in lagged])
+    trace_error = _check_trace(float(abs(psi[0] - 1.0)), dt,
+                               "Psi(0) = tr rho(t0)")
     drift = abs(p1[1] - p1[0])
     if drift > drift_tolerance:
         warnings.warn(
@@ -240,7 +273,8 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
             f"over the last fifth of the settling run", EquilibrationWarning,
             stacklevel=2)
     meta = {"t0": t0, "dt": dt, "drift": float(drift),
-            "p1_at_t0": float(p1[1]), **peaks}
+            "p1_at_t0": float(p1[1]), "max_trace_error": trace_error,
+            **peaks}
     return CorrelationResult(times=taus, values=psi, metadata=meta)
 
 
@@ -294,7 +328,8 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     time, so each record time costs only its own segment.  Record times
     past t_f are refused: the schedule ends there.  Levels closer than
     ``_CLUSTER_TOL`` times the target's spectral width (at least 1) are
-    one level.
+    one level.  A trace that leaves 1 by more than ``TRACE_TOL`` raises
+    NumericalError.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -333,8 +368,11 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
                 pops[i, r] += w * np.vdot(A[:, idx], Y[:, idx]).real
             trace[r] += w * np.vdot(a, y).real
 
+    trace_error = _check_trace(float(np.abs(trace - 1.0).max()), dt,
+                               "tr rho")
     p_g, p_rep, p_sum = pops
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
                            metadata={"dt": dt, "cluster_tol": _CLUSTER_TOL,
+                                     "max_trace_error": trace_error,
                                      **peaks})

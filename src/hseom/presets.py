@@ -2,8 +2,8 @@
 
 The presets pin every number a run needs, so tests, shipped config files,
 and the command line all draw from one place.  Time steps default to the
-largest value that divides the relevant record grid while staying at or
-below 0.05/Omega.
+largest value that divides the relevant record grid while keeping
+dt * ||G||_1 at or below ``STEP_NORM`` (see :func:`effective_dt`).
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ from .hierarchy import DEFAULT_MAX_INDICES, build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
                      thermal_state, uniform_superposition_transform)
 
-__all__ = ["PRESETS", "preset", "build_bath_spec", "build_model",
-           "build_initial", "effective_dt", "build_components"]
+__all__ = ["PRESETS", "STEP_NORM", "preset", "build_bath_spec",
+           "build_model", "build_initial", "grid_unit", "effective_dt",
+           "build_components"]
 
 _OMEGA0 = math.pi
+# the default step keeps dt * ||G(tau)||_1 at or below this
+STEP_NORM = 0.6
 
 
 def _cfg(experiment: str, **sections) -> RunConfig:
@@ -170,20 +173,37 @@ def build_initial(cfg: RunConfig, model):
     raise ConfigError(f"unknown init {name!r}", section="run", key="init")
 
 
-def effective_dt(cfg: RunConfig) -> float:
-    """Explicit dt, or the largest divisor of the grid unit <= 0.05/Omega."""
+def grid_unit(cfg: RunConfig) -> float:
+    """The step every sweep must land on: the lag or record spacing."""
+    kind = cfg.experiment
+    if kind == "respond":
+        return cfg.require("run", "tau").step
+    if kind in ("anneal", "rdm"):
+        return cfg.require("run", "record").step
+    raise ConfigError(f"a {kind!r} experiment takes no time step",
+                      section="experiment", key="kind")
+
+
+def effective_dt(cfg: RunConfig, norm_bound: float) -> float:
+    """Explicit ``[integrator] dt``, or the default step for the generator.
+
+    ``norm_bound`` bounds ||G(tau)||_1 over the schedule
+    (:attr:`ContourEngine.norm_bound`).  The default is the largest
+    unit / n, with ``unit`` from :func:`grid_unit` and n whole, such that
+    dt * norm_bound <= STEP_NORM.  The spectral radius of G is at most its
+    1-norm, so no eigenvalue of dt G lies farther than 0.6 from 0, well
+    inside classical RK4's stability region, which reaches about 2.8
+    along the imaginary and the negative real axis.  0.6 is the smallest
+    round value that shrinks the step of none of the benchmark workloads;
+    anneal-large runs at 0.575.  The step's accuracy is checked after the
+    run by the trace, which the closed contour keeps at 1 in continuous
+    time (see ``observables.TRACE_TOL``).
+    """
     explicit = cfg.get("integrator", "dt")
     if explicit is not None:
         return explicit
-    base = 0.05 / cfg.require("bath", "Omega")
-    kind = cfg.experiment
-    if kind == "respond":
-        unit = cfg.require("run", "tau").step
-    elif kind in ("anneal", "rdm"):
-        unit = cfg.require("run", "record").step
-    else:
-        return base
-    return unit / math.ceil(unit / base - 1e-12)
+    unit = grid_unit(cfg)
+    return unit / max(1, math.ceil(unit * norm_bound / STEP_NORM))
 
 
 def build_components(cfg: RunConfig) -> SimpleNamespace:
@@ -195,7 +215,8 @@ def build_components(cfg: RunConfig) -> SimpleNamespace:
                                             DEFAULT_MAX_INDICES))
     model = build_model(cfg)
     engine = ContourEngine(space, expansion, model)
+    dt = effective_dt(cfg, engine.norm_bound)
     return SimpleNamespace(bath_spec=bath_spec, expansion=expansion,
                            space=space, model=model, engine=engine,
-                           init=build_initial(cfg, model),
-                           dt=effective_dt(cfg))
+                           init=build_initial(cfg, model), dt=dt,
+                           dt_norm=dt * engine.norm_bound)

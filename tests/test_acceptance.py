@@ -14,7 +14,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy import signal
 
 from hseom import (
@@ -42,8 +41,7 @@ from hseom import (
     pure_dephasing,
 )
 from hseom.models import DenseOperator, SystemModel
-from hseom.presets import build_bath_spec, build_components, preset
-from hseom.reporting import read_csv
+from hseom.presets import build_components, preset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

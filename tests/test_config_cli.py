@@ -180,7 +180,10 @@ def test_preflight_reports_resources():
     state = 1771 * 2 * 16 * 6
     built = _csr_bytes(build_components(cfg).engine)
     assert state + built <= report["estimated_bytes"] <= state + 2 * built
-    assert report["estimated_steps"] > 0
+    # a forward and an adjoint sweep to t0 + 4 at dt = 1/70
+    assert report["estimated_steps"] == 840
+    assert report["dt"] == pytest.approx(1 / 70, rel=1e-12)
+    assert report["dt_norm"] <= 0.6
 
 
 def test_preflight_zero_horizon_means_zero_steps():
@@ -191,8 +194,8 @@ def test_preflight_zero_horizon_means_zero_steps():
     assert report["awf_count"] == 1771
 
 
-@pytest.mark.parametrize("name", ["rdm-circular", "thermal-ratio",
-                                  "anneal-weak"])
+@pytest.mark.parametrize("name", ["respond-circular", "rdm-circular",
+                                  "thermal-ratio", "anneal-weak"])
 def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     # count the column-steps every integrate_span call actually takes
     from hseom.dynamics import ContourEngine
@@ -211,7 +214,15 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
         warnings.simplefilter("ignore", HorizonWarning)
         assert main([cfg.experiment, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
-    assert sum(taken) == preflight(cfg)["estimated_steps"]
+    report = preflight(cfg)
+    assert sum(taken) == report["estimated_steps"]
+    # the run's manifest reports the step preflight announced
+    entries = dict(line.split(" = ", 1) for line in
+                   (tmp_path / "out" / "manifest").read_text()
+                   .split("--- config ---")[0].splitlines())
+    assert float(entries["dt"]) == report["dt"]
+    assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.6
+    assert float(entries["max_trace_error"]) < 1e-4
 
 
 def test_preflight_bytes_cover_the_built_generator():
@@ -263,6 +274,7 @@ def test_cli_preflight_exit_codes(tmp_path, capsys):
         assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "awf_count = 1771" in out
+    assert "estimated_steps = 840" in out and "dt_norm = " in out
 
     over = preset("respond-circular").replace("hierarchy", "max_indices",
                                               100)
