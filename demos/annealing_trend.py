@@ -10,12 +10,11 @@ Run:  python3 demos/annealing_trend.py [outdir]   (about 5 s)
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from hseom import HorizonWarning, annealing_populations
+from hseom import annealing_populations
 from hseom.presets import build_components, preset
 from hseom.reporting import line_plot, write_csv
 
@@ -39,10 +38,7 @@ for name in ("anneal-weak", "anneal-intermediate", "anneal-strong"):
     cfg = preset(name)
     comps = build_components(cfg)
     record = cfg.require("run", "record").values()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HorizonWarning)
-        trace = annealing_populations(comps.engine, comps.init, comps.dt,
-                                      record)
+    trace = annealing_populations(comps.engine, comps.init, comps.dt, record)
     label = name.split("-", 1)[1]
     series.append((label, trace.p_ground))
     print(f"{label:>14}  {trace.p_ground[-1]:13.4f}  "

@@ -8,7 +8,9 @@ the environment is the coefficient vector c_k of the expansion
 computed once by quadrature over the spectral density.  This script builds
 the two Ohmic cutoff forms at matched coupling, prints the closed-form
 check for the circular cutoff (only c_1 and c_3 carry the imaginary part
-of alpha, and they are equal), and writes a reconstruction-vs-exact table.
+of alpha, and they are equal), and writes a reconstruction-vs-exact table,
+with the exact alpha(t) from the same Gauss-Legendre rule in
+theta = arccos(omega / Omega) that gives the coefficients.
 
 Run:  python3 demos/bath_expansion.py [outdir]
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from hseom import (BathSpec, OhmicCircular, OhmicExponential,
-                   alpha_quadrature, alpha_reconstruct, compute_coefficients,
+                   alpha_reconstruct, alpha_theta, compute_coefficients,
                    reconstruction_error)
 from hseom.reporting import line_plot, write_csv
 
@@ -42,7 +44,7 @@ print(f"  |c_5|, |c_7| = {abs(exp_c.c[5]):.1e}, {abs(exp_c.c[7]):.1e} "
       "(every other odd coefficient vanishes)")
 
 ts = np.linspace(0.0, 2.0, 161)
-exact = np.array([alpha_quadrature(circular, t) for t in ts])
+exact = alpha_theta(circular, ts)
 fit = alpha_reconstruct(exp_c, ts)
 write_csv(out / "bath_circular.csv",
           ["t", "re_exact", "im_exact", "re_fit", "im_fit"],

@@ -12,12 +12,11 @@ Run:  python3 demos/response_spectrum.py [outdir]   (about 10 s)
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from hseom import HorizonWarning, half_fourier, response_function
+from hseom import half_fourier, response_function
 from hseom.presets import build_components, preset
 from hseom.reporting import line_plot, write_csv
 
@@ -27,11 +26,8 @@ out.mkdir(parents=True, exist_ok=True)
 cfg = preset("respond-circular")
 comps = build_components(cfg)
 taus = cfg.require("run", "tau").values()
-with warnings.catch_warnings():
-    # the horizon advisory is conservative for this preset; see README
-    warnings.simplefilter("ignore", HorizonWarning)
-    result = response_function(comps.engine, taus,
-                               cfg.require("run", "t0"), comps.dt)
+result = response_function(comps.engine, taus, cfg.require("run", "t0"),
+                           comps.dt)
 
 print(f"equilibration drift over the settling run: "
       f"{result.metadata['drift']:.2e}")

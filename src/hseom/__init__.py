@@ -7,8 +7,8 @@ zero, and with time-dependent system Hamiltonians.  Units: hbar = 1.
 
 from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
                    OhmicExponential, alpha_quadrature, alpha_reconstruct,
-                   build_eta, compute_coefficients, jacobi_anger_residual,
-                   minimal_K, read_expansion, reconstruction_error, tail_mass,
+                   alpha_theta, build_eta, compute_coefficients,
+                   read_expansion, reconstruction_error, tail_mass,
                    write_expansion)
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,

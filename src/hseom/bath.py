@@ -6,14 +6,18 @@ temperature parameter and coupling strengths are plain numbers.
 The bath enters the hierarchy through three ingredients bundled in
 :class:`BathExpansion`: the complex coefficients ``c_k`` of the expansion
 alpha(t) = sum_k c_k J_k(Omega t), the banded matrix ``eta`` that closes the
-basis-function derivatives, and the initial values ``phi_at_zero``.  The
-c_k come from a fixed Gauss-Legendre rule in theta = arccos x, with
-n = max(64, K) nodes on each of [0, pi/2] and [pi/2, pi]; the sums with n
-and 2n nodes must agree, or :func:`compute_coefficients` refuses.  The
-exact alpha(t) by adaptive quadrature (:func:`alpha_quadrature`) is kept as
-the reference the expansion is judged against; the propagation code never
-calls it.  Only that reference and :func:`tail_mass` import
-:mod:`scipy.integrate`, and they do so when called, so a run never loads it.
+basis-function derivatives, and the initial values ``phi_at_zero``.
+
+One fixed Gauss-Legendre rule in theta = arccos x gives both the c_k
+(:func:`compute_coefficients`) and alpha(t) itself (:func:`alpha_theta`),
+with n nodes on each of [0, pi/2] and [pi/2, pi]; the sums with n and 2n
+nodes must agree, or both refuse.  K is judged by the error it leaves: the
+relative error of the K-term sum against :func:`alpha_theta` over a run's
+horizon (:func:`reconstruction_error`).  The exact alpha(t) by adaptive
+quadrature (:func:`alpha_quadrature`) is kept as an independent reference
+for the tests and oracles; the run and bath-fit paths never call it.  Only
+that reference and :func:`tail_mass` import :mod:`scipy.integrate`, and
+they do so when called, so a run never loads it.
 
 Temperature enters in one place, the occupation-weighted density
 J(omega) / (1 - e^{-beta_hbar omega}) of :func:`_occupied`; the
@@ -30,7 +34,7 @@ from typing import Union
 import numpy as np
 from scipy import sparse, special
 
-from .errors import ConfigError, NumericalError, QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "INFINITE",
@@ -40,11 +44,10 @@ __all__ = [
     "BathSpec",
     "BathExpansion",
     "alpha_quadrature",
+    "alpha_theta",
     "compute_coefficients",
     "alpha_reconstruct",
-    "jacobi_anger_residual",
     "build_eta",
-    "minimal_K",
     "tail_mass",
     "reconstruction_error",
     "write_expansion",
@@ -57,9 +60,9 @@ __all__ = [
 INFINITE = math.inf
 
 _QUAD_LIMIT = 400
-# Largest disagreement allowed between the n- and 2n-node coefficient
-# integrals, relative to the largest |integral|.
-_COEFF_RTOL = 1e-10
+# Largest disagreement allowed between the n- and 2n-node theta-rule sums,
+# relative to the largest |sum|.
+_RULE_RTOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,30 +268,46 @@ def build_eta(K: int, Omega: float) -> sparse.csr_matrix:
     return mat.tocsr()
 
 
-def _chebyshev_t(k: int, x):
-    # cos(k arccos x) is exact on [-1, 1]; jacobi_anger_residual checks
-    # its x.
-    return np.cos(k * np.arccos(x))
+def _node_count(K: int, z_max: float = 0.0) -> int:
+    """Gauss-Legendre nodes per half of [0, pi].
+
+    Enough for K coefficients and for e^{-i z cos theta} up to z = z_max,
+    which turns through z_max radians on each half.
+    """
+    return max(64, K, math.ceil(z_max))
 
 
-def _node_count(K: int) -> int:
-    """Gauss-Legendre nodes per half of [0, pi] for K coefficients."""
-    return max(64, K)
-
-
-def _theta_integrals(spec: BathSpec, n: int) -> np.ndarray:
-    """int_0^pi cos(k theta) occ(Omega cos theta) sin(theta) dtheta, k < K.
+def _theta_rule(spec: BathSpec, n: int):
+    """Nodes theta on [0, pi] and the weighted integrand g at them.
 
     Gauss-Legendre with n nodes on each of [0, pi/2] and [pi/2, pi], so
     that the integrand's kink at omega = 0 (|omega| in the exponential
-    density, the step at zero temperature) falls on the split.
+    density, the step at zero temperature) falls on the split.  For a
+    smooth f, int_0^pi f(theta) occ(Omega cos theta) sin(theta) dtheta is
+    f(theta) @ g.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n)
     quarter = np.pi / 4.0
     theta = np.concatenate([quarter * (nodes + 1.0), quarter * (nodes + 3.0)])
     g = np.tile(quarter * weights, 2) * np.sin(theta) \
         * _occupied(spec, spec.Omega * np.cos(theta))
-    return np.cos(np.outer(np.arange(spec.K), theta)) @ g
+    return theta, g
+
+
+def _theta_integrals(spec: BathSpec, n: int, kernel, what: str) -> np.ndarray:
+    """kernel(theta) @ g with n and with 2n nodes per half; the 2n sums.
+
+    Raises :class:`QuadratureError` if the two differ by more than
+    ``_RULE_RTOL`` times the largest |sum|.
+    """
+    coarse, total = (kernel(theta) @ g for theta, g in
+                     (_theta_rule(spec, n), _theta_rule(spec, 2 * n)))
+    miss = float(np.abs(total - coarse).max())
+    if miss > _RULE_RTOL * np.abs(total).max():
+        raise QuadratureError(
+            f"{n} and {2 * n} Gauss-Legendre nodes per half disagree on "
+            f"{what}", residual=miss)
+    return total
 
 
 def compute_coefficients(spec: BathSpec) -> BathExpansion:
@@ -306,18 +325,13 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
     The 2n sums are returned.
 
     Raises :class:`QuadratureError` if the two sums differ by more than
-    ``_COEFF_RTOL`` times the largest |integral|.
+    ``_RULE_RTOL`` times the largest |integral|.
     """
     Om, K = spec.Omega, spec.K
-    n = _node_count(K)
-    coarse = _theta_integrals(spec, n)
-    total = _theta_integrals(spec, 2 * n)
-    miss = float(np.abs(total - coarse).max())
-    if miss > _COEFF_RTOL * np.abs(total).max():
-        raise QuadratureError(
-            f"{n} and {2 * n} Gauss-Legendre nodes per half disagree on the "
-            f"K = {K} coefficients", residual=miss)
     ks = np.arange(K)
+    total = _theta_integrals(spec, _node_count(K),
+                             lambda theta: np.cos(np.outer(ks, theta)),
+                             f"the K = {K} coefficients")
     c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
 
     phi0 = np.zeros(K)
@@ -334,53 +348,23 @@ def alpha_reconstruct(expansion: BathExpansion, t):
     return complex(out) if np.ndim(t) == 0 else out
 
 
-def jacobi_anger_residual(x: float, t: float, K: int, Omega: float) -> float:
-    """How well K terms of the plane-wave expansion reproduce e^{-i Omega x t}.
+def alpha_theta(spec: BathSpec, ts) -> np.ndarray:
+    """Bath correlation alpha(t) on an array of times by the theta rule.
 
-    Returns |e^{-i Omega x t} - sum_{k<K} (2 - delta_{0k}) (-i)^k T_k(x) J_k(Omega t)|.
-    The residual is the direct diagnostic for choosing K at a given horizon.
+        alpha(t) = Omega int_0^pi e^{-i Omega t cos theta}
+                   occ(Omega cos theta) sin(theta) dtheta,
+
+    the rule of :func:`compute_coefficients` with the plane wave in place
+    of cos(k theta), n = max(64, K, ceil(Omega max t)) nodes per half and
+    the same n-against-2n check, so it raises :class:`QuadratureError`
+    where that check fails.
     """
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("x must lie in [-1, 1]")
-    z = Omega * t
-    ks = np.arange(K)
-    terms = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks \
-        * _chebyshev_t(ks, x) * special.jv(ks, z)
-    return float(abs(np.exp(-1j * z * x) - terms.sum()))
-
-
-def minimal_K(Omega: float, horizon: float, *, tol: float = 1e-6,
-              K_max: int = 512) -> int:
-    """Smallest K whose plane-wave residual stays below tol up to the horizon.
-
-    Probes x = cos(j pi / 8) for j = 0..8 and 32 times in (0, horizon]; the
-    residual is maximal at |x| = 1, so the grid is generous.
-
-    Raises
-    ------
-    NumericalError
-        If no K <= K_max reaches the tolerance.
-    """
-    if horizon <= 0:
-        return 2
-    xs = np.cos(np.linspace(0.0, np.pi, 9))
-    ts = np.linspace(0.0, horizon, 33)[1:]
-    z = Omega * ts
-    ks = np.arange(K_max)
-    ladder = special.jv.outer(ks, z)                       # [K_max, nt]
-    pref = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks       # [K_max]
-    cheb = np.cos(ks[:, None] * np.arccos(xs)[None, :])    # [K_max, nx]
-    # partial[k, ix, it] = sum of the first k+1 terms
-    terms = pref[:, None, None] * cheb[:, :, None] * ladder[:, None, :]
-    partial = np.cumsum(terms, axis=0)
-    target = np.exp(-1j * z[None, :] * xs[:, None])        # [nx, nt]
-    resid = np.abs(target[None, :, :] - partial).max(axis=(1, 2))
-    ok = np.nonzero(resid < tol)[0]
-    if ok.size == 0:
-        raise NumericalError(
-            f"no K <= {K_max} reaches residual {tol:.1e} at horizon "
-            f"{horizon} (best {resid.min():.2e})")
-    return int(ok[0]) + 1
+    z = spec.Omega * np.asarray(ts, dtype=float)
+    z_max = float(z.max(initial=0.0))
+    return spec.Omega * _theta_integrals(
+        spec, _node_count(spec.K, z_max),
+        lambda theta: np.exp(-1j * np.outer(z, np.cos(theta))),
+        f"alpha(t) up to Omega t = {z_max:g}")
 
 
 def tail_mass(spec: BathSpec) -> float:
@@ -404,9 +388,12 @@ def tail_mass(spec: BathSpec) -> float:
 
 def reconstruction_error(spec: BathSpec, expansion: BathExpansion,
                          t_grid) -> float:
-    """Max relative deviation of the expansion from quadrature over a grid."""
+    """Max |alpha - expansion| over a grid, relative to max |alpha|.
+
+    alpha(t) comes from :func:`alpha_theta`.
+    """
     ts = np.asarray(t_grid, dtype=float)
-    exact = np.array([alpha_quadrature(spec, t) for t in ts])
+    exact = alpha_theta(spec, ts)
     approx = alpha_reconstruct(expansion, ts)
     return float(np.abs(exact - approx).max() / np.abs(exact).max())
 

@@ -41,7 +41,12 @@ class ResourceLimitError(HseomError):
 
 
 class HorizonWarning(UserWarning):
-    """The configured K is too small for the simulated time horizon."""
+    """The K-term expansion misses alpha(t) over the run's horizon.
+
+    Raised by the command line when the measured relative error of
+    sum_k c_k J_k(Omega t) against alpha(t) on [0, horizon] exceeds
+    ``cli.EXPANSION_TOL``.
+    """
 
 
 class EquilibrationWarning(UserWarning):

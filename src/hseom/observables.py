@@ -42,6 +42,8 @@ __all__ = [
 _CLUSTER_TOL = 1e-8
 # largest |tr rho_S - 1| a result may carry
 TRACE_TOL = 1e-4
+# the largest entries that _advance_together keeps
+_PEAKS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs")
 
 
 @dataclasses.dataclass(eq=False)
@@ -98,7 +100,9 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
     so no snapshots are kept.  Yields (index into steps, y, a); started
     from e0 x v at step 0, <a, (I x O) y> = tr{O rho_v(t)}.  ``peaks``
     keeps the largest entry of each sweep under "c1_max_abs" and
-    "adjoint_max_abs".
+    "adjoint_max_abs", and the largest entry of the forward state's top
+    hierarchy level at the yielded steps under "top_level_max_abs", a
+    report of how much weight the truncation at N_max cuts off.
     """
     prev = step0
     for r, step in enumerate(steps):
@@ -110,6 +114,8 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                 a, prev, step - prev, dt, -1.0, tau_of=lambda s: s)
             peaks["adjoint_max_abs"] = max(peaks["adjoint_max_abs"], top)
             prev = step
+        peaks["top_level_max_abs"] = max(peaks["top_level_max_abs"],
+                                         float(engine.level_norms(y)[-1]))
         yield r, y, a
 
 
@@ -158,7 +164,7 @@ def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
     """
     d = engine.dim
     adjoint = engine.adjoint()
-    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
+    peaks = dict.fromkeys(_PEAKS, 0.0)
     rho = np.zeros((len(steps), d, d), dtype=complex)
     for w, v in init.components():
         start = engine.initial_stack(v).ravel()
@@ -252,7 +258,7 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     proj1 = DenseOperator(np.diag([0.0, 1.0]).astype(complex))
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     adjoint = engine.adjoint()
-    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
+    peaks = dict.fromkeys(_PEAKS, 0.0)
 
     p1 = []
     for _, y, a in _advance_together(engine, adjoint, start, start, 0, dt,
@@ -358,7 +364,7 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     pops = np.zeros((3, times.size))
     trace = np.zeros(times.size)
     adjoint = engine.adjoint()
-    peaks = {"c1_max_abs": 0.0, "adjoint_max_abs": 0.0}
+    peaks = dict.fromkeys(_PEAKS, 0.0)
     for w, v in init.components():
         start = engine.initial_stack(v).ravel()
         for r, y, a in _advance_together(engine, adjoint, start, start, 0,

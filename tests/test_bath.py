@@ -7,9 +7,9 @@ from scipy import integrate, special
 
 from hseom import (INFINITE, BathSpec, ConfigError, OhmicCircular,
                    OhmicExponential, QuadratureError, alpha_quadrature,
-                   alpha_reconstruct, bath, build_eta, compute_coefficients,
-                   jacobi_anger_residual, minimal_K, read_expansion,
-                   reconstruction_error, tail_mass, write_expansion)
+                   alpha_reconstruct, alpha_theta, bath, build_eta,
+                   compute_coefficients, read_expansion, reconstruction_error,
+                   tail_mass, write_expansion)
 
 
 def _circular(zeta=0.35, nu=6.0, beta=3.0, K=20):
@@ -78,20 +78,21 @@ def test_coefficient_rule_takes_n_and_2n_nodes(K, monkeypatch):
     # n = max(64, K) nodes per half, checked against 2n; the 2n sums are
     # the coefficients
     calls = []
-    original = bath._theta_integrals
+    original = bath._theta_rule
 
     def counted(spec, n):
         calls.append(n)
         return original(spec, n)
 
-    monkeypatch.setattr(bath, "_theta_integrals", counted)
+    monkeypatch.setattr(bath, "_theta_rule", counted)
     spec = _circular(K=K)
     c = compute_coefficients(spec).c
     n = max(64, K)
     assert calls == [n, 2 * n]
     ks = np.arange(K)
+    theta, g = original(spec, 2 * n)
     assert np.array_equal(c, np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks
-                          * spec.Omega * original(spec, 2 * n))
+                          * spec.Omega * (np.cos(np.outer(ks, theta)) @ g))
 
 
 def test_unconverged_coefficient_quadrature_is_refused(monkeypatch):
@@ -179,16 +180,29 @@ def test_eta_matrix_pattern():
     assert np.array_equal(eta, expected)
 
 
-def test_plane_wave_residual_drops_with_K():
-    r = [jacobi_anger_residual(1.0, 2.0, K, 6.0) for K in (8, 16, 32)]
-    assert r[0] > r[1] > r[2]
-    assert r[2] < 1e-9
+@pytest.mark.parametrize("beta", [3.0, INFINITE], ids=["warm", "cold"])
+@pytest.mark.parametrize("density,Omega", [
+    (OhmicCircular(zeta=0.35, nu=6.0), 6.0),
+    (OhmicExponential(eta=0.3, gamma=6.0), 20.0),
+], ids=["circular", "exponential"])
+def test_alpha_theta_matches_adaptive_quadrature(density, Omega, beta):
+    # Omega t up to 160, past the 120 that the exponential presets reach
+    spec = BathSpec(density, beta, Omega, 20)
+    ts = np.linspace(0.0, 160.0 / Omega, 33)
+    ref = np.array([alpha_quadrature(spec, t) for t in ts])
+    got = alpha_theta(spec, ts)
+    assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def test_minimal_K_is_sufficient_and_tight():
-    K = minimal_K(6.0, 2.0)
-    assert jacobi_anger_residual(1.0, 2.0, K, 6.0) <= 1e-6
-    assert jacobi_anger_residual(1.0, 2.0, K - 2, 6.0) > 1e-6
+def test_alpha_theta_refuses_too_few_nodes(monkeypatch):
+    # n = max(64, K, ceil(Omega t_max)) per half; 8 nodes cannot follow a
+    # plane wave through 36 radians, and the 8-against-16 check says so
+    spec = _circular(K=20)
+    ts = np.linspace(0.0, 6.0, 41)
+    alpha_theta(spec, ts)
+    monkeypatch.setattr(bath, "_node_count", lambda K, z_max=0.0: 8)
+    with pytest.raises(QuadratureError):
+        alpha_theta(spec, ts)
 
 
 def test_tail_mass_circular_is_zero():

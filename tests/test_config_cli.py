@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,10 +209,8 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     cfg = preset(name)
     path = tmp_path / "run.ini"
     path.write_text(serialize_config(cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HorizonWarning)
-        assert main([cfg.experiment, "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 0
+    assert main([cfg.experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
     report = preflight(cfg)
     assert sum(taken) == report["estimated_steps"]
     # the run's manifest reports the step preflight announced
@@ -223,6 +220,7 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     assert float(entries["dt"]) == report["dt"]
     assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.6
     assert float(entries["max_trace_error"]) < 1e-4
+    assert float(entries["expansion_error"]) == report["expansion_error"]
 
 
 def test_preflight_bytes_cover_the_built_generator():
@@ -268,13 +266,13 @@ def test_preflight_refuses_over_cap():
 
 def test_cli_preflight_exit_codes(tmp_path, capsys):
     cfg_path = CONFIG_DIR / "respond_circular.ini"
-    # same conservative horizon warning as the anneal preset: fires even
-    # though the shipped configuration is demonstrably converged
-    with pytest.warns(HorizonWarning):
-        assert main(["preflight", "--config", str(cfg_path)]) == 0
+    assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "awf_count = 1771" in out
     assert "estimated_steps = 840" in out and "dt_norm = " in out
+    # K = 20 follows alpha(t) over the 6 time units to 2.9e-4
+    printed = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert 1e-4 < float(printed["expansion_error"]) < 1e-3
 
     over = preset("respond-circular").replace("hierarchy", "max_indices",
                                               100)
@@ -295,8 +293,8 @@ def test_cli_config_errors_exit_2(tmp_path):
     late = tmp_path / "late.ini"
     late.write_text(serialize_config(preset("anneal-weak").replace(
         "run", "record", GridSpec(0.0, 2.0, 0.1))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HorizonWarning)
+    # K = 5 leaves 5.8e-2 in alpha(t) over that horizon, which warns first
+    with pytest.warns(HorizonWarning):
         assert main(["anneal", "--config", str(late),
                      "--out", str(tmp_path / "out")]) == 2
     # malformed values that used to run to a wrong answer or crash
@@ -315,10 +313,8 @@ def test_cli_config_errors_exit_2(tmp_path):
         cfg = preset(name).replace(section, key, value)
         path = tmp_path / f"{name}-{key}.ini"
         path.write_text(serialize_config(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", HorizonWarning)
-            assert main([cfg.experiment, "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == 2, (key, value)
+        assert main([cfg.experiment, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2, (key, value)
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch):
@@ -339,12 +335,17 @@ for command, name in (("respond", "respond_circular"),
 print("after runs", "scipy.integrate" in sys.modules)
 assert main(["bath-fit", "--config", fit, "--out", out]) == 0
 print("after bath-fit", "scipy.integrate" in sys.modules)
+from hseom.bath import alpha_quadrature
+from hseom.presets import build_bath_spec, preset
+alpha_quadrature(build_bath_spec(preset("bath-fit-circular")), 0.0)
+print("after the adaptive reference", "scipy.integrate" in sys.modules)
 """
 
 
 def test_runs_never_import_scipy_integrate(tmp_path):
-    # the coefficient rule needs only numpy; bath-fit's adaptive reference
-    # imports scipy.integrate when it is called
+    # the theta rule behind the coefficients, the expansion check and
+    # bath-fit needs only numpy; the adaptive reference imports
+    # scipy.integrate when it is called, which shows the probe works
     fit = tmp_path / "fit.ini"
     fit.write_text(serialize_config(
         preset("bath-fit-circular").replace("run", "t_max", 0.0)))
@@ -359,7 +360,8 @@ def test_runs_never_import_scipy_integrate(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "after runs False" in lines
-    assert "after bath-fit True" in lines
+    assert "after bath-fit False" in lines
+    assert "after the adaptive reference True" in lines
 
 
 def test_cli_bath_fit_artifacts(tmp_path):
@@ -385,17 +387,18 @@ def test_cli_bath_fit_artifacts(tmp_path):
 
 def test_cli_anneal_artifacts(tmp_path):
     out = tmp_path / "anneal"
-    # the horizon check is deliberately conservative for this preset: the
-    # zero-temperature bath decorrelates long before the K = 5 phase-factor
-    # expansion degrades, so the warning fires although the run is converged
-    with pytest.warns(HorizonWarning):
-        assert main(["anneal", "--config",
-                     str(CONFIG_DIR / "anneal_weak.ini"),
-                     "--out", str(out)]) == 0
+    assert main(["anneal", "--config", str(CONFIG_DIR / "anneal_weak.ini"),
+                 "--out", str(out)]) == 0
     header, data = read_csv(out / "populations.csv")
     assert header == ["t", "P_ground", "P_e_rep", "P_e_sum"]
     assert data[0, 1] == pytest.approx(1.0 / 16.0, abs=1e-9)
     assert (out / "populations.svg").exists()
+    entries = dict(line.split(" = ", 1) for line in
+                   (out / "manifest").read_text()
+                   .split("--- config ---")[0].splitlines())
+    # K = 5 follows the zero-temperature alpha(t) over t_f = 1 to 2.4e-3
+    assert 1e-3 < float(entries["expansion_error"]) < 1e-2
+    assert float(entries["top_level_max_abs"]) > 0.0
 
 
 def test_cli_validate_writes_table(tmp_path, capsys):
@@ -408,11 +411,46 @@ def test_cli_validate_writes_table(tmp_path, capsys):
     assert len(table) >= 6
 
 
+_RUN_CONFIGS = sorted(
+    path.name for path in CONFIG_DIR.glob("*.ini")
+    if parse_config_file(path).experiment in ("respond", "anneal", "rdm"))
+
+
+@pytest.mark.parametrize("name", _RUN_CONFIGS)
+def test_shipped_run_configs_pass_the_expansion_check(name, capsys):
+    # the autouse fixture makes a HorizonWarning fail this test
+    assert main(["preflight", "--config", str(CONFIG_DIR / name)]) == 0
+    printed = dict(line.split(" = ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+    assert float(printed["expansion_error"]) <= 1e-2
+
+
+def test_cli_warns_on_a_short_expansion(tmp_path):
+    # K = 8 leaves 2.6e-2 over the respond-circular horizon; K = 20 2.9e-4
+    cfg = preset("respond-circular").replace("bath", "K", 8)
+    path = tmp_path / "short.ini"
+    path.write_text(serialize_config(cfg))
+    with pytest.warns(HorizonWarning, match="K = 8"):
+        assert main(["preflight", "--config", str(path)]) == 0
+    # a run warns the same way and records the error in its manifest
+    out = tmp_path / "out"
+    with pytest.warns(HorizonWarning):
+        assert main(["respond", "--config", str(path),
+                     "--out", str(out)]) == 0
+    entries = dict(line.split(" = ", 1) for line in
+                   (out / "manifest").read_text()
+                   .split("--- config ---")[0].splitlines())
+    assert 2e-2 < float(entries["expansion_error"]) < 3e-2
+
+
 def test_cli_warns_on_short_expansion_horizon(tmp_path):
-    # lag grid pushed far beyond where K = 20 tracks the phase factor
-    cfg = preset("respond-circular").replace("run", "tau",
-                                             GridSpec(0.0, 30.0, 0.1))
+    # the zero-temperature K = 5 expansion of anneal-weak follows alpha(t)
+    # to 2.4e-3 over t_f = 1, but only to 5.8e-2 over a schedule twice as
+    # long.  (Pushing the respond-circular lags out to 30 does not warn:
+    # its error stays at 2.9e-4 once Omega t passes K.)
+    cfg = preset("anneal-weak").replace("model", "t_f", 2.0).replace(
+        "run", "record", GridSpec(0.0, 2.0, 0.1))
     path = tmp_path / "long.ini"
     path.write_text(serialize_config(cfg))
-    with pytest.warns(HorizonWarning):
+    with pytest.warns(HorizonWarning, match="5.80e-02"):
         assert main(["preflight", "--config", str(path)]) == 0

@@ -20,3 +20,4 @@ def test_demo_runs(script, tmp_path):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+    assert "HorizonWarning" not in done.stderr

@@ -195,6 +195,13 @@ def test_response_matches_full_contour(small_engine):
     assert abs(result.metadata["p1_at_t0"] - p1.real) < 1e-12
     assert result.metadata["adjoint_max_abs"] >= 1.0
     assert "c2_max_abs" not in result.metadata
+    # the forward states it reads: at 0.8 t0 for the drift, and at t0 + tau
+    top = small_engine.space.levels == small_engine.space.N_max
+    peak = max(float(np.abs(small_engine.run(ket1.vector, t, dt)[0]
+                            [top]).max()) for t in [0.8 * t0, *(t0 + taus)])
+    assert result.metadata["top_level_max_abs"] == pytest.approx(
+        peak, rel=1e-12)
+    assert 0.0 < peak <= result.metadata["c1_max_abs"]
 
 
 def test_response_warns_when_still_drifting(small_engine):
