@@ -155,6 +155,12 @@ def _run_entries(comps) -> Dict[str, str]:
             "expansion_error": repr(comps.expansion_error)}
 
 
+def _sweep_entries(metadata) -> Dict[str, str]:
+    """Seconds the forward and the adjoint sweeps each ran; they overlap."""
+    return {key: f"{metadata[key]:.3f}"
+            for key in ("forward_sweep_s", "adjoint_sweep_s")}
+
+
 def preflight(cfg: RunConfig) -> Dict[str, object]:
     """Resource report: AWF count, bytes, step, steps and expansion error.
 
@@ -283,6 +289,7 @@ def _cmd_respond(args) -> int:
         "p1_at_t0": repr(float(result.metadata["p1_at_t0"])),
         "max_trace_error": repr(result.metadata["max_trace_error"]),
         "top_level_max_abs": repr(result.metadata["top_level_max_abs"]),
+        **_sweep_entries(result.metadata),
     })
     peak = omegas[int(np.argmax(-transform.values.imag))]
     print(f"response computed over {len(taus)} delays; "
@@ -306,6 +313,7 @@ def _cmd_anneal(args) -> int:
         **_run_entries(comps),
         "max_trace_error": repr(trace.metadata["max_trace_error"]),
         "top_level_max_abs": repr(trace.metadata["top_level_max_abs"]),
+        **_sweep_entries(trace.metadata),
     })
     print(f"annealing populations recorded at {len(record)} times; "
           f"final P_ground = {trace.p_ground[-1]:.4f}")

@@ -37,6 +37,11 @@ is one sweep of :meth:`ContourEngine.adjoint` from s = 0 with the lower
 sign and tau(s) = s, and its state after n steps serves every turning
 point at step n.  The cost is one forward and one adjoint sweep per
 initial-state component, O(horizon) whatever the number of record times.
+The observables run the two sweeps concurrently on two threads, which
+``integrate_span`` allows: it writes nothing but its own copy of the
+state.  A step is sparse products and elementwise numpy, no BLAS, so the
+two threads never wake OpenBLAS's own, which would spin on after a call
+and take a core from the sweeps.
 """
 
 from __future__ import annotations
@@ -283,29 +288,42 @@ class ContourEngine:
 
     def _rk4_step(self, y: np.ndarray, s: float, dt: float, sign: float,
                   tau_of) -> None:
-        """Advance y in place by one classical RK4 step from s."""
-        if self._ramp is None or tau_of is None:
+        """Advance y in place by one classical RK4 step from s.
+
+        The stage sum accumulates in k1's buffer as the stages come, in
+        the order ((k1 + 2 k2) + 2 k3) + k4, so the four stages are never
+        all alive at once.
+        """
+        if self._ramp is None:
             t1 = t2 = t3 = 0.0
         else:
             t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
-        k1 = self._deriv_flat(y, t1, sign)
-        k2 = self._deriv_flat(y + (0.5 * dt) * k1, t2, sign)
-        k3 = self._deriv_flat(y + (0.5 * dt) * k2, t2, sign)
-        k4 = self._deriv_flat(y + dt * k3, t3, sign)
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = k = self._deriv_flat(y, t1, sign)
+        k = self._deriv_flat(y + (0.5 * dt) * k, t2, sign)
+        acc += 2.0 * k
+        k = self._deriv_flat(y + (0.5 * dt) * k, t2, sign)
+        acc += 2.0 * k
+        acc += self._deriv_flat(y + dt * k, t3, sign)
+        acc *= dt / 6.0
+        y += acc
 
     def integrate_span(self, y: np.ndarray, step0: int, n_steps: int,
                        dt: float, sign: float, tau_of=None):
         """RK4 over n_steps from absolute grid step step0.
 
         ``tau_of`` maps the contour parameter s = step * dt to the physical
-        clock for scheduled Hamiltonians (ignored when time-independent).
-        Every step depends only on the state and its absolute step, so one
-        span of n steps equals any split of it into consecutive spans, bit
-        for bit.  Every state, the first included, is checked for
-        finiteness.  Returns (y, max |entry| seen); the input is not
-        modified.
+        clock for scheduled Hamiltonians; a schedule refuses None, and a
+        time-independent model ignores it.  Every step depends only on the
+        state and its absolute step, so one span of n steps equals any
+        split of it into consecutive spans, bit for bit.  Every state, the
+        first included, is checked for finiteness.  Returns (y, max |entry|
+        seen); the input is not modified, and nothing else the engine
+        holds is written, so two threads may run spans of one engine, or of
+        an engine and its adjoint, at once.
         """
+        if self._ramp is not None and tau_of is None:
+            raise ConfigError("a scheduled model needs tau_of, the physical "
+                              "clock of each contour time")
         y = y.astype(complex, copy=True)
         max_abs = self._check_finite(y, step0 * dt)
         for step in range(step0, step0 + n_steps):

@@ -11,6 +11,15 @@ sweeps serves every record time.  The cost is one forward and one adjoint
 sweep per initial-state component, O(horizon) whatever the number of
 record times; results are averaged over the initial mixture.
 
+The two sweeps of a pair share nothing mutable until they meet at a record
+time, so they run concurrently: the adjoint on a worker thread, the
+forward on the calling one, each doing the same float operations in the
+same order as it would alone.  The reductions read between segments keep
+threaded BLAS out: OpenBLAS runs a complex dot product of more than 10,000
+entries on its own threads, which then spin for a while and take a core
+from the next segment, so the trace of a large register is summed by
+numpy instead of ``np.vdot``.
+
 In continuous time the closed contour is the identity, so the trace of
 every rho_S(t) is 1 and whatever a run measures beyond that is the
 integrator's own error.  :func:`rdm_trajectory`,
@@ -22,8 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +53,9 @@ __all__ = [
 _CLUSTER_TOL = 1e-8
 # largest |tr rho_S - 1| a result may carry
 TRACE_TOL = 1e-4
-# the largest entries that _advance_together keeps
-_PEAKS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs")
+# the largest entries and the busy seconds that _advance_together keeps
+_SWEEP_KEYS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
+               "forward_sweep_s", "adjoint_sweep_s")
 
 
 @dataclasses.dataclass(eq=False)
@@ -90,33 +102,63 @@ class PopulationTrace:
     metadata: Dict = dataclasses.field(default_factory=dict)
 
 
+def _timed(sweep, *args, **kwargs):
+    """(sweep's result, its wall seconds), on the thread that runs it."""
+    started = time.perf_counter()
+    return sweep(*args, **kwargs), time.perf_counter() - started
+
+
 def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                       y: np.ndarray, a: np.ndarray, step0: int, dt: float,
-                      steps: Sequence[int], peaks: Dict[str, float]):
+                      steps: Sequence[int], report: Dict[str, float],
+                      visit: Callable[[int, np.ndarray, np.ndarray], None]):
     """Forward and adjoint flat states at each grid step, side by side.
 
     ``y`` and ``a`` are the states at grid step ``step0``; ``steps`` must
     be non-decreasing and not before it.  Both advance segment by segment,
-    so no snapshots are kept.  Yields (index into steps, y, a); started
-    from e0 x v at step 0, <a, (I x O) y> = tr{O rho_v(t)}.  ``peaks``
-    keeps the largest entry of each sweep under "c1_max_abs" and
-    "adjoint_max_abs", and the largest entry of the forward state's top
-    hierarchy level at the yielded steps under "top_level_max_abs", a
-    report of how much weight the truncation at N_max cuts off.
+    so no snapshots are kept, and ``visit(r, y, a)`` reads them at
+    ``steps[r]``; started from e0 x v at step 0, <a, (I x O) y> =
+    tr{O rho_v(t)}.  Returns the last (y, a).
+
+    Each segment's adjoint span runs on one worker thread while the
+    calling thread runs the forward span.  The two engines share the
+    space, expansion and model read-only, and ``integrate_span`` copies
+    its input, so the sweeps share no mutable state.  The worker's result,
+    or its NumericalError, is read before ``visit`` runs, even when the
+    forward span raises, and the worker has stopped by the time this
+    returns or raises.
+
+    ``report`` keeps the largest entry of each sweep under "c1_max_abs"
+    and "adjoint_max_abs", the largest entry of the forward state's top
+    hierarchy level at the visited steps under "top_level_max_abs" (a
+    report of how much weight the truncation at N_max cuts off), and adds
+    the seconds each side spent in its spans to "forward_sweep_s" and
+    "adjoint_sweep_s": a solve near their maximum, not their sum, shows
+    the overlap.  Only the calling thread writes it.
     """
     prev = step0
-    for r, step in enumerate(steps):
-        if step > prev:
-            y, top = engine.integrate_span(
-                y, prev, step - prev, dt, +1.0, tau_of=lambda s: s)
-            peaks["c1_max_abs"] = max(peaks["c1_max_abs"], top)
-            a, top = adjoint.integrate_span(
-                a, prev, step - prev, dt, -1.0, tau_of=lambda s: s)
-            peaks["adjoint_max_abs"] = max(peaks["adjoint_max_abs"], top)
-            prev = step
-        peaks["top_level_max_abs"] = max(peaks["top_level_max_abs"],
-                                         float(engine.level_norms(y)[-1]))
-        yield r, y, a
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for r, step in enumerate(steps):
+            if step > prev:
+                back = worker.submit(_timed, adjoint.integrate_span, a, prev,
+                                     step - prev, dt, -1.0,
+                                     tau_of=lambda s: s)
+                try:
+                    (y, top), busy = _timed(engine.integrate_span, y, prev,
+                                            step - prev, dt, +1.0,
+                                            tau_of=lambda s: s)
+                finally:
+                    (a, a_top), a_busy = back.result()
+                report["c1_max_abs"] = max(report["c1_max_abs"], top)
+                report["adjoint_max_abs"] = max(report["adjoint_max_abs"],
+                                                a_top)
+                report["forward_sweep_s"] += busy
+                report["adjoint_sweep_s"] += a_busy
+                prev = step
+            report["top_level_max_abs"] = max(
+                report["top_level_max_abs"], float(engine.level_norms(y)[-1]))
+            visit(r, y, a)
+    return y, a
 
 
 def _record_steps(engine: ContourEngine, times: np.ndarray,
@@ -164,13 +206,15 @@ def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
     """
     d = engine.dim
     adjoint = engine.adjoint()
-    peaks = dict.fromkeys(_PEAKS, 0.0)
+    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
     rho = np.zeros((len(steps), d, d), dtype=complex)
     for w, v in init.components():
-        start = engine.initial_stack(v).ravel()
-        for r, y, a in _advance_together(engine, adjoint, start, start, 0,
-                                         dt, steps, peaks):
+        def add(r, y, a):
             rho[r] += w * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
+
+        start = engine.initial_stack(v).ravel()
+        _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
+                          add)
     return rho
 
 
@@ -258,18 +302,21 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     proj1 = DenseOperator(np.diag([0.0, 1.0]).astype(complex))
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     adjoint = engine.adjoint()
-    peaks = dict.fromkeys(_PEAKS, 0.0)
+    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
 
     p1 = []
-    for _, y, a in _advance_together(engine, adjoint, start, start, 0, dt,
-                                     [int(round(0.8 * n0)), n0], peaks):
-        p1.append(np.vdot(a, engine.apply_all_rows(y, proj1)).real)
-    # the loop leaves y and a at t0, where the lags start
-    lagged = _advance_together(engine, adjoint, y,
-                               adjoint.apply_all_rows(a, sx), n0, dt, turns,
-                               peaks)
-    psi = np.array([np.vdot(a, engine.apply_all_rows(y, sx))
-                    for _, y, a in lagged])
+    # the first leg leaves y and a at t0, where the lags start
+    y, a = _advance_together(
+        engine, adjoint, start, start, 0, dt, [int(round(0.8 * n0)), n0],
+        report, lambda r, y, a: p1.append(
+            np.vdot(a, engine.apply_all_rows(y, proj1)).real))
+    psi = np.zeros(taus.size, dtype=complex)
+
+    def at_lag(r, y, a):
+        psi[r] = np.vdot(a, engine.apply_all_rows(y, sx))
+
+    _advance_together(engine, adjoint, y, adjoint.apply_all_rows(a, sx), n0,
+                      dt, turns, report, at_lag)
     trace_error = _check_trace(float(abs(psi[0] - 1.0)), dt,
                                "Psi(0) = tr rho(t0)")
     drift = abs(p1[1] - p1[0])
@@ -280,7 +327,7 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
             stacklevel=2)
     meta = {"t0": t0, "dt": dt, "drift": float(drift),
             "p1_at_t0": float(p1[1]), "max_trace_error": trace_error,
-            **peaks}
+            **report}
     return CorrelationResult(times=taus, values=psi, metadata=meta)
 
 
@@ -364,15 +411,18 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     pops = np.zeros((3, times.size))
     trace = np.zeros(times.size)
     adjoint = engine.adjoint()
-    peaks = dict.fromkeys(_PEAKS, 0.0)
+    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
     for w, v in init.components():
-        start = engine.initial_stack(v).ravel()
-        for r, y, a in _advance_together(engine, adjoint, start, start, 0,
-                                         dt, steps, peaks):
+        def add(r, y, a):
             Y, A = y.reshape(-1, d), a.reshape(-1, d)
             for i, idx in enumerate(levels):
                 pops[i, r] += w * np.vdot(A[:, idx], Y[:, idx]).real
-            trace[r] += w * np.vdot(a, y).real
+            # by numpy: np.vdot of this length spins BLAS threads (see top)
+            trace[r] += w * (a.conj() * y).sum().real
+
+        start = engine.initial_stack(v).ravel()
+        _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
+                          add)
 
     trace_error = _check_trace(float(np.abs(trace - 1.0).max()), dt,
                                "tr rho")
@@ -381,4 +431,4 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
                            p_excited_sum=p_sum, trace=trace,
                            metadata={"dt": dt, "cluster_tol": _CLUSTER_TOL,
                                      "max_trace_error": trace_error,
-                                     **peaks})
+                                     **report})

@@ -190,6 +190,24 @@ def test_spans_split_anywhere_bit_for_bit(scheduled, small_space,
         assert top == max(top1, top2)
 
 
+def test_a_schedule_refuses_a_missing_clock(small_space, small_expansion,
+                                            small_engine):
+    # without tau_of a schedule would integrate with H frozen at tau = 0
+    engine = ContourEngine(small_space, small_expansion,
+                           pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+    y = engine.initial_stack(np.full(4, 0.5, dtype=complex)).ravel()
+    with pytest.raises(ConfigError, match="tau_of"):
+        engine.integrate_span(y, 0, 2, 0.01, +1.0)
+    with pytest.raises(ConfigError, match="tau_of"):
+        engine.adjoint().integrate_span(y, 0, 2, 0.01, -1.0)
+    # a fixed model has no clock to read
+    y = small_engine.initial_stack(np.array([1.0, 0.0])).ravel()
+    fixed, _ = small_engine.integrate_span(y, 0, 2, 0.01, +1.0)
+    clocked, _ = small_engine.integrate_span(y, 0, 2, 0.01, +1.0,
+                                             tau_of=lambda s: s)
+    assert np.array_equal(fixed, clocked)
+
+
 def test_backward_batch_matches_single_runs(small_engine, rng):
     # several backward runs of unequal length on one clock agree with
     # doing each one alone

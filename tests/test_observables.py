@@ -1,5 +1,8 @@
 """Observable extraction: correlators, spectra, density matrices, populations."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from hseom import (
     EquilibrationWarning,
     LocalizedWithTransform,
     MixedState,
+    NumericalError,
     PureState,
     annealing_populations,
     build_eta,
@@ -28,7 +32,8 @@ from hseom import (
     uniform_superposition_transform,
 )
 from hseom.models import SIGMA_X, SIGMA_Z
-from hseom.observables import CorrelationResult
+from hseom.observables import (CorrelationResult, _SWEEP_KEYS,
+                               _advance_together)
 
 
 def _zero_expansion(K=2, Omega=3.0):
@@ -346,3 +351,109 @@ def test_annealing_rejects_a_target_that_is_not_diagonal(small_expansion):
     with pytest.raises(ConfigError):
         annealing_populations(engine, PureState(np.array([1.0, 0.0])),
                               0.01, [0.5])
+
+
+def _small_anneal_engine(expansion, n_max=1):
+    return ContourEngine(build_space(4, n_max), expansion,
+                         pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
+                                                scheduled, rng):
+    # the adjoint span on the worker thread takes the same steps, bit for
+    # bit, as the two sweeps run one after the other
+    engine = _small_anneal_engine(small_expansion, 2) if scheduled \
+        else small_engine
+    adjoint = engine.adjoint()
+    size = engine.num_awf * engine.dim
+    y0, a0 = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
+              for _ in range(2))
+    steps, dt = [0, 3, 3, 10, 25], 0.02
+    seen = []
+    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
+    ends = _advance_together(engine, adjoint, y0, a0, 0, dt, steps, report,
+                             lambda r, y, a: seen.append((r, y, a)))
+    y, a, prev = y0, a0, 0
+    for r, step in enumerate(steps):
+        y, _ = engine.integrate_span(y, prev, step - prev, dt, +1.0,
+                                     tau_of=lambda s: s)
+        a, _ = adjoint.integrate_span(a, prev, step - prev, dt, -1.0,
+                                      tau_of=lambda s: s)
+        prev = step
+        assert seen[r][0] == r
+        assert np.array_equal(seen[r][1], y)
+        assert np.array_equal(seen[r][2], a)
+    assert np.array_equal(ends[0], y) and np.array_equal(ends[1], a)
+    assert report["forward_sweep_s"] > 0.0 and report["adjoint_sweep_s"] > 0.0
+
+
+@pytest.mark.parametrize("observable", ["rdm", "anneal"])
+def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
+        small_engine, small_expansion, monkeypatch, observable):
+    original = ContourEngine.adjoint
+
+    def poisoned(self):
+        twin = original(self)
+        twin._G = twin._G.copy()
+        twin._G.data[:] = np.nan
+        return twin
+
+    monkeypatch.setattr(ContourEngine, "adjoint", poisoned)
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match="non-finite"):
+        if observable == "rdm":
+            rdm_trajectory(small_engine, PureState(np.array([0.6, 0.8])),
+                           0.01, [0.0, 0.2, 0.5])
+        else:
+            annealing_populations(_small_anneal_engine(small_expansion),
+                                  uniform_superposition_transform(2), 0.01,
+                                  [0.0, 0.2, 0.5])
+    assert threading.active_count() == before
+
+
+def test_observables_on_shared_engines_from_many_threads(small_engine,
+                                                         small_expansion):
+    # four callers share two engines while the interpreter switches
+    # threads as often as it can; each must get the serial answer exactly
+    anneal_engine = _small_anneal_engine(small_expansion)
+    record = [0.0, 0.2, 0.5]
+
+    def rdm():
+        return rdm_trajectory(small_engine, PureState(np.array([0.6, 0.8j])),
+                              0.01, record)[1:]
+
+    def anneal():
+        trace = annealing_populations(anneal_engine,
+                                      uniform_superposition_transform(2),
+                                      0.01, record)
+        return (trace.p_ground, trace.p_excited_rep, trace.p_excited_sum,
+                trace.trace)
+
+    calls = [rdm, anneal, rdm, anneal]
+    expected = [call() for call in calls]
+    got = [[] for _ in calls]
+
+    def work(i):
+        # an exception here fails the test as an unhandled thread exception
+        for _ in range(3):
+            got[i].append(calls[i]())
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for want, runs in zip(expected, got):
+        assert len(runs) == 3
+        for run in runs:
+            assert all(np.array_equal(x, w) for x, w in zip(run, want))
+    assert threading.active_count() == before
