@@ -18,11 +18,11 @@ from .errors import (ConfigError, EquilibrationWarning, HorizonWarning,
                      HseomError, NumericalError, QuadratureError,
                      ResourceLimitError)
 from .hierarchy import (ABSENT, HierarchySpace, awf_count, build_space)
-from .models import (DenseOperator, DiagonalOperator, LocalizedWithTransform,
-                     MixedState, PauliSumOperator, PauliTerm, PureState,
+from .models import (DenseOperator, DiagonalOperator, MixedState,
+                     PauliSumOperator, PauliTerm, PureState,
                      ScaledSumOperator, SystemModel, magnetization_values,
                      pspin_annealing, pure_dephasing, spin_boson,
-                     thermal_state, uniform_superposition_transform)
+                     thermal_state, uniform_superposition)
 from .observables import (CorrelationResult, PopulationTrace, Spectrum,
                           annealing_populations, half_fourier,
                           rdm_trajectory, response_function,

@@ -3,10 +3,11 @@
 Everything here works in units with hbar = 1, so beta_hbar is the single
 temperature parameter and coupling strengths are plain numbers.
 
-The bath enters the hierarchy through three ingredients bundled in
+The bath enters the hierarchy through two ingredients bundled in
 :class:`BathExpansion`: the complex coefficients ``c_k`` of the expansion
-alpha(t) = sum_k c_k J_k(Omega t), the banded matrix ``eta`` that closes the
-basis-function derivatives, and the initial values ``phi_at_zero``.
+alpha(t) = sum_k c_k J_k(Omega t) and the banded matrix ``eta`` that closes
+the basis-function derivatives.  The basis functions' initial values need
+no field: phi_k(0) = J_k(0) = delta_{k0}.
 
 One fixed Gauss-Legendre rule in theta = arccos x gives both the c_k
 (:func:`compute_coefficients`) and alpha(t) itself (:func:`alpha_theta`),
@@ -170,13 +171,12 @@ class BathSpec:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BathExpansion:
-    """The (Omega, K, c_k, eta, phi_k(0)) bundle consumed by the hierarchy."""
+    """The (Omega, K, c_k, eta) bundle consumed by the hierarchy."""
 
     Omega: float
     K: int
     c: np.ndarray            # complex, shape (K,)
     eta: sparse.csr_matrix   # real, K x K, banded
-    phi_at_zero: np.ndarray  # (1, 0, 0, ...)
 
 
 def _bose_ratio(y):
@@ -333,11 +333,7 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
                              lambda theta: np.cos(np.outer(ks, theta)),
                              f"the K = {K} coefficients")
     c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
-
-    phi0 = np.zeros(K)
-    phi0[0] = 1.0
-    return BathExpansion(Omega=Om, K=K, c=c, eta=build_eta(K, Om),
-                         phi_at_zero=phi0)
+    return BathExpansion(Omega=Om, K=K, c=c, eta=build_eta(K, Om))
 
 
 def alpha_reconstruct(expansion: BathExpansion, t):
@@ -466,9 +462,6 @@ def read_expansion(path):
         if not 0 <= k < K:
             raise ConfigError(f"coefficient index {k} out of range")
         c[k] = re + 1j * im
-    phi0 = np.zeros(K)
-    phi0[0] = 1.0
     spec = BathSpec(density=density, beta_hbar=beta_hbar, Omega=Omega, K=K)
-    expansion = BathExpansion(Omega=Omega, K=K, c=c,
-                              eta=build_eta(K, Omega), phi_at_zero=phi0)
+    expansion = BathExpansion(Omega=Omega, K=K, c=c, eta=build_eta(K, Omega))
     return spec, expansion

@@ -58,13 +58,6 @@ def _model_dim(cfg: RunConfig) -> int:
     return 2
 
 
-def _component_count(cfg: RunConfig) -> int:
-    """Pure components of the initial state; a thermal mixture has dim."""
-    if cfg.experiment == "rdm" and cfg.get("run", "init") == "thermal":
-        return _model_dim(cfg)
-    return 1
-
-
 def _system_entries(cfg: RunConfig, dim: int):
     """Upper bounds on the stored entries of H(0), H(t_f) and V."""
     if cfg.get("model", "kind") == "pspin":
@@ -177,7 +170,7 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
         return {**report, "estimated_steps": 0}
     comps = _build(cfg)
     steps = 2 * int(round(horizon_of(cfg) / comps.dt)) \
-        * _component_count(cfg)
+        * len(comps.init.components())
     return {**report, "estimated_steps": steps, "dt": comps.dt,
             "dt_norm": comps.dt_norm,
             "expansion_error": comps.expansion_error}
@@ -385,8 +378,7 @@ def _validate_rows():
     # zero-coupling contour: the full round trip is the identity map
     K = 2
     expansion = BathExpansion(Omega=3.0, K=K, c=np.zeros(K, complex),
-                              eta=build_eta(K, 3.0),
-                              phi_at_zero=np.array([1.0, 0.0]))
+                              eta=build_eta(K, 3.0))
     space = build_space(K, 2)
     model = spin_boson(1.0)
     engine = ContourEngine(space, expansion, model)

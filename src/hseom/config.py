@@ -83,7 +83,7 @@ _SCHEMA = {
     "integrator": {"dt": _FLOAT},
     "model": {"kind": _STR, "omega0": _FLOAT, "Ncal": _INT,
               "Gamma": _FLOAT, "p": _INT, "t_f": _FLOAT},
-    "run": {"t": _FLOAT, "t0": _FLOAT, "tau": _GRID, "omega": _GRID,
+    "run": {"t0": _FLOAT, "tau": _GRID, "omega": _GRID,
             "record": _GRID, "window_time": _FLOAT, "init": _STR,
             "drift_tolerance": _FLOAT, "t_max": _FLOAT},
     "output": {"directory": _STR},

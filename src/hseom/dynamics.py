@@ -15,7 +15,7 @@ For one stack row per hierarchy index n, the derivative along s is
 
 with indices outside the truncated space contributing zero.  The last term
 is the k-sum over n_k phi_k(0) phi_{n - e_k} collapsed by phi_k(0) =
-delta_{k0}; the code keeps the general phi_k(0) array.  All hierarchy-space
+J_k(0) = delta_{k0}, so only k = 0 lowers.  All hierarchy-space
 mixing is precomputed into two sparse matrices (exchange E, coupling B),
 and with the system operators into one generator on the flattened stack
 (see :class:`ContourEngine`), so a derivative is one sparse product, or
@@ -39,9 +39,11 @@ point at step n.  The cost is one forward and one adjoint sweep per
 initial-state component, O(horizon) whatever the number of record times.
 The observables run the two sweeps concurrently on two threads, which
 ``integrate_span`` allows: it writes nothing but its own copy of the
-state.  A step is sparse products and elementwise numpy, no BLAS, so the
-two threads never wake OpenBLAS's own, which would spin on after a call
-and take a core from the sweeps.
+state.  A step is sparse products and elementwise numpy, and the
+observables read each record time with one ``np.einsum``, so no BLAS runs
+at all: the two threads never wake OpenBLAS's own, which would spin on
+after a call and take a core from the sweeps, and no result depends on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def build_coupling_matrices(space: HierarchySpace,
 
     E[i, j] collects eta_{k,k'} n_k over the exchange moves ending at row i
     from row j; B[i, j] collects the raising coefficients c_k plus the
-    phi_k(0)-weighted lowering, and is applied inside the coupling operator
-    V.  Both are num_awf x num_awf and independent of time and branch.
+    lowering along k = 0 with weight n_0 (phi_k(0) = delta_{k0}), and is
+    applied inside the coupling operator V.  Both are num_awf x num_awf and
+    independent of time and branch.
     """
     if space.K != expansion.K:
         raise ConfigError(f"hierarchy K = {space.K} does not match "
@@ -123,14 +126,13 @@ def build_coupling_matrices(space: HierarchySpace,
             rows.append(src)
             cols.append(up[src])
             vals.append(np.full(src.size, expansion.c[k]))
-        if expansion.phi_at_zero[k] != 0.0:
-            low = space.lower_table[k]
+        if k == 0:
+            low = space.lower_table[0]
             src = np.nonzero(low != ABSENT)[0]
             if src.size:
                 rows.append(src)
                 cols.append(low[src])
-                vals.append(expansion.phi_at_zero[k]
-                            * n[src, k].astype(complex))
+                vals.append(n[src, 0].astype(complex))
     B = _coo_from_parts(vals, rows, cols, M)
     E.sort_indices()
     B.sort_indices()
@@ -418,14 +420,4 @@ class ContourEngine:
         y, _ = self.integrate_span(y, n_b, 2 * n - n_b, dt, -1.0,
                                    tau_of=back)
         return turn, y.reshape(self.num_awf, self.dim)
-
-    def level_norms(self, stack: np.ndarray) -> np.ndarray:
-        """Max row magnitude per hierarchy level, an overflow diagnostic."""
-        data = stack.reshape(self.num_awf, self.dim)
-        out = np.zeros(self.space.N_max + 1)
-        for level in range(self.space.N_max + 1):
-            block = data[self.space.level_slice(level)]
-            if block.size:
-                out[level] = float(np.abs(block).max())
-        return out
 

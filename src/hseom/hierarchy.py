@@ -76,18 +76,6 @@ class HierarchySpace:
             labels.extend([k] * int(nk))
         return self._position.get(tuple(labels), ABSENT)
 
-    def exchange_table(self, k: int, k_prime: int) -> np.ndarray:
-        """Positions of indices[i] - e_k + e_k', composed from the move tables.
-
-        Lowering first keeps the level below N_max, so the subsequent raise
-        never truncates; ABSENT appears exactly where n_k = 0.
-        """
-        low = self.lower_table[k]
-        out = np.full(self.num_indices, ABSENT, dtype=np.int32)
-        ok = low != ABSENT
-        out[ok] = self.raise_table[k_prime, low[ok]]
-        return out
-
     def level_slice(self, level: int) -> slice:
         """Contiguous row range holding all indices of the given level."""
         lo = int(np.searchsorted(self.levels, level, side="left"))

@@ -8,6 +8,12 @@ same interface (``dim``, ``apply`` along the last axis, ``to_dense``,
 ``to_csr``): dense matrices, diagonals, Pauli sums and scaled sums.  The
 engine only ever reads ``to_csr``, which the Pauli sum builds from its bit
 masks and phases without densifying, so no backing is tied to a size.
+
+An initial state is always a list of weighted pure vectors, its
+``components()``: one vector (:class:`PureState`) or a convex mixture
+(:class:`MixedState`).  The observables run one forward and one adjoint
+sweep per component and read each result off their reduced matrix with
+one ``np.einsum``, no BLAS (see :mod:`hseom.observables`).
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ __all__ = [
     "DenseOperator", "DiagonalOperator", "PauliTerm", "PauliSumOperator",
     "ScaledSumOperator", "Operator",
     "SystemModel", "spin_boson", "pure_dephasing", "pspin_annealing",
-    "PureState", "LocalizedWithTransform", "MixedState", "InitialState",
-    "uniform_superposition_transform", "thermal_state",
+    "PureState", "MixedState", "InitialState", "uniform_superposition",
+    "thermal_state",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,6 +42,8 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1> -> +1
 
 DENSIFY_DIM_LIMIT = 4096  # largest Pauli sum to_dense will build
 MAX_QUBITS = 16
+# relative energy tolerance that groups eigenvalues into one level
+_LEVEL_TOL = 1e-8
 
 
 def _pruned_csr(matrix) -> sparse.csr_matrix:
@@ -347,7 +355,7 @@ class PureState:
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=complex)
         norm = np.linalg.norm(self.vector)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ConfigError(f"state vector norm is {norm:.6f}, expected 1",
                               section="initial")
 
@@ -359,44 +367,17 @@ class PureState:
 
 
 @dataclasses.dataclass(eq=False)
-class LocalizedWithTransform:
-    """rho_S(0) = C |k><k| C^dagger, driven by the single vector C|k>.
-
-    ``C`` may be dense or scipy-sparse; only its k-th column is ever
-    propagated, which is the whole point of the construction.
-    """
-
-    k: int
-    C: object
-
-    def initial_vector(self) -> np.ndarray:
-        if sparse.issparse(self.C):
-            col = np.asarray(self.C[:, self.k].todense()).ravel()
-        else:
-            col = np.asarray(self.C)[:, self.k]
-        return np.asarray(col, dtype=complex)
-
-    def components(self):
-        return [(1.0, self.initial_vector())]
-
-    def density(self):
-        v = self.initial_vector()
-        return np.outer(v, v.conj())
-
-
-@dataclasses.dataclass(eq=False)
 class MixedState:
-    """A convex mixture sum_i w_i |v_i><v_i| of pure components."""
+    """A convex mixture sum_i w_i |v_i><v_i| of normalized components."""
 
     parts: List[Tuple[float, np.ndarray]]
 
     def __post_init__(self):
         total = sum(w for w, _ in self.parts)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ConfigError(f"mixture weights sum to {total}, expected 1",
                               section="initial")
-        self.parts = [(float(w), np.asarray(v, dtype=complex))
-                      for w, v in self.parts]
+        self.parts = [(float(w), PureState(v).vector) for w, v in self.parts]
 
     def components(self):
         return list(self.parts)
@@ -405,31 +386,34 @@ class MixedState:
         return sum(w * np.outer(v, v.conj()) for w, v in self.parts)
 
 
-InitialState = Union[PureState, LocalizedWithTransform, MixedState]
+InitialState = PureState | MixedState
 
 
-def uniform_superposition_transform(Ncal: int) -> LocalizedWithTransform:
-    """The transform whose k = 0 column is the uniform superposition.
-
-    <i|C|j> = delta_{j,0} / 2^{Ncal/2}, so C|0><0|C^dagger has every matrix
-    element equal to 1/2^Ncal.  Stored sparse, so the formal dim x dim
-    object holds only its one column.
-    """
+def uniform_superposition(Ncal: int) -> PureState:
+    """The equal superposition of all 2^Ncal basis states of the register."""
     if Ncal < 1:
         raise ConfigError("Ncal must be >= 1", section="model", key="Ncal")
     dim = 1 << Ncal
-    C = sparse.csc_matrix(
-        (np.full(dim, 1.0 / math.sqrt(dim), dtype=complex),
-         (np.arange(dim), np.zeros(dim, dtype=int))), shape=(dim, dim))
-    return LocalizedWithTransform(k=0, C=C)
+    return PureState(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
 
 
 def thermal_state(model: SystemModel, beta_hbar: float) -> MixedState:
-    """Gibbs mixture of the (time-independent) system eigenstates."""
+    """Gibbs mixture of the (time-independent) system eigenstates.
+
+    At beta_hbar = inf this is its limit, the ground level alone, with the
+    weight split evenly over a degenerate level; levels closer than
+    ``_LEVEL_TOL`` times the spectral width (at least 1) are one level.
+    Components of zero weight are dropped, so they cost no sweeps.
+    """
     if model.time_dependent:
         raise ConfigError("thermal_state needs a time-independent model",
                           section="initial")
     energies, states = np.linalg.eigh(model.hamiltonian_at(0.0).to_dense())
-    weights = np.exp(-beta_hbar * (energies - energies.min()))
+    gaps = energies - energies.min()
+    if math.isinf(beta_hbar):
+        weights = (gaps <= _LEVEL_TOL * max(1.0, gaps.max())).astype(float)
+    else:
+        weights = np.exp(-beta_hbar * gaps)
     weights /= weights.sum()
-    return MixedState([(w, states[:, j]) for j, w in enumerate(weights)])
+    return MixedState([(w, states[:, j]) for j, w in enumerate(weights)
+                       if w > 0.0])

@@ -4,21 +4,21 @@ Every quantity here is a contour value: propagate forward to the turning
 point, insert an operator, return along the backward branch with a
 possible second insertion, and read an inner product off the final
 physical row.  Only :func:`two_body_correlation` walks that contour
-literally.  The other helpers read each value as <a(n) | (I x O) y(n)>
-between a forward sweep y and an adjoint sweep a (see
-:meth:`ContourEngine.adjoint`), both started from e0 x v, so one pair of
-sweeps serves every record time.  The cost is one forward and one adjoint
-sweep per initial-state component, O(horizon) whatever the number of
-record times; results are averaged over the initial mixture.
+literally.  The other helpers read every value off one reduced matrix,
+rho_S = sum_r y_r a_r^dagger over the hierarchy rows r of a forward sweep
+y and an adjoint sweep a (see :meth:`ContourEngine.adjoint`), both started
+from e0 x v, so that <a, (I x O) y> = tr{O rho_S} and one pair of sweeps
+serves every record time.  The cost is one forward and one adjoint sweep
+per component of the initial state, which is always a list of weighted
+pure vectors; results are summed over those weights.
 
 The two sweeps of a pair share nothing mutable until they meet at a record
 time, so they run concurrently: the adjoint on a worker thread, the
 forward on the calling one, each doing the same float operations in the
-same order as it would alone.  The reductions read between segments keep
-threaded BLAS out: OpenBLAS runs a complex dot product of more than 10,000
-entries on its own threads, which then spin for a while and take a core
-from the next segment, so the trace of a large register is summed by
-numpy instead of ``np.vdot``.
+same order as it would alone.  Every readout is one ``np.einsum`` over
+the rows, summed by numpy's own loops with no BLAS, so no output depends
+on the BLAS thread count, and no OpenBLAS thread is woken to spin on and
+take a core from the next segment.
 
 In continuous time the closed contour is the identity, so the trace of
 every rho_S(t) is 1 and whatever a run measures beyond that is the
@@ -40,8 +40,8 @@ import numpy as np
 
 from .dynamics import ContourEngine, _GRID_TOL, _step_of
 from .errors import ConfigError, EquilibrationWarning, NumericalError
-from .models import (DenseOperator, InitialState, LocalizedWithTransform,
-                     Operator, SIGMA_X)
+from .models import (_LEVEL_TOL, DenseOperator, InitialState, Operator,
+                     SIGMA_X)
 
 __all__ = [
     "CorrelationResult", "Spectrum", "PopulationTrace",
@@ -49,8 +49,6 @@ __all__ = [
     "half_fourier", "annealing_populations", "TRACE_TOL",
 ]
 
-# relative energy tolerance that groups the target's levels into clusters
-_CLUSTER_TOL = 1e-8
 # largest |tr rho_S - 1| a result may carry
 TRACE_TOL = 1e-4
 # the largest entries and the busy seconds that _advance_together keeps
@@ -108,6 +106,14 @@ def _timed(sweep, *args, **kwargs):
     return sweep(*args, **kwargs), time.perf_counter() - started
 
 
+def _reduced(y: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
+    """rho_S = sum_r y_r a_r^dagger over the rows of two flat states.
+
+    Entry [i, j] is <a, (I x |j><i|) y>, so <a, (I x O) y> = tr{O rho_S}.
+    """
+    return np.einsum("ri,rj->ij", y.reshape(-1, d), a.reshape(-1, d).conj())
+
+
 def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                       y: np.ndarray, a: np.ndarray, step0: int, dt: float,
                       steps: Sequence[int], report: Dict[str, float],
@@ -137,6 +143,7 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
     the overlap.  Only the calling thread writes it.
     """
     prev = step0
+    top_level = engine.space.level_slice(engine.space.N_max)
     with ThreadPoolExecutor(max_workers=1) as worker:
         for r, step in enumerate(steps):
             if step > prev:
@@ -155,8 +162,9 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                 report["forward_sweep_s"] += busy
                 report["adjoint_sweep_s"] += a_busy
                 prev = step
-            report["top_level_max_abs"] = max(
-                report["top_level_max_abs"], float(engine.level_norms(y)[-1]))
+            rows = y.reshape(engine.num_awf, engine.dim)[top_level]
+            report["top_level_max_abs"] = max(report["top_level_max_abs"],
+                                              float(np.abs(rows).max()))
             visit(r, y, a)
     return y, a
 
@@ -188,7 +196,9 @@ def _check_trace(error: float, dt: float, what: str) -> float:
     does, and RK4's error falls as dt^4, so n is the whole number, at least
     2, that should bring the error under the tolerance.
     """
-    if error > TRACE_TOL:
+    if not error <= TRACE_TOL:
+        if math.isnan(error):
+            raise NumericalError(f"{what} is NaN at dt = {dt!r}")
         n = max(2, math.ceil((error / TRACE_TOL) ** 0.25))
         raise NumericalError(
             f"{what} leaves 1 by {error:.2e}, more than {TRACE_TOL:g}, at "
@@ -199,18 +209,14 @@ def _check_trace(error: float, dt: float, what: str) -> float:
 
 def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
                       steps: Sequence[int]) -> np.ndarray:
-    """rho_S at each grid step: sum over components of Y^T conj(A).
-
-    With Y and A the [num_awf, dim] forward and adjoint stacks,
-    tr{|j><i| rho} = <A, (I x |j><i|) Y> = sum_r Y[r, i] conj(A[r, j]).
-    """
+    """rho_S at each grid step, summed over the weighted components."""
     d = engine.dim
     adjoint = engine.adjoint()
     report = dict.fromkeys(_SWEEP_KEYS, 0.0)
     rho = np.zeros((len(steps), d, d), dtype=complex)
     for w, v in init.components():
         def add(r, y, a):
-            rho[r] += w * (y.reshape(-1, d).T @ a.reshape(-1, d).conj())
+            rho[r] += w * _reduced(y, a, d)
 
         start = engine.initial_stack(v).ravel()
         _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
@@ -223,25 +229,15 @@ def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
                          init: InitialState, dt: float) -> complex:
     """tr{A(t) rho_S(0) B(t')} through the full contour.
 
-    A localized initial state runs the contour once, from C|k>.  Any other
-    initial state runs it once per populated basis column of rho_S(0) and
-    sums the diagonal overlaps; both routes must agree, which the test
-    suite uses as a cross-check of the transformation-matrix identity.
-    ``A`` is inserted at the turning point s = t and ``B`` at s = 2t - t';
-    pass None for either to mean the identity.
+    The contour runs once per component v of the initial state, from
+    e0 x v, and the weighted overlaps w <v | final physical row> are
+    summed.  ``A`` is inserted at the turning point s = t and ``B`` at
+    s = 2t - t'; pass None for either to mean the identity.
     """
-    if isinstance(init, LocalizedWithTransform):
-        v = init.initial_vector()
-        _, final = engine.run(v, t, dt, A=A, B=B, t_prime=t_prime)
-        return complex(np.vdot(v, final[0]))
-    rho0 = init.density()
     total = 0.0 + 0.0j
-    for col in range(engine.dim):
-        start = rho0[:, col]
-        if np.abs(start).max() == 0.0:
-            continue
-        _, final = engine.run(start, t, dt, A=A, B=B, t_prime=t_prime)
-        total += final[0][col]
+    for w, v in init.components():
+        _, final = engine.run(v, t, dt, A=A, B=B, t_prime=t_prime)
+        total += w * np.vdot(v, final[0])
     return complex(total)
 
 
@@ -271,15 +267,16 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     turning point t0 + tau and again tau later on the way back.  The
     forward and adjoint sweeps advance together over [0, t0]; sigma_x
     then acts on the adjoint, and both advance over [t0, t0 + max(tau)],
-    giving Psi(tau_m) = <a(t0 + tau_m) | sigma_x y(t0 + tau_m)> at each
-    lag.  The result values are the complex correlators; the physical
+    giving Psi(tau_m) = tr{sigma_x rho} of the pair's reduced matrix at
+    each lag.  The result values are the complex correlators; the physical
     response is their imaginary part.
 
-    The population P_1 at 0.8 t0 and at t0 comes from the first leg; their
-    difference is the equilibration drift, recorded in the metadata and
-    warned about above ``drift_tolerance``.  Psi(0) = tr rho(t0) must be 1:
-    |Psi(0) - 1| is recorded as ``max_trace_error`` and refused with
-    NumericalError above ``TRACE_TOL``.
+    The population P_1 = rho[1, 1] at 0.8 t0 and at t0 comes from the
+    first leg; their difference is the equilibration drift, recorded in
+    the metadata and warned about above ``drift_tolerance``.
+    Psi(0) = tr rho(t0) must be 1: |Psi(0) - 1| is recorded as
+    ``max_trace_error`` and refused with NumericalError above
+    ``TRACE_TOL``.
     """
     if engine.dim != 2 or engine.model.time_dependent:
         raise ConfigError("response_function expects the time-independent "
@@ -298,8 +295,6 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     n0 = _step_of(t0, dt, t0, "t0")
     turns = [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
 
-    sx = DenseOperator(SIGMA_X)
-    proj1 = DenseOperator(np.diag([0.0, 1.0]).astype(complex))
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     adjoint = engine.adjoint()
     report = dict.fromkeys(_SWEEP_KEYS, 0.0)
@@ -308,14 +303,14 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     # the first leg leaves y and a at t0, where the lags start
     y, a = _advance_together(
         engine, adjoint, start, start, 0, dt, [int(round(0.8 * n0)), n0],
-        report, lambda r, y, a: p1.append(
-            np.vdot(a, engine.apply_all_rows(y, proj1)).real))
+        report, lambda r, y, a: p1.append(_reduced(y, a, 2)[1, 1].real))
     psi = np.zeros(taus.size, dtype=complex)
 
     def at_lag(r, y, a):
-        psi[r] = np.vdot(a, engine.apply_all_rows(y, sx))
+        psi[r] = np.trace(SIGMA_X @ _reduced(y, a, 2))
 
-    _advance_together(engine, adjoint, y, adjoint.apply_all_rows(a, sx), n0,
+    _advance_together(engine, adjoint, y,
+                      adjoint.apply_all_rows(a, DenseOperator(SIGMA_X)), n0,
                       dt, turns, report, at_lag)
     trace_error = _check_trace(float(abs(psi[0] - 1.0)), dt,
                                "Psi(0) = tr rho(t0)")
@@ -374,15 +369,17 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     first excited level (one representative state, the lowest basis index
     of the level, and the degenerate cluster summed; for the p-spin target
     the cluster holds the Ncal single-flip states and the two conventions
-    differ).  At t = 0 the uniform superposition gives
-    P_ground = 1/2^Ncal.  The identity tracks the trace.  The forward and
-    adjoint states advance together from one record time to the next; the
-    adjoint of the scheduled backward branch is again a sweep forward in
-    time, so each record time costs only its own segment.  Record times
-    past t_f are refused: the schedule ends there.  Levels closer than
-    ``_CLUSTER_TOL`` times the target's spectral width (at least 1) are
-    one level.  A trace that leaves 1 by more than ``TRACE_TOL`` raises
-    NumericalError.
+    differ).  All of them, and the trace, are sums over the diagonal of
+    rho_S, which is all that is read: the full matrix of a 1,024-state
+    register costs about a thousand times as much as its diagonal.  At
+    t = 0 the uniform superposition gives P_ground = 1/2^Ncal.  The
+    identity tracks the trace.  The forward and adjoint states advance
+    together from one record time to the next; the adjoint of the
+    scheduled backward branch is again a sweep forward in time, so each
+    record time costs only its own segment.  Record times past t_f are
+    refused: the schedule ends there.  Levels closer than ``_LEVEL_TOL``
+    times the target's spectral width (at least 1) are one level.  A trace
+    that leaves 1 by more than ``TRACE_TOL`` raises NumericalError.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -399,12 +396,12 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     energies = target.diagonal().real
     lowest = energies.min()
     scale = max(1.0, float(energies.max() - lowest))
-    ground = np.nonzero(energies <= lowest + _CLUSTER_TOL * scale)[0]
-    above = energies > lowest + _CLUSTER_TOL * scale
+    ground = np.nonzero(energies <= lowest + _LEVEL_TOL * scale)[0]
+    above = energies > lowest + _LEVEL_TOL * scale
     levels = [ground]
     if above.any():
         e1 = energies[above].min()
-        cluster = np.nonzero(np.abs(energies - e1) <= _CLUSTER_TOL * scale)[0]
+        cluster = np.nonzero(np.abs(energies - e1) <= _LEVEL_TOL * scale)[0]
         levels += [cluster[:1], cluster]
 
     d = engine.dim
@@ -414,11 +411,11 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     report = dict.fromkeys(_SWEEP_KEYS, 0.0)
     for w, v in init.components():
         def add(r, y, a):
-            Y, A = y.reshape(-1, d), a.reshape(-1, d)
+            diagonal = np.einsum("ri,ri->i", y.reshape(-1, d),
+                                 a.reshape(-1, d).conj()).real
             for i, idx in enumerate(levels):
-                pops[i, r] += w * np.vdot(A[:, idx], Y[:, idx]).real
-            # by numpy: np.vdot of this length spins BLAS threads (see top)
-            trace[r] += w * (a.conj() * y).sum().real
+                pops[i, r] += w * diagonal[idx].sum()
+            trace[r] += w * diagonal.sum()
 
         start = engine.initial_stack(v).ravel()
         _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
@@ -429,6 +426,6 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     p_g, p_rep, p_sum = pops
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
-                           metadata={"dt": dt, "cluster_tol": _CLUSTER_TOL,
+                           metadata={"dt": dt, "cluster_tol": _LEVEL_TOL,
                                      "max_trace_error": trace_error,
                                      **report})

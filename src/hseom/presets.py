@@ -21,7 +21,7 @@ from .dynamics import ContourEngine
 from .errors import ConfigError
 from .hierarchy import DEFAULT_MAX_INDICES, build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
-                     thermal_state, uniform_superposition_transform)
+                     thermal_state, uniform_superposition)
 
 __all__ = ["PRESETS", "STEP_NORM", "preset", "build_bath_spec",
            "build_model", "build_initial", "grid_unit", "effective_dt",
@@ -160,7 +160,7 @@ def build_model(cfg: RunConfig):
 
 def build_initial(cfg: RunConfig, model):
     if cfg.experiment == "anneal":
-        return uniform_superposition_transform(cfg.require("model", "Ncal"))
+        return uniform_superposition(cfg.require("model", "Ncal"))
     name = cfg.get("run", "init", "plus")
     if name == "plus":
         return PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))

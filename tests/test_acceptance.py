@@ -110,8 +110,7 @@ def test_criterion_03_expansion_fidelity():
 def test_criterion_04_closed_system_equivalence():
     K = 2
     expansion = BathExpansion(Omega=3.0, K=K, c=np.zeros(K, complex),
-                              eta=build_eta(K, 3.0),
-                              phi_at_zero=np.array([1.0, 0.0]))
+                              eta=build_eta(K, 3.0))
     model = spin_boson(np.pi)
     engine = ContourEngine(build_space(K, 2), expansion, model)
     psi0 = np.array([0.6, 0.8], dtype=complex)

@@ -289,6 +289,11 @@ def test_cli_config_errors_exit_2(tmp_path):
     # config kind must match the subcommand
     assert main(["respond", "--config",
                  str(CONFIG_DIR / "anneal_weak.ini")]) == 2
+    # a key that nothing reads is refused, not silently ignored
+    dead = tmp_path / "dead.ini"
+    dead.write_text(serialize_config(preset("dephasing")).replace(
+        "[run]\n", "[run]\nt = 5.0\n"))
+    assert main(["preflight", "--config", str(dead)]) == 2
     # an anneal record grid must not run past the end of the schedule
     late = tmp_path / "late.ini"
     late.write_text(serialize_config(preset("anneal-weak").replace(
@@ -342,6 +347,15 @@ print("after the adaptive reference", "scipy.integrate" in sys.modules)
 """
 
 
+def _child_env(**extra) -> dict:
+    """This environment, with the checkout's src first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_runs_never_import_scipy_integrate(tmp_path):
     # the theta rule behind the coefficients, the expansion check and
     # bath-fit needs only numpy; the adaptive reference imports
@@ -349,19 +363,51 @@ def test_runs_never_import_scipy_integrate(tmp_path):
     fit = tmp_path / "fit.ini"
     fit.write_text(serialize_config(
         preset("bath-fit-circular").replace("run", "t_max", 0.0)))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
         [sys.executable, "-W", "ignore", "-c", _RUNS_THEN_BATH_FIT,
          str(CONFIG_DIR), str(tmp_path / "out"), str(fit)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_child_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "after runs False" in lines
     assert "after bath-fit False" in lines
     assert "after the adaptive reference True" in lines
+
+
+def test_respond_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 24,682 state entries, above the 10,000 from which OpenBLAS splits a
+    # complex dot product over its threads; a readout on BLAS would write
+    # different last digits under one and two threads
+    cfg = parse_config_file(CONFIG_DIR / "respond_exponential.ini").replace(
+        "run", "t0", 0.5).replace("run", "tau", GridSpec(0.0, 0.5, 0.1))
+    path = tmp_path / "respond.ini"
+    path.write_text(serialize_config(cfg))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "hseom", "respond", "--config", str(path),
+             "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written.append((out / "response_t.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_cli_zero_temperature_thermal_start_is_the_ground_state(tmp_path):
+    # exp(-beta_hbar (E - E_min)) is NaN on the ground level at
+    # beta_hbar = inf; the start must be its limit, the ground state |1>
+    cold = preset("thermal-ratio").replace("bath", "beta_hbar", math.inf)
+    rho = {}
+    for init in ("thermal", "basis1"):
+        path = tmp_path / f"{init}.ini"
+        path.write_text(serialize_config(cold.replace("run", "init", init)))
+        assert main(["rdm", "--config", str(path),
+                     "--out", str(tmp_path / init)]) == 0
+        rho[init] = read_csv(tmp_path / init / "rho_t.csv")[1]
+    assert np.all(np.isfinite(rho["thermal"]))
+    assert np.abs(rho["thermal"] - rho["basis1"]).max() <= 1e-15
 
 
 def test_cli_bath_fit_artifacts(tmp_path):

@@ -10,10 +10,8 @@ from hseom.oracles import closed_system_propagate
 
 
 def _free_expansion(K=2, Omega=3.0):
-    phi0 = np.zeros(K)
-    phi0[0] = 1.0
     return BathExpansion(Omega=Omega, K=K, c=np.zeros(K, dtype=complex),
-                         eta=build_eta(K, Omega), phi_at_zero=phi0)
+                         eta=build_eta(K, Omega))
 
 
 @pytest.fixture(scope="module")

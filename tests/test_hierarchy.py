@@ -71,19 +71,6 @@ def test_tables_agree_with_direct_arithmetic():
                 assert space.lower_table[k, m] == ABSENT
 
 
-def test_exchange_table_moves_one_quantum():
-    space = build_space(4, 3)
-    table = space.exchange_table(1, 2)
-    for m in range(space.num_indices):
-        n = space.indices[m].copy()
-        if n[1] == 0:
-            assert table[m] == ABSENT
-            continue
-        n[1] -= 1
-        n[2] += 1
-        assert table[m] == space.position(n)
-
-
 def test_level_slice_partitions_everything():
     space = build_space(6, 4)
     seen = 0

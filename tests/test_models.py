@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from hseom import (ConfigError, DenseOperator, MixedState, PureState,
                    ResourceLimitError, magnetization_values, pspin_annealing,
                    pure_dephasing, spin_boson, thermal_state,
-                   uniform_superposition_transform)
+                   uniform_superposition)
 from hseom.models import (SIGMA_X, SIGMA_Z, DiagonalOperator,
                           PauliSumOperator, PauliTerm, SystemModel)
 
@@ -123,6 +122,8 @@ def test_pspin_bounds():
 def test_pure_state_requires_normalization():
     with pytest.raises(ConfigError):
         PureState(np.array([1.0, 1.0]))
+    with pytest.raises(ConfigError):
+        PureState(np.array([np.nan, 1.0]))
 
 
 def test_mixed_state_requires_unit_weights():
@@ -130,19 +131,24 @@ def test_mixed_state_requires_unit_weights():
     e1 = np.array([0.0, 1.0])
     with pytest.raises(ConfigError):
         MixedState([(0.6, e0), (0.6, e1)])
+    # NaN compares false with everything, so it must fail the check too
+    with pytest.raises(ConfigError):
+        MixedState([(np.nan, e0), (0.5, e1)])
+    with pytest.raises(ConfigError):
+        MixedState([(0.5, e0), (0.5, np.array([np.nan, 1.0]))])
     mix = MixedState([(0.25, e0), (0.75, e1)])
     assert np.allclose(mix.density(), np.diag([0.25, 0.75]))
 
 
-def test_uniform_superposition_transform_column():
-    init = uniform_superposition_transform(3)
-    assert sparse.issparse(init.C) and init.C.nnz == 8
-    v = init.initial_vector()
-    assert v.shape == (8,)
-    assert np.allclose(v, 1.0 / math.sqrt(8.0))
-    big = uniform_superposition_transform(12)
-    assert sparse.issparse(big.C)
-    assert np.allclose(big.initial_vector(), 1.0 / math.sqrt(4096.0))
+def test_uniform_superposition_is_the_flat_vector():
+    for Ncal in (1, 3, 12):
+        init = uniform_superposition(Ncal)
+        assert isinstance(init, PureState)
+        (w, v), = init.components()
+        assert w == 1.0 and v.shape == (2 ** Ncal,)
+        assert np.all(v == 1.0 / math.sqrt(2 ** Ncal))
+    with pytest.raises(ConfigError):
+        uniform_superposition(0)
 
 
 def test_thermal_state_follows_boltzmann():
@@ -153,6 +159,20 @@ def test_thermal_state_follows_boltzmann():
     ratio = rho[0, 0].real / rho[1, 1].real
     assert abs(ratio - math.exp(-3.0)) < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+def test_thermal_state_at_zero_temperature_is_the_ground_level():
+    # exp(-inf * 0) is NaN: the limit must be taken, not evaluated
+    (w, v), = thermal_state(spin_boson(1.0), math.inf).components()
+    assert w == 1.0 and abs(abs(v[1]) - 1.0) < 1e-15 and v[0] == 0.0
+    # a degenerate ground level shares the weight evenly
+    flat = SystemModel(dim=2, V=DenseOperator(SIGMA_X), time_dependent=False,
+                       _ham_at=lambda tau: DenseOperator(np.zeros((2, 2))))
+    state = thermal_state(flat, math.inf)
+    assert [w for w, _ in state.components()] == [0.5, 0.5]
+    assert np.allclose(state.density(), 0.5 * np.eye(2))
+    # components whose weight underflows cost no sweeps
+    assert len(thermal_state(spin_boson(1.0), 1e4).components()) == 1
 
 
 def test_nonhermitian_hamiltonian_is_rejected():

@@ -12,7 +12,6 @@ from hseom import (
     ContourEngine,
     DenseOperator,
     EquilibrationWarning,
-    LocalizedWithTransform,
     MixedState,
     NumericalError,
     PureState,
@@ -29,7 +28,7 @@ from hseom import (
     SystemModel,
     thermal_state,
     two_body_correlation,
-    uniform_superposition_transform,
+    uniform_superposition,
 )
 from hseom.models import SIGMA_X, SIGMA_Z
 from hseom.observables import (CorrelationResult, _SWEEP_KEYS,
@@ -37,10 +36,8 @@ from hseom.observables import (CorrelationResult, _SWEEP_KEYS,
 
 
 def _zero_expansion(K=2, Omega=3.0):
-    phi0 = np.zeros(K)
-    phi0[0] = 1.0
     return BathExpansion(Omega=Omega, K=K, c=np.zeros(K, dtype=complex),
-                         eta=build_eta(K, Omega), phi_at_zero=phi0)
+                         eta=build_eta(K, Omega))
 
 
 def _closed_engine(model, n_max=1):
@@ -54,14 +51,16 @@ def test_identity_correlator_is_trace(small_engine):
     assert abs(val - 1.0) < 1e-6
 
 
-def test_localized_and_general_routes_agree(small_engine):
-    C = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+def test_two_body_correlation_sums_a_mixture_over_its_components(
+        small_engine):
+    parts = [(0.3, np.array([0.6, 0.8j])), (0.7, np.array([0.8, -0.6]))]
     sx, sz = DenseOperator(SIGMA_X), DenseOperator(SIGMA_Z)
-    a = two_body_correlation(small_engine, sx, sz, 0.6, 0.2,
-                             LocalizedWithTransform(0, C), 0.01)
-    b = two_body_correlation(small_engine, sx, sz, 0.6, 0.2,
-                             PureState(C[:, 0].astype(complex)), 0.01)
-    assert abs(a - b) < 1e-10
+    mixed = two_body_correlation(small_engine, sx, sz, 0.6, 0.2,
+                                 MixedState(parts), 0.01)
+    weighted = sum(w * two_body_correlation(small_engine, sx, sz, 0.6, 0.2,
+                                            PureState(v), 0.01)
+                   for w, v in parts)
+    assert abs(mixed - weighted) < 1e-14
 
 
 def test_closed_limit_matches_two_level_oracle():
@@ -145,7 +144,7 @@ def test_rdm_trajectory_matches_full_contour_on_a_schedule(
     # the scheduled discrete adjoint serves rho(t) as it serves the anneal
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
-    init = uniform_superposition_transform(2)
+    init = uniform_superposition(2)
     record, dt = [0.0, 0.4, 1.0], 0.01
     _, rho = rdm_trajectory(engine, init, dt, record)
     for r, t in enumerate(record):
@@ -268,7 +267,7 @@ def test_half_fourier_window_damps_ringing():
 def test_annealing_starts_at_uniform_overlap(small_expansion):
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
-    trace = annealing_populations(engine, uniform_superposition_transform(2),
+    trace = annealing_populations(engine, uniform_superposition(2),
                                   0.01, [0.0, 0.5, 1.0])
     assert abs(trace.p_ground[0] - 0.25) < 1e-10   # 1/2^N
     assert np.abs(trace.trace - 1.0).max() < 1e-6
@@ -282,7 +281,7 @@ def test_annealing_matches_full_contours(small_expansion):
     # time, with the projector inserted at the turning point
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 2), small_expansion, model)
-    init = uniform_superposition_transform(2)
+    init = uniform_superposition(2)
     record, dt = [0.0, 0.3, 0.7, 1.0], 0.01
     trace = annealing_populations(engine, init, dt, record)
     energies, states = np.linalg.eigh(model.hamiltonian_at(1.0).to_dense())
@@ -304,7 +303,7 @@ def test_annealing_adiabatic_closed_limit():
     # slow closed-system schedule ends in the target ground state
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=30.0)
     engine = ContourEngine(build_space(2, 0), _zero_expansion(), model)
-    trace = annealing_populations(engine, uniform_superposition_transform(2),
+    trace = annealing_populations(engine, uniform_superposition(2),
                                   0.01, [30.0])
     assert trace.p_ground[0] > 0.95
 
@@ -318,7 +317,7 @@ def test_annealing_coupling_helps_at_p3(small_expansion):
         engine = ContourEngine(build_space(5, 2), compute_coefficients(spec),
                                pspin_annealing(4, Gamma=1.0, p=3, t_f=1.0))
         trace = annealing_populations(
-            engine, uniform_superposition_transform(4), 0.01, [1.0])
+            engine, uniform_superposition(4), 0.01, [1.0])
         results[zeta] = trace.p_ground[0]
     assert results[0.1] >= results[0.01]
 
@@ -327,7 +326,7 @@ def test_annealing_refuses_record_times_past_t_f(small_expansion):
     # past t_f the linear ramp would run on and drive the field negative
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
-    init = uniform_superposition_transform(2)
+    init = uniform_superposition(2)
     with pytest.raises(ConfigError, match="past the end of the schedule"):
         annealing_populations(engine, init, 0.01, [0.0, 1.0, 1.1])
     # the end of the schedule itself is a record time like any other
@@ -407,7 +406,7 @@ def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
                            0.01, [0.0, 0.2, 0.5])
         else:
             annealing_populations(_small_anneal_engine(small_expansion),
-                                  uniform_superposition_transform(2), 0.01,
+                                  uniform_superposition(2), 0.01,
                                   [0.0, 0.2, 0.5])
     assert threading.active_count() == before
 
@@ -425,7 +424,7 @@ def test_observables_on_shared_engines_from_many_threads(small_engine,
 
     def anneal():
         trace = annealing_populations(anneal_engine,
-                                      uniform_superposition_transform(2),
+                                      uniform_superposition(2),
                                       0.01, record)
         return (trace.p_ground, trace.p_excited_rep, trace.p_excited_sum,
                 trace.trace)

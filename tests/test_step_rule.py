@@ -14,7 +14,8 @@ from hseom import (BathSpec, ContourEngine, NumericalError, OhmicCircular,
                    spin_boson)
 from hseom.cli import main
 from hseom.config import parse_config_file
-from hseom.observables import TRACE_TOL, annealing_populations
+from hseom.observables import (TRACE_TOL, _check_trace,
+                               annealing_populations)
 from hseom.presets import (STEP_NORM, build_components, effective_dt,
                            grid_unit, preset)
 
@@ -128,6 +129,13 @@ def test_rdm_refuses_a_lost_trace_and_names_a_step(small_bath):
     # the step the message names is accepted
     _, rho = rdm_trajectory(engine, init, finer, times)
     assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1).max() <= TRACE_TOL
+
+
+def test_a_nan_trace_error_is_refused():
+    # NaN compares false with every bound, so "error > TRACE_TOL" passed it
+    with pytest.raises(NumericalError, match="NaN"):
+        _check_trace(float("nan"), 0.1, "tr rho")
+    assert _check_trace(TRACE_TOL, 0.1, "tr rho") == TRACE_TOL
 
 
 def test_response_refuses_a_lost_trace(small_bath):
