@@ -20,7 +20,7 @@ engine = ContourEngine(build_space(12, 5), compute_coefficients(spec), model)
 plus = PureState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
 times = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
-_, rho = rdm_trajectory(engine, plus, 0.0125, times)
+_, rho, _ = rdm_trajectory(engine, plus, 0.0125, times)
 
 h = model.hamiltonian_at(0.0).matrix
 print(f"{'t':>5}  {'|rho_01| hierarchy':>19}  {'exact':>10}  {'rel err':>9}")

@@ -8,8 +8,7 @@ zero, and with time-dependent system Hamiltonians.  Units: hbar = 1.
 from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
                    OhmicExponential, alpha_quadrature, alpha_reconstruct,
                    alpha_theta, build_eta, compute_coefficients,
-                   read_expansion, reconstruction_error, tail_mass,
-                   write_expansion)
+                   reconstruction_error, tail_mass, write_expansion)
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)

@@ -52,7 +52,6 @@ __all__ = [
     "tail_mass",
     "reconstruction_error",
     "write_expansion",
-    "read_expansion",
 ]
 
 # Zero-temperature tag for beta_hbar.  The occupation factor becomes the
@@ -397,7 +396,7 @@ def reconstruction_error(spec: BathSpec, expansion: BathExpansion,
 # ---------------------------------------------------------------------------
 # Plain-text expansion files: a header block of '# key = value' lines followed
 # by one 'k re_c im_c' row per coefficient.  Floats are written with repr so
-# a read-back is bit-identical.
+# a read-back with float() is bit-identical.
 
 def write_expansion(path, spec: BathSpec, expansion: BathExpansion) -> None:
     lines = []
@@ -413,55 +412,3 @@ def write_expansion(path, spec: BathSpec, expansion: BathExpansion) -> None:
                      f"{float(expansion.c[k].imag)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_expansion(path):
-    """Read a file written by :func:`write_expansion`.
-
-    Returns
-    -------
-    (BathSpec, BathExpansion)
-    """
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ConfigError(f"malformed coefficient row: {line!r}")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-    try:
-        variant = header["density"]
-        if variant == "ohmic_exponential":
-            density = OhmicExponential(eta=float(header["eta"]),
-                                       gamma=float(header["gamma"]))
-        elif variant == "ohmic_circular":
-            density = OhmicCircular(zeta=float(header["zeta"]),
-                                    nu=float(header["nu"]))
-        else:
-            raise ConfigError(f"unknown density variant {variant!r}",
-                              section="bath", key="density")
-        beta_hbar = float(header["beta_hbar"])
-        Omega = float(header["Omega"])
-        K = int(header["K"])
-    except KeyError as exc:
-        raise ConfigError(f"expansion file missing header field {exc}") from exc
-    if len(rows) != K:
-        raise ConfigError(f"expected {K} coefficient rows, found {len(rows)}")
-    c = np.zeros(K, dtype=complex)
-    for k, re, im in rows:
-        if not 0 <= k < K:
-            raise ConfigError(f"coefficient index {k} out of range")
-        c[k] = re + 1j * im
-    spec = BathSpec(density=density, beta_hbar=beta_hbar, Omega=Omega, K=K)
-    expansion = BathExpansion(Omega=Omega, K=K, c=c, eta=build_eta(K, Omega))
-    return spec, expansion

@@ -3,7 +3,10 @@
 Subcommands: bath-fit, respond, anneal, rdm, validate, preflight.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource
 refusal.  SVG plots are rendered from the CSV files after writing them,
-so the plots can never show anything the tables do not contain.
+so the plots can never show anything the tables do not contain.  The
+manifest of a respond, anneal or rdm run is its observable's metadata
+(the sweep record) with the step and the expansion error, written by
+:func:`_record`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .config import (RunConfig, horizon_of, parse_config_file,
 from .dynamics import Branch, ContourEngine
 from .errors import (ConfigError, HorizonWarning, HseomError,
                      NumericalError, ResourceLimitError)
-from .hierarchy import DEFAULT_MAX_INDICES, awf_count, build_space
+from .hierarchy import awf_count, build_space, capped_count
 from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
                      spin_boson)
 from .observables import (annealing_populations, half_fourier,
@@ -46,6 +49,10 @@ except Exception:  # not installed, e.g. run from a checkout
     _VERSION = "0+unknown"
 
 _WORKSPACE_FACTOR = 5  # integrator scratch alongside the state itself
+# Python objects of the index enumeration per index, above its tables, at
+# the peak of build_space: tracemalloc read 129-166 B at (K, N_max) =
+# (20, 3), (80, 3), (12, 5), (40, 3) and (200, 2)
+_ENUMERATION_BYTES = 170
 _BYTE_BUDGET = 2 * 1024 ** 3
 # largest relative error of the K-term alpha(t) over a run's horizon that
 # passes without a HorizonWarning
@@ -93,24 +100,24 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
 def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
     """Validate and size a config; nothing is built.
 
-    Returns the AWF count, the system dimension and ``estimated_bytes``,
-    the state with its integrator workspace plus the CSR generator with
-    its adjoint.  Raises ResourceLimitError when the estimate exceeds the
-    byte budget or the index count exceeds the configured cap.
+    Returns the AWF count, the system dimension and ``estimated_bytes``:
+    the state with its integrator workspace, the CSR generator with its
+    adjoint, and the hierarchy's tables (``indices``, ``levels``,
+    ``raise_table`` and ``lower_table``, 10 K + 2 bytes per index) with
+    the peak of their enumeration.  Raises ResourceLimitError when the
+    estimate exceeds the byte budget or the index count exceeds
+    ``hierarchy.MAX_INDICES``.
     """
     validate_config(cfg)
     if cfg.experiment in ("bath-fit", "validate"):
         k = cfg.get("bath", "K", 0)
         return {"awf_count": 0, "dim": 0, "estimated_bytes": int(k) * 16}
-    num = awf_count(cfg.require("bath", "K"),
-                    cfg.require("hierarchy", "n_max"))
-    cap = cfg.get("hierarchy", "max_indices", DEFAULT_MAX_INDICES)
-    if num > cap:
-        raise ResourceLimitError(
-            f"{num} hierarchy indices exceed the cap {cap}")
+    K = cfg.require("bath", "K")
+    num = capped_count(K, cfg.require("hierarchy", "n_max"))
     dim = _model_dim(cfg)
     total = (num * dim * 16 * (1 + _WORKSPACE_FACTOR)
-             + _generator_bytes(cfg, num, dim))
+             + _generator_bytes(cfg, num, dim)
+             + num * (10 * K + 2 + _ENUMERATION_BYTES))
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
             f"estimated {total} bytes exceed the {_BYTE_BUDGET} byte budget")
@@ -142,16 +149,12 @@ def _build(cfg: RunConfig):
     return comps
 
 
-def _run_entries(comps) -> Dict[str, str]:
-    """The step a run takes and its expansion error, for its manifest."""
-    return {"dt": repr(comps.dt), "dt_norm": repr(comps.dt_norm),
-            "expansion_error": repr(comps.expansion_error)}
-
-
-def _sweep_entries(metadata) -> Dict[str, str]:
-    """Seconds the forward and the adjoint sweeps each ran; they overlap."""
-    return {key: f"{metadata[key]:.3f}"
-            for key in ("forward_sweep_s", "adjoint_sweep_s")}
+def _record(comps, metadata) -> Dict[str, str]:
+    """Manifest entries: the observable's metadata, dt, dt_norm and the
+    expansion error, each as the repr of a float."""
+    return {key: repr(float(value)) for key, value in
+            {**metadata, "dt": comps.dt, "dt_norm": comps.dt_norm,
+             "expansion_error": comps.expansion_error}.items()}
 
 
 def preflight(cfg: RunConfig) -> Dict[str, object]:
@@ -262,9 +265,8 @@ def _cmd_respond(args) -> int:
     cfg, out, started = _start(args, "respond")
     comps = _build(cfg)
     taus = cfg.require("run", "tau").values()
-    result = response_function(
-        comps.engine, taus, cfg.require("run", "t0"), comps.dt,
-        drift_tolerance=cfg.get("run", "drift_tolerance", 0.05))
+    result = response_function(comps.engine, taus, cfg.require("run", "t0"),
+                               comps.dt)
     write_csv(out / "response_t.csv", ["tau", "R"],
               [result.times, result.values.imag])
     omegas = cfg.require("run", "omega").values()
@@ -276,14 +278,7 @@ def _cmd_respond(args) -> int:
     _plot_from_csv(out / "response_w.csv", out / "response.svg",
                    ["im"], negate=("im",), xlabel="omega",
                    ylabel="-Im of transform", title="response spectrum")
-    _finish(out, cfg, started, {
-        **_run_entries(comps),
-        "drift": repr(float(result.metadata["drift"])),
-        "p1_at_t0": repr(float(result.metadata["p1_at_t0"])),
-        "max_trace_error": repr(result.metadata["max_trace_error"]),
-        "top_level_max_abs": repr(result.metadata["top_level_max_abs"]),
-        **_sweep_entries(result.metadata),
-    })
+    _finish(out, cfg, started, _record(comps, result.metadata))
     peak = omegas[int(np.argmax(-transform.values.imag))]
     print(f"response computed over {len(taus)} delays; "
           f"spectral peak near omega = {peak:.4f}")
@@ -302,12 +297,7 @@ def _cmd_anneal(args) -> int:
     _plot_from_csv(out / "populations.csv", out / "populations.svg",
                    ["P_ground", "P_e_rep", "P_e_sum"], xlabel="t",
                    ylabel="population", title="target-basis populations")
-    _finish(out, cfg, started, {
-        **_run_entries(comps),
-        "max_trace_error": repr(trace.metadata["max_trace_error"]),
-        "top_level_max_abs": repr(trace.metadata["top_level_max_abs"]),
-        **_sweep_entries(trace.metadata),
-    })
+    _finish(out, cfg, started, _record(comps, trace.metadata))
     print(f"annealing populations recorded at {len(record)} times; "
           f"final P_ground = {trace.p_ground[-1]:.4f}")
     return 0
@@ -317,7 +307,8 @@ def _cmd_rdm(args) -> int:
     cfg, out, started = _start(args, "rdm")
     comps = _build(cfg)
     record = cfg.require("run", "record").values()
-    times, rho = rdm_trajectory(comps.engine, comps.init, comps.dt, record)
+    times, rho, metadata = rdm_trajectory(comps.engine, comps.init, comps.dt,
+                                          record)
     d = rho.shape[1]
     header = ["t"]
     cols = [times]
@@ -329,15 +320,10 @@ def _cmd_rdm(args) -> int:
     diag = [f"re_rho_{i}{i}" for i in range(d)]
     _plot_from_csv(out / "rho_t.csv", out / "rho.svg", diag, xlabel="t",
                    ylabel="population", title="reduced density matrix diagonal")
-    herm = float(max(np.abs(r - r.conj().T).max() for r in rho))
-    tr = float(max(abs(np.trace(r) - 1.0) for r in rho))
-    _finish(out, cfg, started, {
-        **_run_entries(comps),
-        "max_hermiticity_error": repr(herm),
-        "max_trace_error": repr(tr),
-    })
-    print(f"density matrix recorded at {len(times)} times; "
-          f"hermiticity residual {herm:.2e}, trace residual {tr:.2e}")
+    _finish(out, cfg, started, _record(comps, metadata))
+    print(f"density matrix recorded at {len(times)} times; hermiticity "
+          f"residual {metadata['max_hermiticity_error']:.2e}, trace residual "
+          f"{metadata['max_trace_error']:.2e}")
     return 0
 
 
@@ -369,7 +355,7 @@ def _validate_rows():
                 (space.num_indices, dim)) + 1j * rng.standard_normal(
                     (space.num_indices, dim))
             lhs = engine._deriv_flat(stack.ravel(), 0.37, branch.sign)
-            rhs = gen.apply(stack.ravel())
+            rhs = gen @ stack.ravel()
             scale = max(1.0, float(np.abs(rhs).max()))
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
         rows.append((f"rhs_vs_generator_d{dim}_K{K}_N{n_max}",
@@ -394,9 +380,9 @@ def _validate_rows():
     model = pure_dephasing(1.0)
     engine = ContourEngine(space, expansion, model)
     t = 1.0
-    times, rho = rdm_trajectory(
+    rho = rdm_trajectory(
         engine, PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)), 0.0125,
-        np.array([0.0, t]))
+        np.array([0.0, t])).rho
     decay = dephasing_exact(spec, 0.5, t)
     # coherence rho_01 evolves as rho_01(0) * D(t) * e^{-i(E0-E1)t}
     h = model.hamiltonian_at(0.0).matrix

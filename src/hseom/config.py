@@ -2,6 +2,7 @@
 
 The format is deliberately plain: bracketed sections of ``key = value``
 lines (INI), every key checked against a fixed schema so typos fail fast,
+and against the keys its experiment reads so none is silently ignored,
 floats written back with repr so parse -> serialize -> parse is the
 identity.  Grids use a ``start:stop:step`` triple with an inclusive stop.
 
@@ -79,36 +80,41 @@ _SCHEMA = {
         "beta_hbar": (_parse_beta, _format_beta),
         "Omega": _FLOAT, "K": _INT,
     },
-    "hierarchy": {"n_max": _INT, "max_indices": _INT},
+    "hierarchy": {"n_max": _INT},
     "integrator": {"dt": _FLOAT},
     "model": {"kind": _STR, "omega0": _FLOAT, "Ncal": _INT,
               "Gamma": _FLOAT, "p": _INT, "t_f": _FLOAT},
     "run": {"t0": _FLOAT, "tau": _GRID, "omega": _GRID,
             "record": _GRID, "window_time": _FLOAT, "init": _STR,
-            "drift_tolerance": _FLOAT, "t_max": _FLOAT},
+            "t_max": _FLOAT},
     "output": {"directory": _STR},
 }
 
-_REQUIRED = {
-    "bath-fit": {"bath": ("density", "beta_hbar", "Omega", "K"),
-                 "run": ("t_max",)},
-    "respond": {"bath": ("density", "beta_hbar", "Omega", "K"),
-                "hierarchy": ("n_max",),
-                "model": ("kind", "omega0"),
-                "run": ("t0", "tau", "omega")},
-    "anneal": {"bath": ("density", "beta_hbar", "Omega", "K"),
-               "hierarchy": ("n_max",),
-               "model": ("kind", "Ncal", "Gamma", "p", "t_f"),
-               "run": ("record",)},
-    "rdm": {"bath": ("density", "beta_hbar", "Omega", "K"),
-            "hierarchy": ("n_max",),
-            "model": ("kind", "omega0"),
-            "run": ("record", "init")},
+# experiment -> section -> (required keys, optional keys).  A run reads
+# these, the keys of its bath density and those of its model kind, and
+# nothing else, so validate_config refuses every other key.
+_BATH = (("density", "beta_hbar", "Omega", "K"), ())
+_OUTPUT = ((), ("directory",))
+_PROPAGATION = {"bath": _BATH, "hierarchy": (("n_max",), ()),
+                "integrator": ((), ("dt",)), "model": (("kind",), ()),
+                "output": _OUTPUT}
+_KEYS = {
+    "bath-fit": {"bath": _BATH, "run": (("t_max",), ()), "output": _OUTPUT},
+    "respond": {**_PROPAGATION,
+                "run": (("t0", "tau", "omega"), ("window_time",))},
+    "anneal": {**_PROPAGATION, "run": (("record",), ())},
+    "rdm": {**_PROPAGATION, "run": (("record", "init"), ())},
     "validate": {},
 }
 
+# the keys each density and each model kind adds, all required
 _DENSITY_KEYS = {"ohmic_circular": ("zeta", "nu"),
                  "ohmic_exponential": ("eta", "gamma")}
+_MODEL_KEYS = {"spin_boson": ("omega0",), "pure_dephasing": ("omega0",),
+               "pspin": ("Ncal", "Gamma", "p", "t_f")}
+# the model kinds each propagation experiment runs
+_MODELS = {"respond": ("spin_boson", "pure_dephasing"),
+           "rdm": ("spin_boson", "pure_dephasing"), "anneal": ("pspin",)}
 
 
 @dataclasses.dataclass
@@ -189,22 +195,45 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Structural and cross-field checks; raises ConfigError on the first."""
+    """Structural and cross-field checks; raises ConfigError on the first.
+
+    Required keys must be present, and a key that the experiment, its
+    bath density or its model kind does not read is refused.
+    """
     kind = cfg.experiment
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}; expected one of "
                           f"{', '.join(EXPERIMENTS)}",
                           section="experiment", key="kind")
-    for section, keys in _REQUIRED[kind].items():
-        for key in keys:
+    table = _KEYS[kind]
+    for section, (required, _) in table.items():
+        for key in required:
             cfg.require(section, key)
-    if "bath" in _REQUIRED[kind]:
+    reads = {section: required + optional
+             for section, (required, optional) in table.items()}
+    reads["experiment"] = ("kind",)
+    if "bath" in table:
         density = cfg.require("bath", "density")
         if density not in _DENSITY_KEYS:
             raise ConfigError(f"unknown density {density!r}",
                               section="bath", key="density")
         for key in _DENSITY_KEYS[density]:
             cfg.require("bath", key)
+        reads["bath"] += _DENSITY_KEYS[density]
+    if "model" in table:
+        model = cfg.require("model", "kind")
+        if model not in _MODELS[kind]:
+            raise ConfigError(f"experiment {kind} needs a model of kind "
+                              f"{' or '.join(_MODELS[kind])}",
+                              section="model", key="kind")
+        for key in _MODEL_KEYS[model]:
+            cfg.require("model", key)
+        reads["model"] += _MODEL_KEYS[model]
+    for section, values in cfg.data.items():
+        for key in values:
+            if key not in reads.get(section, ()):
+                raise ConfigError(f"a {kind} run does not read this key",
+                                  section=section, key=key)
     for section, key in (("integrator", "dt"), ("bath", "Omega"),
                          ("run", "window_time")):
         value = cfg.get(section, key)
@@ -222,13 +251,6 @@ def validate_config(cfg: RunConfig) -> None:
         if grid is not None and grid.start < 0:
             raise ConfigError(f"grid {grid} starts before t = 0",
                               section="run", key=key)
-    if kind in ("respond", "rdm") and cfg.get("model", "kind") not in (
-            "spin_boson", "pure_dephasing"):
-        raise ConfigError(f"experiment {kind} needs a two-level model",
-                          section="model", key="kind")
-    if kind == "anneal" and cfg.get("model", "kind") != "pspin":
-        raise ConfigError("anneal needs the pspin model",
-                          section="model", key="kind")
     if kind == "rdm":
         init = cfg.require("run", "init")
         if init not in ("plus", "thermal", "basis0", "basis1"):

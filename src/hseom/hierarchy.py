@@ -22,14 +22,15 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-__all__ = ["ABSENT", "HierarchySpace", "awf_count", "build_space"]
+__all__ = ["ABSENT", "MAX_INDICES", "HierarchySpace", "awf_count",
+           "build_space", "capped_count"]
 
 ABSENT = -1
 
 # Refusal threshold for build_space, in number of stored indices.  The
 # largest shipped preset needs 91881; this leaves ample headroom while
 # refusing obviously runaway requests before allocation.
-DEFAULT_MAX_INDICES = 2_000_000
+MAX_INDICES = 2_000_000
 
 
 def awf_count(K: int, N_max: int) -> int:
@@ -39,6 +40,16 @@ def awf_count(K: int, N_max: int) -> int:
     if N_max < 0:
         raise ValueError("N_max must be >= 0")
     return math.comb(K + N_max, N_max)
+
+
+def capped_count(K: int, N_max: int) -> int:
+    """awf_count(K, N_max); raises ResourceLimitError above MAX_INDICES."""
+    count = awf_count(K, N_max)
+    if count > MAX_INDICES:
+        raise ResourceLimitError(
+            f"hierarchy would hold {count} indices, above the budget of "
+            f"{MAX_INDICES}; lower K or N_max")
+    return count
 
 
 @dataclasses.dataclass(eq=False)
@@ -63,18 +74,10 @@ class HierarchySpace:
     levels: np.ndarray
     raise_table: np.ndarray
     lower_table: np.ndarray
-    _position: dict = dataclasses.field(repr=False)
 
     @property
     def num_indices(self) -> int:
         return self.indices.shape[0]
-
-    def position(self, n) -> int:
-        """Position of an index vector (length K), or ABSENT if not stored."""
-        labels = []
-        for k, nk in enumerate(n):
-            labels.extend([k] * int(nk))
-        return self._position.get(tuple(labels), ABSENT)
 
     def level_slice(self, level: int) -> slice:
         """Contiguous row range holding all indices of the given level."""
@@ -83,8 +86,7 @@ class HierarchySpace:
         return slice(lo, hi)
 
 
-def build_space(K: int, N_max: int, *,
-                max_indices: int = DEFAULT_MAX_INDICES) -> HierarchySpace:
+def build_space(K: int, N_max: int) -> HierarchySpace:
     """Enumerate the index space and precompute all neighbor tables.
 
     Indices are ordered by level, then lexicographically by the index
@@ -94,13 +96,9 @@ def build_space(K: int, N_max: int, *,
     Raises
     ------
     ResourceLimitError
-        If the count binomial(K + N_max, N_max) exceeds ``max_indices``.
+        If the count binomial(K + N_max, N_max) exceeds ``MAX_INDICES``.
     """
-    count = awf_count(K, N_max)
-    if count > max_indices:
-        raise ResourceLimitError(
-            f"hierarchy would hold {count} indices, above the budget of "
-            f"{max_indices}; lower K or N_max")
+    count = capped_count(K, N_max)
 
     # combinations_with_replacement yields label multisets in ascending
     # label order; reversing each level block gives ascending lexicographic
@@ -133,5 +131,4 @@ def build_space(K: int, N_max: int, *,
             raise_table[k, i] = j
 
     return HierarchySpace(K=K, N_max=N_max, indices=indices, levels=levels,
-                          raise_table=raise_table, lower_table=lower_table,
-                          _position=position)
+                          raise_table=raise_table, lower_table=lower_table)

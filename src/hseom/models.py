@@ -373,6 +373,10 @@ class MixedState:
     parts: List[Tuple[float, np.ndarray]]
 
     def __post_init__(self):
+        for w, _ in self.parts:
+            if not 0.0 <= w < math.inf:
+                raise ConfigError(f"mixture weight {w} is not a finite "
+                                  f"non-negative number", section="initial")
         total = sum(w for w, _ in self.parts)
         if not abs(total - 1.0) <= 1e-10:
             raise ConfigError(f"mixture weights sum to {total}, expected 1",

@@ -10,7 +10,13 @@ y and an adjoint sweep a (see :meth:`ContourEngine.adjoint`), both started
 from e0 x v, so that <a, (I x O) y> = tr{O rho_S} and one pair of sweeps
 serves every record time.  The cost is one forward and one adjoint sweep
 per component of the initial state, which is always a list of weighted
-pure vectors; results are summed over those weights.
+pure vectors; :func:`_pair_sums` sums a readout over those weights, for
+:func:`rdm_trajectory` and :func:`annealing_populations` alike.
+
+Every result's metadata is its sweep record: ``dt``, ``max_trace_error``,
+the largest entry of each sweep, the top hierarchy level's largest entry,
+and the seconds each side of the pair ran (``_SWEEP_KEYS``), with the
+observable's own keys beside them.
 
 The two sweeps of a pair share nothing mutable until they meet at a record
 time, so they run concurrently: the adjoint on a worker thread, the
@@ -34,7 +40,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,13 +50,15 @@ from .models import (_LEVEL_TOL, DenseOperator, InitialState, Operator,
                      SIGMA_X)
 
 __all__ = [
-    "CorrelationResult", "Spectrum", "PopulationTrace",
+    "CorrelationResult", "Spectrum", "PopulationTrace", "RdmTrajectory",
     "two_body_correlation", "rdm_trajectory", "response_function",
-    "half_fourier", "annealing_populations", "TRACE_TOL",
+    "half_fourier", "annealing_populations", "TRACE_TOL", "DRIFT_TOL",
 ]
 
 # largest |tr rho_S - 1| a result may carry
 TRACE_TOL = 1e-4
+# largest equilibration drift of P_1 a response passes without a warning
+DRIFT_TOL = 0.05
 # the largest entries and the busy seconds that _advance_together keeps
 _SWEEP_KEYS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
                "forward_sweep_s", "adjoint_sweep_s")
@@ -86,6 +94,14 @@ class Spectrum:
         self.values = np.asarray(self.values, dtype=complex)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrum values must be finite")
+
+
+class RdmTrajectory(NamedTuple):
+    """rho_S at each record time; index 0 and 1 are times and rho."""
+
+    times: np.ndarray
+    rho: np.ndarray
+    metadata: Dict
 
 
 @dataclasses.dataclass(eq=False)
@@ -207,21 +223,27 @@ def _check_trace(error: float, dt: float, what: str) -> float:
     return error
 
 
-def _density_matrices(engine: ContourEngine, init: InitialState, dt: float,
-                      steps: Sequence[int]) -> np.ndarray:
-    """rho_S at each grid step, summed over the weighted components."""
-    d = engine.dim
+def _pair_sums(engine: ContourEngine, init: InitialState, dt: float,
+               steps: Sequence[int],
+               read: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Weighted sums of ``read(y, a)`` over the initial state's components.
+
+    Each component v starts one forward and one adjoint sweep from e0 x v,
+    and ``read`` takes the pair at every grid step of ``steps``.  Returns
+    the sums stacked along the steps, and the ``_SWEEP_KEYS`` report of
+    :func:`_advance_together` over every component.
+    """
     adjoint = engine.adjoint()
     report = dict.fromkeys(_SWEEP_KEYS, 0.0)
-    rho = np.zeros((len(steps), d, d), dtype=complex)
+    sums = [0.0] * len(steps)
     for w, v in init.components():
         def add(r, y, a):
-            rho[r] += w * _reduced(y, a, d)
+            sums[r] += w * read(y, a)
 
         start = engine.initial_stack(v).ravel()
         _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
                           add)
-    return rho
+    return np.array(sums), report
 
 
 def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
@@ -242,25 +264,33 @@ def two_body_correlation(engine: ContourEngine, A: Optional[Operator],
 
 
 def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
-                   record_times) -> Tuple[np.ndarray, np.ndarray]:
+                   record_times) -> RdmTrajectory:
     """rho_S(t) on a grid of record times.
 
     One forward and one adjoint sweep per initial-state component serve
     every record time, for a fixed or a scheduled model; a schedule's
-    record times must not pass t_f.  Returns (times, rho) with rho of
-    shape [n_times, dim, dim]; raises NumericalError when a trace leaves 1
-    by more than ``TRACE_TOL``.
+    record times must not pass t_f.  Returns (times, rho, metadata) with
+    rho of shape [n_times, dim, dim]; raises NumericalError when a trace
+    leaves 1 by more than ``TRACE_TOL``.  The metadata holds ``dt``, that
+    ``max_trace_error``, the largest |rho - rho^dagger| entry as
+    ``max_hermiticity_error``, and the sweep report.
     """
     times = np.asarray(record_times, dtype=float)
-    rho = _density_matrices(engine, init, dt,
-                            _record_steps(engine, times, dt))
-    _check_trace(float(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max()),
-                 dt, "tr rho")
-    return times, rho
+    d = engine.dim
+    rho, report = _pair_sums(engine, init, dt,
+                             _record_steps(engine, times, dt),
+                             lambda y, a: _reduced(y, a, d))
+    trace_error = _check_trace(
+        float(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max()), dt,
+        "tr rho")
+    herm = float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max())
+    return RdmTrajectory(times, rho, {
+        "dt": dt, "max_trace_error": trace_error,
+        "max_hermiticity_error": herm, **report})
 
 
-def response_function(engine: ContourEngine, taus, t0: float, dt: float,
-                      *, drift_tolerance: float = 0.05) -> CorrelationResult:
+def response_function(engine: ContourEngine, taus, t0: float,
+                      dt: float) -> CorrelationResult:
     """First-order response of the dissipative qubit after equilibration.
 
     Psi(t0 + tau; t0) is the contour from |1><1| with sigma_x at the
@@ -273,7 +303,7 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
 
     The population P_1 = rho[1, 1] at 0.8 t0 and at t0 comes from the
     first leg; their difference is the equilibration drift, recorded in
-    the metadata and warned about above ``drift_tolerance``.
+    the metadata and warned about above ``DRIFT_TOL``.
     Psi(0) = tr rho(t0) must be 1: |Psi(0) - 1| is recorded as
     ``max_trace_error`` and refused with NumericalError above
     ``TRACE_TOL``.
@@ -315,7 +345,7 @@ def response_function(engine: ContourEngine, taus, t0: float, dt: float,
     trace_error = _check_trace(float(abs(psi[0] - 1.0)), dt,
                                "Psi(0) = tr rho(t0)")
     drift = abs(p1[1] - p1[0])
-    if drift > drift_tolerance:
+    if drift > DRIFT_TOL:
         warnings.warn(
             f"populations still drifting at t0 = {t0}: |dP| = {drift:.3e} "
             f"over the last fifth of the settling run", EquilibrationWarning,
@@ -398,32 +428,25 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     scale = max(1.0, float(energies.max() - lowest))
     ground = np.nonzero(energies <= lowest + _LEVEL_TOL * scale)[0]
     above = energies > lowest + _LEVEL_TOL * scale
-    levels = [ground]
+    # with no excited level, its two populations are sums over no index
+    levels = [ground, ground[:0], ground[:0]]
     if above.any():
         e1 = energies[above].min()
         cluster = np.nonzero(np.abs(energies - e1) <= _LEVEL_TOL * scale)[0]
-        levels += [cluster[:1], cluster]
+        levels[1:] = [cluster[:1], cluster]
 
     d = engine.dim
-    pops = np.zeros((3, times.size))
-    trace = np.zeros(times.size)
-    adjoint = engine.adjoint()
-    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
-    for w, v in init.components():
-        def add(r, y, a):
-            diagonal = np.einsum("ri,ri->i", y.reshape(-1, d),
-                                 a.reshape(-1, d).conj()).real
-            for i, idx in enumerate(levels):
-                pops[i, r] += w * diagonal[idx].sum()
-            trace[r] += w * diagonal.sum()
 
-        start = engine.initial_stack(v).ravel()
-        _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
-                          add)
+    def read(y, a):
+        diagonal = np.einsum("ri,ri->i", y.reshape(-1, d),
+                             a.reshape(-1, d).conj()).real
+        return np.array([diagonal[idx].sum() for idx in levels]
+                        + [diagonal.sum()])
 
+    sums, report = _pair_sums(engine, init, dt, steps, read)
+    p_g, p_rep, p_sum, trace = sums.T
     trace_error = _check_trace(float(np.abs(trace - 1.0).max()), dt,
                                "tr rho")
-    p_g, p_rep, p_sum = pops
     return PopulationTrace(times=times, p_ground=p_g, p_excited_rep=p_rep,
                            p_excited_sum=p_sum, trace=trace,
                            metadata={"dt": dt, "cluster_tol": _LEVEL_TOL,

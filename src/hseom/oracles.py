@@ -12,8 +12,6 @@ run them in the field.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 from scipy import sparse, special
 
@@ -24,23 +22,11 @@ from .hierarchy import HierarchySpace
 from .models import SystemModel
 
 __all__ = [
-    "DenseGenerator",
     "closed_system_propagate",
     "closed_schedule_propagate",
     "assemble_generator",
     "dephasing_exact",
 ]
-
-
-@dataclasses.dataclass(eq=False)
-class DenseGenerator:
-    """Explicit matrix of the full right-hand side on the flattened stack."""
-
-    matrix: sparse.csr_matrix
-    branch: Branch
-
-    def apply(self, flat: np.ndarray) -> np.ndarray:
-        return self.matrix @ flat
 
 
 def closed_system_propagate(model: SystemModel, psi0: np.ndarray,
@@ -81,7 +67,7 @@ def closed_schedule_propagate(model: SystemModel, psi0: np.ndarray,
 
 
 def assemble_generator(space: HierarchySpace, expansion, model: SystemModel,
-                       tau: float, branch: Branch) -> DenseGenerator:
+                       tau: float, branch: Branch) -> sparse.csr_matrix:
     """Build the global sparse generator entry-by-entry from first principles.
 
     Reads only the plain coefficient data (c, Omega) off the expansion;
@@ -144,7 +130,7 @@ def assemble_generator(space: HierarchySpace, expansion, model: SystemModel,
                     if j2 is not None:
                         G[block, j2 * dim:(j2 + 1) * dim] += (
                             sign * weight * vec[k] * eye)
-    return DenseGenerator(matrix=G.tocsr(), branch=branch)
+    return G.tocsr()
 
 
 def dephasing_exact(spec: BathSpec, coupling_scale: float,

@@ -19,7 +19,7 @@ from .bath import (INFINITE, BathSpec, OhmicCircular, OhmicExponential,
 from .config import GridSpec, RunConfig
 from .dynamics import ContourEngine
 from .errors import ConfigError
-from .hierarchy import DEFAULT_MAX_INDICES, build_space
+from .hierarchy import build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
                      thermal_state, uniform_superposition)
 
@@ -210,9 +210,7 @@ def build_components(cfg: RunConfig) -> SimpleNamespace:
     """Everything a propagation experiment needs, built once."""
     bath_spec = build_bath_spec(cfg)
     expansion = compute_coefficients(bath_spec)
-    space = build_space(bath_spec.K, cfg.require("hierarchy", "n_max"),
-                        max_indices=cfg.get("hierarchy", "max_indices",
-                                            DEFAULT_MAX_INDICES))
+    space = build_space(bath_spec.K, cfg.require("hierarchy", "n_max"))
     model = build_model(cfg)
     engine = ContourEngine(space, expansion, model)
     dt = effective_dt(cfg, engine.norm_bound)

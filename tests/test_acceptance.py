@@ -152,7 +152,7 @@ def test_criterion_05_generator_oracle():
         for branch in (Branch.C1, Branch.C2):
             gen = assemble_generator(space, expansion, model, tau, branch)
             lhs = engine._deriv_flat(flat, tau, branch.sign)
-            rhs = gen.apply(flat)
+            rhs = gen @ flat
             scale = max(1.0, float(np.abs(rhs).max()))
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     elapsed = time.perf_counter() - started
@@ -177,7 +177,7 @@ def test_criterion_06_dephasing_oracle():
     coherences = {}
     for n_max in (5, 6):
         engine = ContourEngine(build_space(12, n_max), expansion, model)
-        _, rho = rdm_trajectory(engine, plus, 0.0125, times)
+        _, rho, _ = rdm_trajectory(engine, plus, 0.0125, times)
         coherences[n_max] = rho[:, 0, 1]
     rel_err = float(np.abs(coherences[5] - exact).max()
                     / np.abs(exact).min())
@@ -265,14 +265,14 @@ def test_criterion_09_rdm_structure():
     cfg = preset("rdm-circular")
     comps = build_components(cfg)
     record = cfg.require("run", "record").values()
-    _, rho = rdm_trajectory(comps.engine, comps.init, comps.dt, record)
+    _, rho, _ = rdm_trajectory(comps.engine, comps.init, comps.dt, record)
     herm = float(max(np.abs(r - r.conj().T).max() for r in rho))
     tr = float(max(abs(np.trace(r) - 1.0) for r in rho))
 
     cfg = preset("thermal-ratio")
     comps = build_components(cfg)
     record = cfg.require("run", "record").values()
-    _, rho_w = rdm_trajectory(comps.engine, comps.init, comps.dt, record)
+    _, rho_w, _ = rdm_trajectory(comps.engine, comps.init, comps.dt, record)
     # excited population over ground population, settled value
     ratio = float(rho_w[-1, 0, 0].real / rho_w[-1, 1, 1].real)
     boltzmann = float(np.exp(-3.0 * 1.0))

@@ -163,6 +163,13 @@ def test_manifest_format(tmp_path):
 
 # ------------------------------------------------------------------ CLI
 
+def _manifest_entries(out) -> dict:
+    """The key = value lines of a run's manifest, above its config echo."""
+    return dict(line.split(" = ", 1) for line in
+                (out / "manifest").read_text()
+                .split("--- config ---")[0].splitlines())
+
+
 def _csr_bytes(engine):
     """Stored bytes of an engine's generator parts and of its adjoint's."""
     return sum(G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
@@ -175,10 +182,16 @@ def test_preflight_reports_resources():
     report = preflight(cfg)
     assert report["awf_count"] == 1771
     assert report["dim"] == 2
-    # the state with its RK4 workspace, plus the generator both ways
+    # the state with its RK4 workspace, the generator both ways, and the
+    # hierarchy's tables
     state = 1771 * 2 * 16 * 6
-    built = _csr_bytes(build_components(cfg).engine)
-    assert state + built <= report["estimated_bytes"] <= state + 2 * built
+    comps = build_components(cfg)
+    built = _csr_bytes(comps.engine)
+    space = comps.space
+    tables = sum(table.nbytes for table in (
+        space.indices, space.levels, space.raise_table, space.lower_table))
+    assert state + built + tables <= report["estimated_bytes"] \
+        <= state + 2 * built + tables
     # a forward and an adjoint sweep to t0 + 4 at dt = 1/70
     assert report["estimated_steps"] == 840
     assert report["dt"] == pytest.approx(1 / 70, rel=1e-12)
@@ -214,9 +227,7 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     report = preflight(cfg)
     assert sum(taken) == report["estimated_steps"]
     # the run's manifest reports the step preflight announced
-    entries = dict(line.split(" = ", 1) for line in
-                   (tmp_path / "out" / "manifest").read_text()
-                   .split("--- config ---")[0].splitlines())
+    entries = _manifest_entries(tmp_path / "out")
     assert float(entries["dt"]) == report["dt"]
     assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.6
     assert float(entries["max_trace_error"]) < 1e-4
@@ -257,14 +268,35 @@ def test_preflight_refuses_over_budget_before_building(tmp_path,
                  "--out", str(tmp_path / "out")]) == 4
 
 
-def test_preflight_refuses_over_cap():
-    from hseom import ResourceLimitError
-    cfg = preset("respond-circular").replace("hierarchy", "max_indices", 100)
+def test_preflight_refuses_over_cap(monkeypatch):
+    from hseom import ResourceLimitError, hierarchy
+    monkeypatch.setattr(hierarchy, "MAX_INDICES", 100)
+    with pytest.raises(ResourceLimitError):
+        preflight(preset("respond-circular"))
+
+
+def test_preflight_counts_the_hierarchy_tables(tmp_path, monkeypatch):
+    from hseom import ResourceLimitError, presets
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a hierarchy was built")
+
+    monkeypatch.setattr(presets, "build_space", forbidden)
+    # 1,373,701 indices: the state and the generator fit the 2 GiB budget
+    # at 1.80 GB, but indices, levels and the raise and lower tables take
+    # 2,002 bytes per index, 2.75 GB
+    cfg = parse_config_file(
+        CONFIG_DIR / "respond_exponential_full.ini").replace("bath", "K", 200)
     with pytest.raises(ResourceLimitError):
         preflight(cfg)
+    path = tmp_path / "wide.ini"
+    path.write_text(serialize_config(cfg))
+    assert main(["preflight", "--config", str(path)]) == 4
+    assert main(["respond", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 4
 
 
-def test_cli_preflight_exit_codes(tmp_path, capsys):
+def test_cli_preflight_exit_codes(tmp_path, capsys, monkeypatch):
     cfg_path = CONFIG_DIR / "respond_circular.ini"
     assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
@@ -274,11 +306,9 @@ def test_cli_preflight_exit_codes(tmp_path, capsys):
     printed = dict(line.split(" = ", 1) for line in out.splitlines())
     assert 1e-4 < float(printed["expansion_error"]) < 1e-3
 
-    over = preset("respond-circular").replace("hierarchy", "max_indices",
-                                              100)
-    path = tmp_path / "over.ini"
-    path.write_text(serialize_config(over))
-    assert main(["preflight", "--config", str(path)]) == 4
+    from hseom import hierarchy
+    monkeypatch.setattr(hierarchy, "MAX_INDICES", 100)
+    assert main(["preflight", "--config", str(cfg_path)]) == 4
 
 
 def test_cli_config_errors_exit_2(tmp_path):
@@ -294,6 +324,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     dead.write_text(serialize_config(preset("dephasing")).replace(
         "[run]\n", "[run]\nt = 5.0\n"))
     assert main(["preflight", "--config", str(dead)]) == 2
+    # so is a key that the schema knows but this experiment never reads
+    for name, section, key, value in (
+            ("anneal-weak", "run", "init", "thermal"),
+            ("dephasing", "run", "window_time", 1.0),
+            ("dephasing", "run", "t0", 1.0),
+            ("dephasing", "model", "Ncal", 4),
+            ("respond-circular", "run", "init", "basis0"),
+            ("respond-circular", "run", "record", GridSpec(0.0, 1.0, 0.5))):
+        path = tmp_path / f"unread-{name}-{key}.ini"
+        path.write_text(serialize_config(
+            preset(name).replace(section, key, value)))
+        assert main(["preflight", "--config", str(path)]) == 2, (name, key)
     # an anneal record grid must not run past the end of the schedule
     late = tmp_path / "late.ini"
     late.write_text(serialize_config(preset("anneal-weak").replace(
@@ -439,12 +481,74 @@ def test_cli_anneal_artifacts(tmp_path):
     assert header == ["t", "P_ground", "P_e_rep", "P_e_sum"]
     assert data[0, 1] == pytest.approx(1.0 / 16.0, abs=1e-9)
     assert (out / "populations.svg").exists()
-    entries = dict(line.split(" = ", 1) for line in
-                   (out / "manifest").read_text()
-                   .split("--- config ---")[0].splitlines())
+    entries = _manifest_entries(out)
     # K = 5 follows the zero-temperature alpha(t) over t_f = 1 to 2.4e-3
     assert 1e-3 < float(entries["expansion_error"]) < 1e-2
     assert float(entries["top_level_max_abs"]) > 0.0
+
+
+_SHARED_KEYS = ("dt", "dt_norm", "expansion_error", "max_trace_error",
+                "c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
+                "forward_sweep_s", "adjoint_sweep_s")
+
+
+def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
+    from hseom import cli
+    returned = []
+    original = cli.rdm_trajectory
+
+    def kept(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "rdm_trajectory", kept)
+    for command, name, own in (
+            ("respond", "respond_circular", ("t0", "drift", "p1_at_t0")),
+            ("anneal", "anneal_weak", ("cluster_tol",)),
+            ("rdm", "dephasing", ("max_hermiticity_error",))):
+        out = tmp_path / name
+        assert main([command, "--config", str(CONFIG_DIR / f"{name}.ini"),
+                     "--out", str(out)]) == 0
+        entries = _manifest_entries(out)
+        for key in _SHARED_KEYS + own:
+            assert float(entries[key]) >= 0.0, (command, key)
+    # the trace error written is the one the refusal compared
+    (result,) = returned
+    assert entries["max_trace_error"] == \
+        repr(result.metadata["max_trace_error"])
+    assert float(entries["max_hermiticity_error"]) < 1e-12
+
+
+_ARRAYS_OF_RDM = """
+import sys
+sys.path[:0] = ["perfbench"]
+import numpy as np
+from child import arrays_of
+from hseom import (BathSpec, ContourEngine, OhmicCircular, PureState,
+                   build_space, compute_coefficients, rdm_trajectory,
+                   spin_boson)
+
+spec = BathSpec(OhmicCircular(zeta=0.2, nu=2.0), 3.0, 2.0, 4)
+engine = ContourEngine(build_space(4, 2), compute_coefficients(spec),
+                       spin_boson(1.0))
+result = rdm_trajectory(engine, PureState(np.array([1.0, 0.0])), 0.01,
+                        [0.0, 0.1])
+arrays = arrays_of("rdm_trajectory", result)
+assert sorted(arrays) == ["rdm_trajectory.0", "rdm_trajectory.1"], arrays
+assert arrays["rdm_trajectory.0"] is result.times
+assert arrays["rdm_trajectory.1"] is result.rho
+print("arrays ok")
+"""
+
+
+def test_benchmark_reads_rdm_times_and_rho_by_index():
+    # perfbench/checks.py reads the rdm result as rdm_trajectory.0 and .1
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _ARRAYS_OF_RDM], cwd=root,
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "arrays ok" in done.stdout
 
 
 def test_cli_validate_writes_table(tmp_path, capsys):
@@ -483,9 +587,7 @@ def test_cli_warns_on_a_short_expansion(tmp_path):
     with pytest.warns(HorizonWarning):
         assert main(["respond", "--config", str(path),
                      "--out", str(out)]) == 0
-    entries = dict(line.split(" = ", 1) for line in
-                   (out / "manifest").read_text()
-                   .split("--- config ---")[0].splitlines())
+    entries = _manifest_entries(out)
     assert 2e-2 < float(entries["expansion_error"]) < 3e-2
 
 

@@ -93,7 +93,7 @@ def test_flat_generator_matches_oracle(scheduled, small_space,
     engine = ContourEngine(small_space, small_expansion, model)
     assert len(engine.generator_parts) == (3 if scheduled else 1)
     oracle = assemble_generator(small_space, small_expansion, model, 0.0,
-                                Branch.C1).matrix.toarray()
+                                Branch.C1).toarray()
     flat = engine.flat_generator.toarray()
     assert np.abs(flat - oracle).max() < 1e-13 * np.abs(oracle).max()
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hseom import ABSENT, ResourceLimitError, awf_count, build_space
+from hseom import (ABSENT, ResourceLimitError, awf_count, build_space,
+                   hierarchy)
 
 
 @pytest.mark.parametrize("K,n_max,expected", [
@@ -29,16 +30,24 @@ def test_order_is_graded():
     assert np.array_equal(space.levels, space.indices.sum(axis=1))
 
 
+def _positions(space):
+    """Row of each index vector, built from the enumeration itself."""
+    return {tuple(row.tolist()): m
+            for m, row in enumerate(space.indices)}
+
+
 def test_position_round_trip():
     space = build_space(5, 4)
+    position = _positions(space)
+    # every row is a distinct index vector
+    assert len(position) == space.num_indices
     for m in range(space.num_indices):
-        assert space.position(space.indices[m]) == m
+        assert position[tuple(space.indices[m].tolist())] == m
 
 
 def test_position_of_absent_vector():
     space = build_space(3, 2)
-    beyond = np.array([2, 1, 0], dtype=np.int16)  # level 3 > N_max
-    assert space.position(beyond) == ABSENT
+    assert (2, 1, 0) not in _positions(space)  # level 3 > N_max
 
 
 def test_raise_lower_are_mutually_inverse():
@@ -55,18 +64,21 @@ def test_raise_lower_are_mutually_inverse():
 
 def test_tables_agree_with_direct_arithmetic():
     space = build_space(5, 3)
+    position = _positions(space)
     rng = np.random.default_rng(3)
     for m in rng.integers(0, space.num_indices, size=40):
         n = space.indices[m].copy()
         for k in range(5):
             up = n.copy()
             up[k] += 1
-            expect = space.position(up) if up.sum() <= 3 else ABSENT
+            expect = position[tuple(up.tolist())] if up.sum() <= 3 \
+                else ABSENT
             assert space.raise_table[k, m] == expect
             if n[k] > 0:
                 down = n.copy()
                 down[k] -= 1
-                assert space.lower_table[k, m] == space.position(down)
+                assert space.lower_table[k, m] == position[
+                    tuple(down.tolist())]
             else:
                 assert space.lower_table[k, m] == ABSENT
 
@@ -82,9 +94,10 @@ def test_level_slice_partitions_everything():
     assert seen == space.num_indices
 
 
-def test_refuses_oversized_spaces():
+def test_refuses_oversized_spaces(monkeypatch):
+    monkeypatch.setattr(hierarchy, "MAX_INDICES", 100_000)
     with pytest.raises(ResourceLimitError) as err:
-        build_space(80, 4, max_indices=100_000)
+        build_space(80, 4)
     assert "1929501" in str(err.value)
 
 

@@ -136,6 +136,11 @@ def test_mixed_state_requires_unit_weights():
         MixedState([(np.nan, e0), (0.5, e1)])
     with pytest.raises(ConfigError):
         MixedState([(0.5, e0), (0.5, np.array([np.nan, 1.0]))])
+    # weights that sum to 1 but leave the density with eigenvalue -0.5
+    with pytest.raises(ConfigError, match="-0.5"):
+        MixedState([(1.5, e0), (-0.5, e1)])
+    with pytest.raises(ConfigError):
+        MixedState([(np.inf, e0), (-np.inf, e1)])
     mix = MixedState([(0.25, e0), (0.75, e1)])
     assert np.allclose(mix.density(), np.diag([0.25, 0.75]))
 

@@ -30,6 +30,7 @@ from hseom import (
     two_body_correlation,
     uniform_superposition,
 )
+from hseom import observables
 from hseom.models import SIGMA_X, SIGMA_Z
 from hseom.observables import (CorrelationResult, _SWEEP_KEYS,
                                _advance_together)
@@ -80,7 +81,7 @@ def test_closed_limit_matches_two_level_oracle():
 
 def test_expectations_identity_and_projector(small_engine):
     psi0 = np.array([0.0, 1.0], dtype=complex)
-    _, rho = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0, 0.5])
+    _, rho, _ = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0, 0.5])
     assert abs(np.trace(rho[1]) - 1.0) < 1e-6        # trace preserved
     assert 0.0 < rho[1, 1, 1].real < 1.0             # population has moved
     # <sigma_z> of |1> is +1
@@ -91,8 +92,8 @@ def test_dephasing_keeps_populations(small_expansion):
     engine = ContourEngine(build_space(4, 3), small_expansion,
                            pure_dephasing(1.0))
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    times, rho = rdm_trajectory(engine, PureState(plus), 0.01,
-                                [0.5, 1.0])
+    times, rho, _ = rdm_trajectory(engine, PureState(plus), 0.01,
+                                   [0.5, 1.0])
     assert np.abs(rho[:, 0, 0] - 0.5).max() < 1e-8
     assert np.abs(rho[:, 1, 1] - 0.5).max() < 1e-8
     # coherence must genuinely decay, not just wobble
@@ -101,24 +102,25 @@ def test_dephasing_keeps_populations(small_expansion):
 
 def test_rdm_at_zero_returns_initial_density(small_engine):
     psi0 = np.array([0.6, 0.8j], dtype=complex)
-    _, (rho,) = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0])
+    _, (rho,), _ = rdm_trajectory(small_engine, PureState(psi0), 0.01, [0.0])
     assert np.abs(rho - np.outer(psi0, psi0.conj())).max() < 1e-10
 
     mix = MixedState([(0.25, np.array([1.0, 0.0], dtype=complex)),
                       (0.75, np.array([0.0, 1.0], dtype=complex))])
-    _, (rho,) = rdm_trajectory(small_engine, mix, 0.01, [0.0])
+    _, (rho,), _ = rdm_trajectory(small_engine, mix, 0.01, [0.0])
     assert np.abs(rho - np.diag([0.25, 0.75])).max() < 1e-10
 
 
 def test_rdm_trajectory_structure(small_engine):
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    times, rho = rdm_trajectory(small_engine, PureState(plus), 0.01,
-                                [0.25, 0.5, 1.0])
+    times, rho, _ = rdm_trajectory(small_engine, PureState(plus), 0.01,
+                                   [0.25, 0.5, 1.0])
     assert times.shape == (3,) and rho.shape == (3, 2, 2)
     for r in rho:
         assert np.abs(r - r.conj().T).max() < 1e-8
         assert abs(np.trace(r) - 1.0) < 1e-8
-    _, (single,) = rdm_trajectory(small_engine, PureState(plus), 0.01, [0.5])
+    (single,) = rdm_trajectory(small_engine, PureState(plus), 0.01,
+                               [0.5]).rho
     assert np.abs(rho[1] - single).max() < 1e-10
 
 
@@ -127,7 +129,7 @@ def test_rdm_trajectory_matches_full_contour(small_engine, mixed):
     init = thermal_state(small_engine.model, 1.0) if mixed \
         else PureState(np.array([0.6, 0.8j]))
     record, dt = [0.0, 0.2, 0.5], 0.01
-    _, rho = rdm_trajectory(small_engine, init, dt, record)
+    _, rho, _ = rdm_trajectory(small_engine, init, dt, record)
     for r, t in enumerate(record):
         for i in range(2):
             for j in range(2):
@@ -146,7 +148,7 @@ def test_rdm_trajectory_matches_full_contour_on_a_schedule(
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
     init = uniform_superposition(2)
     record, dt = [0.0, 0.4, 1.0], 0.01
-    _, rho = rdm_trajectory(engine, init, dt, record)
+    _, rho, _ = rdm_trajectory(engine, init, dt, record)
     for r, t in enumerate(record):
         for i, j in ((0, 0), (1, 2), (3, 0)):
             flip = np.zeros((4, 4), dtype=complex)
@@ -183,11 +185,11 @@ def test_response_closed_limit_peaks_at_omega0():
     assert abs(peak - w0) < 1e-9
 
 
-def test_response_matches_full_contour(small_engine):
+def test_response_matches_full_contour(small_engine, monkeypatch):
+    monkeypatch.setattr(observables, "DRIFT_TOL", 1.0)
     taus = np.arange(0.0, 0.6 + 1e-12, 0.05)
     t0, dt = 0.5, 0.01
-    result = response_function(small_engine, taus, t0=t0, dt=dt,
-                               drift_tolerance=1.0)
+    result = response_function(small_engine, taus, t0=t0, dt=dt)
     sx = DenseOperator(SIGMA_X)
     ket1 = PureState(np.array([0.0, 1.0]))
     for m in (0, 3, taus.size - 1):
@@ -208,11 +210,11 @@ def test_response_matches_full_contour(small_engine):
     assert 0.0 < peak <= result.metadata["c1_max_abs"]
 
 
-def test_response_warns_when_still_drifting(small_engine):
+def test_response_warns_when_still_drifting(small_engine, monkeypatch):
+    monkeypatch.setattr(observables, "DRIFT_TOL", 1e-12)
     taus = np.arange(0.0, 0.5 + 1e-12, 0.05)
     with pytest.warns(EquilibrationWarning):
-        response_function(small_engine, taus, t0=0.5, dt=0.05,
-                          drift_tolerance=1e-12)
+        response_function(small_engine, taus, t0=0.5, dt=0.05)
 
 
 def test_response_grid_validation(small_engine):
@@ -419,8 +421,9 @@ def test_observables_on_shared_engines_from_many_threads(small_engine,
     record = [0.0, 0.2, 0.5]
 
     def rdm():
+        # rho alone: the metadata holds each call's sweep seconds
         return rdm_trajectory(small_engine, PureState(np.array([0.6, 0.8j])),
-                              0.01, record)[1:]
+                              0.01, record)[1:2]
 
     def anneal():
         trace = annealing_populations(anneal_engine,

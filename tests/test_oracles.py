@@ -50,7 +50,7 @@ def _engine_vs_oracle(space, expansion, model, tau, branch, rng):
     size = space.num_indices * model.dim
     flat = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     oracle = assemble_generator(space, expansion, model, tau, branch)
-    via_matrix = oracle.apply(flat)
+    via_matrix = oracle @ flat
     via_engine = engine._deriv_flat(flat, tau, branch.sign)
     return float(np.abs(via_matrix - via_engine).max())
 
@@ -77,7 +77,7 @@ def test_generator_branches_are_negatives(rng):
     model = _random_model(2, rng)
     g1 = assemble_generator(space, expansion, model, 0.0, Branch.C1)
     g2 = assemble_generator(space, expansion, model, 0.0, Branch.C2)
-    diff = sparse.csr_matrix(g1.matrix + g2.matrix)
+    diff = sparse.csr_matrix(g1 + g2)
     assert np.abs(diff.toarray()).max() == 0.0
 
 

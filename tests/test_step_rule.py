@@ -127,7 +127,7 @@ def test_rdm_refuses_a_lost_trace_and_names_a_step(small_bath):
                             str(caught.value)).group(1))
     assert finer == 0.25
     # the step the message names is accepted
-    _, rho = rdm_trajectory(engine, init, finer, times)
+    _, rho, _ = rdm_trajectory(engine, init, finer, times)
     assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1).max() <= TRACE_TOL
 
 
