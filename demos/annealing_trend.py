@@ -12,8 +12,6 @@ Run:  python3 demos/annealing_trend.py [outdir]   (about 5 s)
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from hseom import annealing_populations
 from hseom.presets import build_components, preset
 from hseom.reporting import line_plot, write_csv

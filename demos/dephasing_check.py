@@ -22,7 +22,7 @@ plus = PureState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
 times = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
 _, rho, _ = rdm_trajectory(engine, plus, 0.0125, times)
 
-h = model.hamiltonian_at(0.0).matrix
+h = model.hamiltonian_at(0.0).to_dense()
 print(f"{'t':>5}  {'|rho_01| hierarchy':>19}  {'exact':>10}  {'rel err':>9}")
 for t, r in zip(times, rho):
     exact = 0.5 * abs(dephasing_exact(spec, 0.5, float(t)))

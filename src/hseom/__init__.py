@@ -12,7 +12,7 @@ from .bath import (INFINITE, BathExpansion, BathSpec, OhmicCircular,
 from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
                      parse_config, parse_config_file, serialize_config,
                      validate_config)
-from .dynamics import Branch, ContourEngine
+from .dynamics import ContourEngine
 from .errors import (ConfigError, EquilibrationWarning, HorizonWarning,
                      HseomError, NumericalError, QuadratureError,
                      ResourceLimitError)

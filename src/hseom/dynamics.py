@@ -49,7 +49,6 @@ the BLAS thread count.
 from __future__ import annotations
 
 import copy
-import enum
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,18 +60,9 @@ from .errors import ConfigError, NumericalError
 from .hierarchy import ABSENT, HierarchySpace
 from .models import Operator, SystemModel, _pruned_csr
 
-__all__ = ["Branch", "build_coupling_matrices", "ContourEngine"]
+__all__ = ["build_coupling_matrices", "ContourEngine"]
 
 _GRID_TOL = 1e-9
-
-
-class Branch(enum.Enum):
-    C1 = "C1"
-    C2 = "C2"
-
-    @property
-    def sign(self) -> float:
-        return 1.0 if self is Branch.C1 else -1.0
 
 
 def _step_of(s: float, dt: float, scale: float, what: str) -> int:

@@ -3,11 +3,13 @@ p-spin annealing Hamiltonian, plus initial-state builders.
 
 Conventions (fixed here, used everywhere): hbar = 1; qubit site i maps to
 bit i of the computational basis label with bit 0 least significant; |1> is
-the sigma_z = +1 eigenstate.  Operators come in four backings sharing the
-same interface (``dim``, ``apply`` along the last axis, ``to_dense``,
-``to_csr``): dense matrices, diagonals, Pauli sums and scaled sums.  The
-engine only ever reads ``to_csr``, which the Pauli sum builds from its bit
-masks and phases without densifying, so no backing is tied to a size.
+the sigma_z = +1 eigenstate.  There is one operator type, :class:`Operator`:
+a pruned, sorted CSR matrix with ``dim``, ``apply`` along the last axis,
+``to_dense`` (refused above ``DENSIFY_DIM_LIMIT``) and ``to_csr``.  Its
+four backings only build that matrix: from a dense matrix, a diagonal, the
+bit masks and phases of a Pauli sum (never densified), or a scaled sum of
+other operators, summed on first use.  The engine only ever reads
+``to_csr``, so no backing is tied to a size.
 
 An initial state is always a list of weighted pure vectors, its
 ``components()``: one vector (:class:`PureState`) or a convex mixture
@@ -19,8 +21,9 @@ one ``np.einsum``, no BLAS (see :mod:`hseom.observables`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -40,7 +43,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1> -> +1
 
-DENSIFY_DIM_LIMIT = 4096  # largest Pauli sum to_dense will build
+DENSIFY_DIM_LIMIT = 4096  # largest operator to_dense will build
 MAX_QUBITS = 16
 # relative energy tolerance that groups eigenvalues into one level
 _LEVEL_TOL = 1e-8
@@ -58,52 +61,51 @@ def _pruned_csr(matrix) -> sparse.csr_matrix:
     return out
 
 
-class DenseOperator:
+class Operator:
+    """A square complex matrix, held as one pruned CSR.
+
+    The backings below only build that matrix; applying, densifying and
+    handing it out are defined here once.
+    """
+
+    def __init__(self, matrix):
+        if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("operator matrix must be square")
+        self._csr = _pruned_csr(matrix)
+        self.dim = self._csr.shape[0]
+
+    def apply(self, vec):
+        """The operator along the last axis of ``vec``, of any shape."""
+        vec = np.asarray(vec)
+        if vec.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: operator {self.dim}, "
+                             f"vector {vec.shape[-1]}")
+        rows = vec.reshape(-1, self.dim)
+        return (self._csr @ rows.T).T.reshape(vec.shape)
+
+    def to_dense(self):
+        if self.dim > DENSIFY_DIM_LIMIT:
+            raise ResourceLimitError(
+                f"refusing to densify a {self.dim}-dimensional operator")
+        return self._csr.toarray()
+
+    def to_csr(self) -> sparse.csr_matrix:
+        """The stored matrix itself, not a copy: callers must not write to it."""
+        return self._csr
+
+
+class DenseOperator(Operator):
     """A plain complex matrix."""
 
     def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.dim = self.matrix.shape[0]
-
-    def apply(self, vec):
-        vec = np.asarray(vec)
-        if vec.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, "
-                             f"vector {vec.shape[-1]}")
-        return vec @ self.matrix.T
-
-    def to_dense(self):
-        return self.matrix
-
-    def to_csr(self):
-        return _pruned_csr(self.matrix)
+        super().__init__(np.asarray(matrix, dtype=complex))
 
 
-class DiagonalOperator:
+class DiagonalOperator(Operator):
     """Operator diagonal in the computational basis."""
 
     def __init__(self, diagonal):
-        self.diagonal = np.asarray(diagonal, dtype=complex)
-        self.dim = self.diagonal.shape[0]
-        self._csr = None
-
-    def apply(self, vec):
-        vec = np.asarray(vec)
-        if vec.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, "
-                             f"vector {vec.shape[-1]}")
-        return vec * self.diagonal
-
-    def to_dense(self):
-        return np.diag(self.diagonal)
-
-    def to_csr(self):
-        """Built once; each call returns a copy."""
-        if self._csr is None:
-            self._csr = _pruned_csr(sparse.diags(self.diagonal))
-        return self._csr.copy()
+        super().__init__(sparse.diags(np.asarray(diagonal, dtype=complex)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,23 +127,21 @@ class PauliTerm:
                 raise ValueError("site indices must be non-negative")
 
 
-class PauliSumOperator:
+class PauliSumOperator(Operator):
     """Sum of Pauli product terms on an n-qubit register.
 
-    Each term is applied by a bit-mask permutation plus a per-source-state
-    phase, so one application costs O(n_terms * 2^n) with no matrix stored.
+    A term is a bit-mask permutation plus a per-source-state phase: entry
+    (source ^ mask, source) = phase(source).  The CSR is built from those
+    entries directly, never from a dense matrix.
     """
 
     def __init__(self, n_qubits: int, terms: Sequence[PauliTerm]):
-        self.n_qubits = n_qubits
-        self.dim = 1 << n_qubits
-        self.terms = tuple(terms)
-        idx = np.arange(self.dim)
-        self._masks = []
-        self._phases = []
-        for term in self.terms:
+        dim = 1 << n_qubits
+        idx = np.arange(dim)
+        rows, phases = [idx[:0]], [np.zeros(0, complex)]
+        for term in terms:
             mask = 0
-            phase = np.full(self.dim, term.coefficient, dtype=complex)
+            phase = np.full(dim, term.coefficient, dtype=complex)
             for site, axis in term.factors:
                 if site >= n_qubits:
                     raise ValueError(f"site {site} outside {n_qubits}-qubit register")
@@ -153,48 +153,23 @@ class PauliSumOperator:
                     phase = phase * (1j * (1.0 - 2.0 * bit))
                 else:  # Z: +1 on bit 1
                     phase = phase * (2.0 * bit - 1.0)
-            self._masks.append(mask)
-            self._phases.append(phase)
-        self._csr = None
-
-    def apply(self, vec):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, "
-                             f"vector {vec.shape[-1]}")
-        idx = np.arange(self.dim)
-        out = np.zeros_like(vec)
-        for mask, phase in zip(self._masks, self._phases):
-            # target index = source ^ mask, amplitude picks up phase(source)
-            out[..., idx ^ mask] += phase * vec
-        return out
-
-    def to_dense(self):
-        if self.dim > DENSIFY_DIM_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to densify a {self.dim}-dimensional Pauli sum")
-        return self.apply(np.eye(self.dim, dtype=complex)).T
-
-    def to_csr(self):
-        """Entry (source ^ mask, source) = phase(source) for every term.
-
-        Built once; each call returns a copy.
-        """
-        if self._csr is None:
-            idx = np.arange(self.dim)
-            rows = np.concatenate([idx[:0]]
-                                  + [idx ^ mask for mask in self._masks])
-            cols = np.tile(idx, len(self._masks))
-            data = np.concatenate([np.zeros(0, complex)] + self._phases)
-            self._csr = _pruned_csr(sparse.coo_matrix(
-                (data, (rows, cols)), shape=(self.dim, self.dim)))
-        return self._csr.copy()
+            rows.append(idx ^ mask)
+            phases.append(phase)
+        cols = np.tile(idx, len(terms))
+        super().__init__(sparse.coo_matrix(
+            (np.concatenate(phases), (np.concatenate(rows), cols)),
+            shape=(dim, dim)))
 
 
-class ScaledSumOperator:
-    """a1 * op1 + a2 * op2 + ... without forming the sum explicitly."""
+class ScaledSumOperator(Operator):
+    """a1 * op1 + a2 * op2 + ..., summed into its CSR on first use.
 
-    def __init__(self, parts: Sequence[Tuple[float, "Operator"]]):
+    ``hamiltonian_at`` builds one per call.  ``to_dense`` sums the parts'
+    dense forms, so the schedule oracle, which densifies one at every ODE
+    stage, never builds the CSR.
+    """
+
+    def __init__(self, parts: Sequence[Tuple[float, Operator]]):
         if not parts:
             raise ValueError("empty operator sum")
         self.parts = tuple(parts)
@@ -203,21 +178,12 @@ class ScaledSumOperator:
             if op.dim != self.dim:
                 raise ValueError("operator dimensions differ in sum")
 
-    def apply(self, vec):
-        out = self.parts[0][0] * self.parts[0][1].apply(vec)
-        for coef, op in self.parts[1:]:
-            out += coef * op.apply(vec)
-        return out
+    @functools.cached_property
+    def _csr(self):
+        return _pruned_csr(sum(coef * op.to_csr() for coef, op in self.parts))
 
     def to_dense(self):
         return sum(coef * op.to_dense() for coef, op in self.parts)
-
-    def to_csr(self):
-        return _pruned_csr(sum(coef * op.to_csr() for coef, op in self.parts))
-
-
-Operator = Union[DenseOperator, DiagonalOperator, PauliSumOperator,
-                 ScaledSumOperator]
 
 
 def _hermitian_csr(op: Operator, label: str) -> sparse.csr_matrix:

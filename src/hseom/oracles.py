@@ -16,7 +16,6 @@ import numpy as np
 from scipy import sparse, special
 
 from .bath import BathSpec, alpha_quadrature
-from .dynamics import Branch
 from .errors import ResourceLimitError
 from .hierarchy import HierarchySpace
 from .models import SystemModel
@@ -67,14 +66,15 @@ def closed_schedule_propagate(model: SystemModel, psi0: np.ndarray,
 
 
 def assemble_generator(space: HierarchySpace, expansion, model: SystemModel,
-                       tau: float, branch: Branch) -> sparse.csr_matrix:
+                       tau: float, sign: float) -> sparse.csr_matrix:
     """Build the global sparse generator entry-by-entry from first principles.
 
     Reads only the plain coefficient data (c, Omega) off the expansion;
     every coupling rule is restated here: the eta entries are written out
     literally, the lowering weights use J_k(0) from the library Bessel
     routine, and neighbor lookups go through a locally built hash map.
-    Deliberately no reuse of the production coupling matrices.
+    Deliberately no reuse of the production coupling matrices.  ``sign``
+    is +1 on the forward branch C1 and -1 on the backward branch C2.
     """
     c = np.asarray(expansion.c)
     Omega = float(expansion.Omega)
@@ -84,7 +84,6 @@ def assemble_generator(space: HierarchySpace, expansion, model: SystemModel,
     if M * dim > 4096:
         raise ResourceLimitError(
             f"oracle generator limited to 4096 flattened entries, got {M * dim}")
-    sign = branch.sign
     ham = model.hamiltonian_at(tau).to_dense()
     V = model.V.to_dense()
     eye = np.eye(dim, dtype=complex)

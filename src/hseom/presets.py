@@ -161,7 +161,10 @@ def build_model(cfg: RunConfig):
 def build_initial(cfg: RunConfig, model):
     if cfg.experiment == "anneal":
         return uniform_superposition(cfg.require("model", "Ncal"))
-    name = cfg.get("run", "init", "plus")
+    if cfg.experiment == "respond":
+        # response_function starts from |1>, the ground state
+        return PureState(np.array([0.0, 1.0]))
+    name = cfg.require("run", "init")
     if name == "plus":
         return PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
     if name == "basis0":

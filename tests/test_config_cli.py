@@ -186,6 +186,9 @@ def test_preflight_reports_resources():
     # hierarchy's tables
     state = 1771 * 2 * 16 * 6
     comps = build_components(cfg)
+    # response_function starts from |1>, so comps.init is that state
+    (w, v), = comps.init.components()
+    assert w == 1.0 and np.array_equal(v, [0.0, 1.0])
     built = _csr_bytes(comps.engine)
     space = comps.space
     tables = sum(table.nbytes for table in (
@@ -356,7 +359,8 @@ def test_cli_config_errors_exit_2(tmp_path):
             ("anneal-weak", "model", "Ncal", 0),
             ("rdm-circular", "run", "record", negative),
             ("anneal-weak", "run", "record", negative),
-            ("respond-circular", "run", "t0", -1.0)):
+            ("respond-circular", "run", "t0", -1.0),
+            ("bath-fit-circular", "run", "t_max", -1.0)):
         cfg = preset(name).replace(section, key, value)
         path = tmp_path / f"{name}-{key}.ini"
         path.write_text(serialize_config(cfg))

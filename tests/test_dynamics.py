@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hseom import (BathExpansion, Branch, ConfigError, ContourEngine,
+from hseom import (BathExpansion, ConfigError, ContourEngine,
                    DenseOperator, NumericalError, assemble_generator,
                    build_components, build_eta, build_space, preset,
                    pspin_annealing, spin_boson)
@@ -93,7 +93,7 @@ def test_flat_generator_matches_oracle(scheduled, small_space,
     engine = ContourEngine(small_space, small_expansion, model)
     assert len(engine.generator_parts) == (3 if scheduled else 1)
     oracle = assemble_generator(small_space, small_expansion, model, 0.0,
-                                Branch.C1).toarray()
+                                1.0).toarray()
     flat = engine.flat_generator.toarray()
     assert np.abs(flat - oracle).max() < 1e-13 * np.abs(oracle).max()
 

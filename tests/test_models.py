@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 
 from hseom import (ConfigError, DenseOperator, MixedState, PureState,
-                   ResourceLimitError, magnetization_values, pspin_annealing,
-                   pure_dephasing, spin_boson, thermal_state,
+                   ResourceLimitError, magnetization_values, models,
+                   pspin_annealing, pure_dephasing, spin_boson, thermal_state,
                    uniform_superposition)
 from hseom.models import (SIGMA_X, SIGMA_Z, DiagonalOperator,
-                          PauliSumOperator, PauliTerm, SystemModel)
+                          PauliSumOperator, PauliTerm, ScaledSumOperator,
+                          SystemModel)
 
 
 def test_spin_boson_matrices():
     model = spin_boson(2.0)
-    h = model.hamiltonian_at(0.0).matrix
+    h = model.hamiltonian_at(0.0).to_dense()
     assert np.array_equal(h, np.diag([1.0, -1.0]))  # -(omega0/2) sigma_z
-    v = model.V.matrix
+    v = model.V.to_dense()
     assert np.array_equal(v, -0.5 * SIGMA_X)
     assert not model.time_dependent
 
 
 def test_pure_dephasing_coupling_commutes():
     model = pure_dephasing(1.0)
-    h = model.hamiltonian_at(0.0).matrix
-    v = model.V.matrix
+    h = model.hamiltonian_at(0.0).to_dense()
+    v = model.V.to_dense()
     assert np.array_equal(v, 0.5 * SIGMA_Z)
     assert np.abs(h @ v - v @ h).max() == 0.0
 
@@ -110,6 +111,39 @@ def test_pauli_sum_against_dense_kron():
     assert np.abs(op.to_dense() - expected).max() < 1e-14
     # the CSR built from the masks and phases, never densified
     assert np.abs(op.to_csr().toarray() - expected).max() < 1e-14
+
+
+def _backings(rng):
+    """One 8-dimensional operator of each backing."""
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    pauli = PauliSumOperator(3, (PauliTerm(0.3, ((0, "X"), (2, "Z"))),
+                                 PauliTerm(0.7, ((1, "Y"),))))
+    diagonal = DiagonalOperator(rng.standard_normal(8))
+    return {"dense": DenseOperator(a), "diagonal": diagonal, "pauli": pauli,
+            "scaled_sum": ScaledSumOperator([(0.4, pauli), (-1.5, diagonal)])}
+
+
+def test_every_backing_applies_along_the_last_axis(rng):
+    x = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+    for name, op in _backings(rng).items():
+        expected = x @ op.to_dense().T
+        assert np.abs(op.apply(x) - expected).max() < 1e-14, name
+        assert np.array_equal(op.to_csr().toarray(), op.to_dense()), name
+        with pytest.raises(ValueError):
+            op.apply(x[..., :4])
+
+
+def test_every_backing_refuses_to_densify_above_the_limit(rng,
+                                                          monkeypatch):
+    monkeypatch.setattr(models, "DENSIFY_DIM_LIMIT", 4)
+    for op in _backings(rng).values():
+        with pytest.raises(ResourceLimitError):
+            op.to_dense()
+    levels = DiagonalOperator(np.arange(8.0))
+    model = SystemModel(dim=8, V=levels, time_dependent=False,
+                        _ham_at=lambda tau: levels)
+    with pytest.raises(ResourceLimitError):
+        thermal_state(model, 1.0)
 
 
 def test_pspin_bounds():
