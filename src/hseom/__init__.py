@@ -15,7 +15,7 @@ from .config import (EXPERIMENTS, GridSpec, RunConfig, horizon_of,
 from .dynamics import ContourEngine
 from .errors import (ConfigError, EquilibrationWarning, HorizonWarning,
                      HseomError, NumericalError, QuadratureError,
-                     ResourceLimitError)
+                     ResourceLimitError, TraceError)
 from .hierarchy import (ABSENT, HierarchySpace, awf_count, build_space)
 from .models import (DenseOperator, DiagonalOperator, MixedState,
                      PauliSumOperator, PauliTerm, PureState,

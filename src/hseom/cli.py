@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource
 refusal.  SVG plots are rendered from the CSV files after writing them,
 so the plots can never show anything the tables do not contain.  The
 manifest of a respond, anneal or rdm run is its observable's metadata
-(the sweep record) with the step and the expansion error, written by
-:func:`_record`.
+(the sweep record) with the step, the attempts and the expansion error,
+written by :func:`_record`.  A run at the default step whose trace fails
+is rerun at the smaller step the failure names (:func:`_solve`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .config import (RunConfig, horizon_of, parse_config_file,
                      serialize_config, validate_config)
 from .dynamics import ContourEngine
 from .errors import (ConfigError, HorizonWarning, HseomError,
-                     NumericalError, ResourceLimitError)
+                     NumericalError, ResourceLimitError, TraceError)
 from .hierarchy import awf_count, build_space, capped_count
 from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
                      spin_boson)
@@ -57,6 +58,9 @@ _BYTE_BUDGET = 2 * 1024 ** 3
 # largest relative error of the K-term alpha(t) over a run's horizon that
 # passes without a HorizonWarning
 EXPANSION_TOL = 1e-2
+# runs of an observable at the default step, the first included, before a
+# failed trace exits 3
+MAX_ATTEMPTS = 3
 
 
 def _model_dim(cfg: RunConfig) -> int:
@@ -149,12 +153,38 @@ def _build(cfg: RunConfig):
     return comps
 
 
-def _record(comps, metadata) -> Dict[str, str]:
-    """Manifest entries: the observable's metadata, dt, dt_norm and the
-    expansion error, each as the repr of a float."""
-    return {key: repr(float(value)) for key, value in
-            {**metadata, "dt": comps.dt, "dt_norm": comps.dt_norm,
-             "expansion_error": comps.expansion_error}.items()}
+def _solve(cfg: RunConfig, comps, observable):
+    """``observable(dt)`` at ``comps.dt``; returns (result, attempts).
+
+    When the config leaves ``[integrator] dt`` unset and the trace fails
+    (TraceError), the observable runs again at the smaller step the error
+    names, up to ``MAX_ATTEMPTS`` runs in all; an explicit step is never
+    changed.  The observable stops at its first failed record, so a
+    failed attempt costs only the sweep up to there.
+    """
+    dt = comps.dt
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        try:
+            return observable(dt), attempt
+        except TraceError as exc:
+            if cfg.get("integrator", "dt") is not None \
+                    or attempt == MAX_ATTEMPTS:
+                raise
+            print(f"retrying at dt = {exc.retry_dt!r}: {exc}",
+                  file=sys.stderr)
+            dt = exc.retry_dt
+
+
+def _record(comps, metadata, attempts: int) -> Dict[str, str]:
+    """Manifest entries: the observable's metadata, with the ``dt`` it ran
+    at; ``dt_norm``, that dt times the norm bound; the expansion error;
+    each as the repr of a float; and the attempts :func:`_solve` took."""
+    entries = {key: repr(float(value)) for key, value in
+               {**metadata,
+                "dt_norm": metadata["dt"] * comps.engine.norm_bound,
+                "expansion_error": comps.expansion_error}.items()}
+    entries["attempts"] = str(attempts)
+    return entries
 
 
 def preflight(cfg: RunConfig) -> Dict[str, object]:
@@ -166,7 +196,10 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     that ``dt``, ``dt_norm`` = dt * ||G||_1, ``estimated_steps``, the
     column-steps the run takes (a forward and an adjoint sweep to its last
     point per initial-state component), and the ``expansion_error`` that
-    :func:`_build` measures and warns about.
+    :func:`_build` measures and warns about.  Step and steps are those of
+    the first attempt: a run whose trace fails at the default step is
+    rerun at a smaller one (:func:`_solve`), which only the run's
+    manifest reports.
     """
     report = _refuse_oversize(cfg)
     if cfg.experiment in ("bath-fit", "validate"):
@@ -265,8 +298,9 @@ def _cmd_respond(args) -> int:
     cfg, out, started = _start(args, "respond")
     comps = _build(cfg)
     taus = cfg.require("run", "tau").values()
-    result = response_function(comps.engine, taus, cfg.require("run", "t0"),
-                               comps.dt)
+    t0 = cfg.require("run", "t0")
+    result, attempts = _solve(
+        cfg, comps, lambda dt: response_function(comps.engine, taus, t0, dt))
     write_csv(out / "response_t.csv", ["tau", "R"],
               [result.times, result.values.imag])
     omegas = cfg.require("run", "omega").values()
@@ -278,7 +312,7 @@ def _cmd_respond(args) -> int:
     _plot_from_csv(out / "response_w.csv", out / "response.svg",
                    ["im"], negate=("im",), xlabel="omega",
                    ylabel="-Im of transform", title="response spectrum")
-    _finish(out, cfg, started, _record(comps, result.metadata))
+    _finish(out, cfg, started, _record(comps, result.metadata, attempts))
     peak = omegas[int(np.argmax(-transform.values.imag))]
     print(f"response computed over {len(taus)} delays; "
           f"spectral peak near omega = {peak:.4f}")
@@ -289,7 +323,8 @@ def _cmd_anneal(args) -> int:
     cfg, out, started = _start(args, "anneal")
     comps = _build(cfg)
     record = cfg.require("run", "record").values()
-    trace = annealing_populations(comps.engine, comps.init, comps.dt, record)
+    trace, attempts = _solve(cfg, comps, lambda dt: annealing_populations(
+        comps.engine, comps.init, dt, record))
     write_csv(out / "populations.csv",
               ["t", "P_ground", "P_e_rep", "P_e_sum"],
               [trace.times, trace.p_ground, trace.p_excited_rep,
@@ -297,7 +332,7 @@ def _cmd_anneal(args) -> int:
     _plot_from_csv(out / "populations.csv", out / "populations.svg",
                    ["P_ground", "P_e_rep", "P_e_sum"], xlabel="t",
                    ylabel="population", title="target-basis populations")
-    _finish(out, cfg, started, _record(comps, trace.metadata))
+    _finish(out, cfg, started, _record(comps, trace.metadata, attempts))
     print(f"annealing populations recorded at {len(record)} times; "
           f"final P_ground = {trace.p_ground[-1]:.4f}")
     return 0
@@ -307,8 +342,9 @@ def _cmd_rdm(args) -> int:
     cfg, out, started = _start(args, "rdm")
     comps = _build(cfg)
     record = cfg.require("run", "record").values()
-    times, rho, metadata = rdm_trajectory(comps.engine, comps.init, comps.dt,
-                                          record)
+    (times, rho, metadata), attempts = _solve(
+        cfg, comps, lambda dt: rdm_trajectory(comps.engine, comps.init, dt,
+                                              record))
     d = rho.shape[1]
     header = ["t"]
     cols = [times]
@@ -320,7 +356,7 @@ def _cmd_rdm(args) -> int:
     diag = [f"re_rho_{i}{i}" for i in range(d)]
     _plot_from_csv(out / "rho_t.csv", out / "rho.svg", diag, xlabel="t",
                    ylabel="population", title="reduced density matrix diagonal")
-    _finish(out, cfg, started, _record(comps, metadata))
+    _finish(out, cfg, started, _record(comps, metadata, attempts))
     print(f"density matrix recorded at {len(times)} times; hermiticity "
           f"residual {metadata['max_hermiticity_error']:.2e}, trace residual "
           f"{metadata['max_trace_error']:.2e}")

@@ -26,6 +26,18 @@ class NumericalError(HseomError):
     """A numerical procedure failed (non-finite state, quadrature breakdown)."""
 
 
+class TraceError(NumericalError):
+    """The trace of rho_S left 1 by more than the tolerance: dt too coarse.
+
+    ``retry_dt`` is the smaller divisor of the step that the dt^4 law of
+    RK4's error expects to pass.
+    """
+
+    def __init__(self, message, retry_dt):
+        super().__init__(message)
+        self.retry_dt = retry_dt
+
+
 class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge; carries the residual estimate."""
 

@@ -195,10 +195,10 @@ def test_preflight_reports_resources():
         space.indices, space.levels, space.raise_table, space.lower_table))
     assert state + built + tables <= report["estimated_bytes"] \
         <= state + 2 * built + tables
-    # a forward and an adjoint sweep to t0 + 4 at dt = 1/70
-    assert report["estimated_steps"] == 840
-    assert report["dt"] == pytest.approx(1 / 70, rel=1e-12)
-    assert report["dt_norm"] <= 0.6
+    # a forward and an adjoint sweep to t0 + 4 at dt = 1/50
+    assert report["estimated_steps"] == 600
+    assert report["dt"] == pytest.approx(1 / 50, rel=1e-12)
+    assert report["dt_norm"] <= 0.85
 
 
 def test_preflight_zero_horizon_means_zero_steps():
@@ -232,7 +232,8 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     # the run's manifest reports the step preflight announced
     entries = _manifest_entries(tmp_path / "out")
     assert float(entries["dt"]) == report["dt"]
-    assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.6
+    assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.85
+    assert entries["attempts"] == "1"
     assert float(entries["max_trace_error"]) < 1e-4
     assert float(entries["expansion_error"]) == report["expansion_error"]
 
@@ -304,7 +305,7 @@ def test_cli_preflight_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "awf_count = 1771" in out
-    assert "estimated_steps = 840" in out and "dt_norm = " in out
+    assert "estimated_steps = 600" in out and "dt_norm = " in out
     # K = 20 follows alpha(t) over the 6 time units to 2.9e-4
     printed = dict(line.split(" = ", 1) for line in out.splitlines())
     assert 1e-4 < float(printed["expansion_error"]) < 1e-3
@@ -491,9 +492,9 @@ def test_cli_anneal_artifacts(tmp_path):
     assert float(entries["top_level_max_abs"]) > 0.0
 
 
-_SHARED_KEYS = ("dt", "dt_norm", "expansion_error", "max_trace_error",
-                "c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
-                "forward_sweep_s", "adjoint_sweep_s")
+_SHARED_KEYS = ("dt", "dt_norm", "attempts", "expansion_error",
+                "max_trace_error", "c1_max_abs", "adjoint_max_abs",
+                "top_level_max_abs", "forward_sweep_s", "adjoint_sweep_s")
 
 
 def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
