@@ -5,9 +5,10 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource
 refusal.  SVG plots are rendered from the CSV files after writing them,
 so the plots can never show anything the tables do not contain.  The
 manifest of a respond, anneal or rdm run is its observable's metadata
-(the sweep record) with the step, the attempts and the expansion error,
-written by :func:`_record`.  A run at the default step whose trace fails
-is rerun at the smaller step the failure names (:func:`_solve`).
+(the sweep record) with the step, its degree, the attempts and the
+expansion error, written by :func:`_record`.  A run at the default step
+whose trace fails is rerun at the smaller step the failure names
+(:func:`_solve`).
 """
 
 from __future__ import annotations
@@ -178,12 +179,18 @@ def _solve(cfg: RunConfig, comps, observable):
 def _record(comps, metadata, attempts: int) -> Dict[str, str]:
     """Manifest entries: the observable's metadata, with the ``dt`` it ran
     at; ``dt_norm``, that dt times the norm bound; the expansion error;
-    each as the repr of a float; and the attempts :func:`_solve` took."""
-    entries = {key: repr(float(value)) for key, value in
+    each as the repr of a float, but for the counts: the ``products`` the
+    metadata holds, the attempts :func:`_solve` took, and the
+    ``step_degree`` of the engine's step (8, or 4 for a schedule's RK4).
+    ``products`` counts the sparse products of the attempt that ran to
+    the end; a retried run's failed attempts are not in it."""
+    entries = {key: str(value) if isinstance(value, int)
+               else repr(float(value)) for key, value in
                {**metadata,
                 "dt_norm": metadata["dt"] * comps.engine.norm_bound,
                 "expansion_error": comps.expansion_error}.items()}
     entries["attempts"] = str(attempts)
+    entries["step_degree"] = str(comps.engine.step_degree)
     return entries
 
 
@@ -195,20 +202,22 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     default dt comes from the generator's norm bound; the report gives
     that ``dt``, ``dt_norm`` = dt * ||G||_1, ``estimated_steps``, the
     column-steps the run takes (a forward and an adjoint sweep to its last
-    point per initial-state component), and the ``expansion_error`` that
-    :func:`_build` measures and warns about.  Step and steps are those of
-    the first attempt: a run whose trace fails at the default step is
-    rerun at a smaller one (:func:`_solve`), which only the run's
-    manifest reports.
+    point per initial-state component), ``estimated_products``, the sparse
+    products those steps take (:attr:`ContourEngine.step_products` each),
+    and the ``expansion_error`` that :func:`_build` measures and warns
+    about.  Step, steps and products are those of the first attempt: a
+    run whose trace fails at the default step is rerun at a smaller one
+    (:func:`_solve`), which only the run's manifest reports.
     """
     report = _refuse_oversize(cfg)
     if cfg.experiment in ("bath-fit", "validate"):
-        return {**report, "estimated_steps": 0}
+        return {**report, "estimated_steps": 0, "estimated_products": 0}
     comps = _build(cfg)
     steps = 2 * int(round(horizon_of(cfg) / comps.dt)) \
         * len(comps.init.components())
-    return {**report, "estimated_steps": steps, "dt": comps.dt,
-            "dt_norm": comps.dt_norm,
+    return {**report, "estimated_steps": steps,
+            "estimated_products": steps * comps.engine.step_products,
+            "dt": comps.dt, "dt_norm": comps.dt_norm,
             "expansion_error": comps.expansion_error}
 
 

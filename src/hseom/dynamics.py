@@ -21,25 +21,41 @@ and with the system operators into one generator on the flattened stack
 (see :class:`ContourEngine`), so a derivative is one sparse product, or
 three for a schedule.
 
-There is one stepping routine: a classical RK4 step at a fixed dt on
-absolute grid steps s = n dt.  :meth:`ContourEngine.integrate_span` only
-repeats it, so a sweep may be cut into consecutive spans anywhere without
-changing a bit of the result, and callers insert operators or read
-states between spans.  :meth:`ContourEngine.run` walks the contour
+There is one stepping routine per kind of model, at a fixed dt on absolute
+grid steps s = n dt.  A time-independent G steps with the degree-8 Taylor
+polynomial of e^{hG}, h = +-dt, in Horner form,
+
+    y <- y + h G (y + (h/2) G (y + (h/3) G (... (y + (h/8) G y)))),
+
+eight sparse products a step (the truncated Taylor method of Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011), at a fixed degree and step,
+so every output is deterministic).  Its stability region holds the left
+half-disk of radius 3.39: the imaginary segment |y| <= 3.395 and the
+half-circle.  The degree must be a multiple of 4: degrees 6 and 10 are
+stable on the imaginary axis only to 0.09 and 0.43, and the generators
+here have spectra on that axis; 12 and 16 reach no farther (3.38 and
+3.32), so 8 takes the fewest products.  A schedule steps with classical
+RK4, whose stage times (0, 1/2, 1/2, 1) carry the clock; each of its four
+stages costs three products.  :meth:`ContourEngine.integrate_span` only
+repeats the step, so a sweep may be cut into consecutive spans anywhere
+without changing a bit of the result, and callers insert operators or
+read states between spans.  :meth:`ContourEngine.run` walks the contour
 literally in three spans (to the turning point, back to the second
 insertion, back to 2t); it is the definitional reference.
 
 Observables do not run the backward branch at all.  Every contour value is
-<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of a classical
-RK4 step on a linear equation is again an RK4 step, with the stages'
-adjoint operators taken in reverse time order.  So U_back^dagger (e0 x v)
-is one sweep of :meth:`ContourEngine.adjoint` from s = 0 with the lower
-sign and tau(s) = s, and its state after n steps serves every turning
-point at step n.  The cost is one forward and one adjoint sweep per
-initial-state component, O(horizon) whatever the number of record times.
-The observables run the two sweeps concurrently on two threads, which
-``integrate_span`` allows: it writes nothing but its own copy of the
-state.  A step is sparse products and elementwise numpy, and the
+<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of either
+step on a linear equation is the same step of the adjoint generator: the
+Taylor polynomial p has real coefficients, so p(hG)^H = p(hG^H), and the
+adjoint of an RK4 step takes its stages' adjoint operators in reverse
+time order, which the symmetric stage times make an RK4 step again.  So
+U_back^dagger (e0 x v) is one sweep of :meth:`ContourEngine.adjoint` from
+s = 0 with the lower sign and tau(s) = s, and its state after n steps
+serves every turning point at step n.  The cost is one forward and one
+adjoint sweep per initial-state component, O(horizon) whatever the number
+of record times.  The observables run the two sweeps concurrently on two
+threads, which ``integrate_span`` allows: it writes nothing but its own
+copy of the state.  A step is sparse products and elementwise numpy, and the
 observables read each record time with one ``np.einsum``, so no BLAS runs
 at all: the two threads never wake OpenBLAS's own, which would spin on
 after a call and take a core from the sweeps, and no result depends on
@@ -60,9 +76,12 @@ from .errors import ConfigError, NumericalError
 from .hierarchy import ABSENT, HierarchySpace
 from .models import Operator, SystemModel, _pruned_csr
 
-__all__ = ["build_coupling_matrices", "ContourEngine"]
+__all__ = ["build_coupling_matrices", "ContourEngine", "TAYLOR_DEGREE"]
 
 _GRID_TOL = 1e-9
+# degree of the Taylor step of a time-independent generator: a multiple
+# of 4, the only degrees stable on the imaginary axis (module docstring)
+TAYLOR_DEGREE = 8
 
 
 def _step_of(s: float, dt: float, scale: float, what: str) -> int:
@@ -221,6 +240,16 @@ class ContourEngine:
         """The CSR parts of G: (G_c,), or (G_c, G_start, G_end)."""
         return (self._G,) + (self._ramp or ())
 
+    @property
+    def step_degree(self) -> int:
+        """The degree of the step: TAYLOR_DEGREE, or 4 for a schedule's RK4."""
+        return 4 if self._ramp is not None else TAYLOR_DEGREE
+
+    @property
+    def step_products(self) -> int:
+        """Sparse products of one column-step: one per part per stage."""
+        return self.step_degree * len(self.generator_parts)
+
     def adjoint(self) -> "ContourEngine":
         """An engine for the Hermitian-conjugate generator G(tau)^H.
 
@@ -241,14 +270,18 @@ class ContourEngine:
 
     # -- derivative -------------------------------------------------------
 
-    def _deriv_flat(self, y: np.ndarray, tau: float, sign: float) -> np.ndarray:
-        """sign * G(tau) y for a flat state or a block of flat columns."""
+    def _deriv_flat(self, y: np.ndarray, tau: float,
+                    scale: float) -> np.ndarray:
+        """scale * G(tau) y for a flat state or a block of flat columns.
+
+        ``scale`` is the branch sign, times h / j in a Taylor step.
+        """
         out = self._G @ y
         if self._ramp is not None:
             r = tau / self.model.t_f
             out += (1.0 - r) * (self._ramp[0] @ y)
             out += r * (self._ramp[1] @ y)
-        out *= sign
+        out *= scale
         return out
 
     # -- integration ------------------------------------------------------
@@ -278,6 +311,25 @@ class ContourEngine:
                 f"magnitude {largest:.3e}")
         return peak
 
+    def _step(self, y: np.ndarray, s: float, dt: float, sign: float,
+              tau_of) -> None:
+        """Advance y in place by one step from s: Taylor, or a schedule's RK4.
+
+        The Taylor step evaluates p(hG) y, h = sign * dt, by Horner's rule
+        from the innermost factor, so y, the running factor and one product
+        are all it holds.
+        """
+        if self._ramp is not None:
+            self._rk4_step(y, s, dt, sign, tau_of)
+            return
+        h = sign * dt
+        acc = y
+        for j in range(TAYLOR_DEGREE, 0, -1):
+            acc = self._deriv_flat(acc, 0.0, h / j)
+            if j > 1:
+                acc += y
+        y += acc
+
     def _rk4_step(self, y: np.ndarray, s: float, dt: float, sign: float,
                   tau_of) -> None:
         """Advance y in place by one classical RK4 step from s.
@@ -286,10 +338,7 @@ class ContourEngine:
         the order ((k1 + 2 k2) + 2 k3) + k4, so the four stages are never
         all alive at once.
         """
-        if self._ramp is None:
-            t1 = t2 = t3 = 0.0
-        else:
-            t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
+        t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
         acc = k = self._deriv_flat(y, t1, sign)
         k = self._deriv_flat(y + (0.5 * dt) * k, t2, sign)
         acc += 2.0 * k
@@ -301,7 +350,7 @@ class ContourEngine:
 
     def integrate_span(self, y: np.ndarray, step0: int, n_steps: int,
                        dt: float, sign: float, tau_of=None):
-        """RK4 over n_steps from absolute grid step step0.
+        """n_steps steps (:meth:`_step`) from absolute grid step step0.
 
         ``tau_of`` maps the contour parameter s = step * dt to the physical
         clock for scheduled Hamiltonians; a schedule refuses None, and a
@@ -319,7 +368,7 @@ class ContourEngine:
         y = y.astype(complex, copy=True)
         max_abs = self._check_finite(y, step0 * dt)
         for step in range(step0, step0 + n_steps):
-            self._rk4_step(y, step * dt, dt, sign, tau_of)
+            self._step(y, step * dt, dt, sign, tau_of)
             max_abs = max(max_abs, self._check_finite(y, (step + 1) * dt))
         return y, max_abs
 
@@ -373,7 +422,7 @@ class ContourEngine:
                 break
             Xa = X[:, :active]
             max_abs = max(max_abs, self._check_finite(Xa, step * dt))
-            self._rk4_step(Xa, step * dt, dt, -1.0, None)
+            self._step(Xa, step * dt, dt, -1.0, None)
             step += 1
         return (out if bras is not None else finals), max_abs
 

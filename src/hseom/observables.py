@@ -15,8 +15,9 @@ pure vectors; :func:`_pair_sums` sums a readout over those weights, for
 
 Every result's metadata is its sweep record: ``dt``, ``max_trace_error``,
 the largest entry of each sweep, the top hierarchy level's largest entry,
-and the seconds each side of the pair ran (``_SWEEP_KEYS``), with the
-observable's own keys beside them.
+the seconds each side of the pair ran (``_SWEEP_KEYS``) and the sparse
+products both sides took (``products``), with the observable's own keys
+beside them.
 
 The two sweeps of a pair share nothing mutable until they meet at a record
 time, so they run concurrently: the adjoint on a worker thread, the
@@ -61,16 +62,24 @@ __all__ = [
 
 # largest |tr rho_S - 1| a result may carry.  The trace is a proxy for
 # the step's error, not a bound on the observable's: on the shipped
-# presets, at dt * ||G||_1 <= 0.6 and <= 0.85, the largest error of the
-# outputs against a dt/4 reference ran from 0.3 to 11 times the trace
-# error, the largest ratios with the smallest errors (11x on
-# respond-circular at 0.6, 1.9e-7 against 1.7e-8)
+# presets, with RK4 at dt * ||G||_1 <= 0.6 and <= 0.85 and with the
+# Taylor step at <= 3.35, the largest error of the outputs against a dt/4
+# reference ran from 0.3 to 11 times the trace error, the largest ratios
+# with the smallest errors (11x on respond-circular with RK4 at 0.6,
+# 1.9e-7 against 1.7e-8; 10x with the Taylor step, 9.9e-10 against
+# 9.5e-11)
 TRACE_TOL = 1e-4
 # largest equilibration drift of P_1 a response passes without a warning
 DRIFT_TOL = 0.05
-# the largest entries and the busy seconds that _advance_together keeps
+# the largest entries and the busy seconds that _advance_together keeps;
+# _sweep_report adds its count of sparse products
 _SWEEP_KEYS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
                "forward_sweep_s", "adjoint_sweep_s")
+
+
+def _sweep_report() -> Dict[str, float]:
+    """A blank report for :func:`_advance_together` to fill."""
+    return {**dict.fromkeys(_SWEEP_KEYS, 0.0), "products": 0}
 
 
 @dataclasses.dataclass(eq=False)
@@ -165,7 +174,9 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
     report of how much weight the truncation at N_max cuts off), and adds
     the seconds each side spent in its spans to "forward_sweep_s" and
     "adjoint_sweep_s": a solve near their maximum, not their sum, shows
-    the overlap.  Only the calling thread writes it.
+    the overlap.  It adds the sparse products both sides took to
+    "products" (:attr:`ContourEngine.step_products` per step).  Only the
+    calling thread writes it.
     """
     prev = step0
     top_level = engine.space.level_slice(engine.space.N_max)
@@ -186,6 +197,8 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                                                 a_top)
                 report["forward_sweep_s"] += busy
                 report["adjoint_sweep_s"] += a_busy
+                report["products"] += (step - prev) * (
+                    engine.step_products + adjoint.step_products)
                 prev = step
             rows = y.reshape(engine.num_awf, engine.dim)[top_level]
             report["top_level_max_abs"] = max(report["top_level_max_abs"],
@@ -218,9 +231,13 @@ def _check_trace(error: float, dt: float, what: str) -> float:
     """Refuse a trace error above TRACE_TOL; returns the error.
 
     The TraceError names a step to retry with, as its message and as its
-    ``retry_dt``: dt / n divides every grid dt does, and RK4's error falls
-    as dt^4, so n is the whole number, at least 2, that should bring the
-    error under the tolerance.  A NaN names none.
+    ``retry_dt``: dt / n divides every grid dt does, and n is the whole
+    number, at least 2, that brings the error under the tolerance if it
+    falls as dt^4.  That is RK4's law, for a schedule.  The degree-8
+    Taylor step of a fixed G keeps the same n: its error falls as dt^8
+    in the asymptotic range, so n asks for at least the refinement
+    needed, and a step that fails the trace lies outside that range
+    anyway.  A NaN names none.
     """
     if not error <= TRACE_TOL:
         if math.isnan(error):
@@ -248,7 +265,7 @@ def _pair_sums(engine: ContourEngine, init: InitialState, dt: float,
     report of :func:`_advance_together` over every component.
     """
     adjoint = engine.adjoint()
-    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
+    report = _sweep_report()
     sums = [0.0] * len(steps)
     worst = 0.0
     for w, v in init.components():
@@ -343,7 +360,7 @@ def response_function(engine: ContourEngine, taus, t0: float,
 
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     adjoint = engine.adjoint()
-    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
+    report = _sweep_report()
 
     p1 = []
     # the first leg leaves y and a at t0, where the lags start

@@ -3,7 +3,9 @@
 The presets pin every number a run needs, so tests, shipped config files,
 and the command line all draw from one place.  Time steps default to the
 largest value that divides the relevant record grid while keeping
-dt * ||G||_1 at or below ``STEP_NORM`` (see :func:`effective_dt`).
+dt * ||G||_1 at or below the bound of the step that runs (see
+:func:`effective_dt`): ``TAYLOR_STEP_NORM`` for the degree-8 Taylor step
+of a fixed G, ``STEP_NORM`` for the RK4 step of a schedule.
 """
 
 from __future__ import annotations
@@ -17,22 +19,27 @@ import numpy as np
 from .bath import (INFINITE, BathSpec, OhmicCircular, OhmicExponential,
                    compute_coefficients)
 from .config import GridSpec, RunConfig
-from .dynamics import ContourEngine
+from .dynamics import TAYLOR_DEGREE, ContourEngine
 from .errors import ConfigError
 from .hierarchy import build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
                      thermal_state, uniform_superposition)
 
-__all__ = ["PRESETS", "STEP_NORM", "preset", "build_bath_spec",
-           "build_model", "build_initial", "grid_unit", "effective_dt",
-           "build_components"]
+__all__ = ["PRESETS", "STEP_NORM", "TAYLOR_STEP_NORM", "preset",
+           "build_bath_spec", "build_model", "build_initial", "grid_unit",
+           "step_norm", "effective_dt", "build_components"]
 
 _OMEGA0 = math.pi
-# the default step keeps dt * ||G(tau)||_1 at or below this: the largest
-# multiple of 0.05 at which every shipped run preset stays within 1e-5 of
-# a dt/4 reference (at 0.9 and 1.0 anneal-intermediate and anneal-large
-# do not), far inside RK4's stability region
+# the default RK4 step of a schedule keeps dt * ||G(tau)||_1 at or below
+# this: the largest multiple of 0.05 at which every shipped anneal preset
+# stays within 1e-5 of a dt/4 reference (at 0.9 and 1.0
+# anneal-intermediate and anneal-large do not), far inside RK4's
+# stability region
 STEP_NORM = 0.85
+# the default Taylor step of a fixed G keeps dt * ||G||_1 at or below
+# this: the largest multiple of 0.05 inside the left half-disk of radius
+# 3.39 where the degree-8 Taylor polynomial is stable
+TAYLOR_STEP_NORM = 3.35
 
 
 def _cfg(experiment: str, **sections) -> RunConfig:
@@ -190,28 +197,45 @@ def grid_unit(cfg: RunConfig) -> float:
                       section="experiment", key="kind")
 
 
-def effective_dt(cfg: RunConfig, norm_bound: float) -> float:
-    """Explicit ``[integrator] dt``, or the default step for the generator.
+def step_norm(engine: ContourEngine) -> float:
+    """The bound on dt * ||G||_1 of the step the engine takes."""
+    if engine.step_degree == TAYLOR_DEGREE:
+        return TAYLOR_STEP_NORM
+    return STEP_NORM
 
-    ``norm_bound`` bounds ||G(tau)||_1 over the schedule
-    (:attr:`ContourEngine.norm_bound`).  The default is the largest
-    unit / n, with ``unit`` from :func:`grid_unit` and n whole, such that
-    dt * norm_bound <= STEP_NORM.  The spectral radius of G is at most its
-    1-norm, so no eigenvalue of dt G lies farther than 0.85 from 0, well
-    inside classical RK4's stability region, which reaches about 2.8
-    along the imaginary and the negative real axis.  So the step is set by
-    accuracy, not stability: 0.85 is the largest multiple of 0.05 at which
-    every shipped run preset stays within 1e-5 of its dt/4 reference on
-    the first attempt.  The accuracy of every run is checked as it goes
-    by the trace, which the closed contour keeps at 1 in continuous time
-    (see ``observables.TRACE_TOL``); the command line reruns a default
-    step that fails it at a smaller one (``cli._solve``).
+
+def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
+    """Explicit ``[integrator] dt``, or the default step for the engine.
+
+    The default is the largest unit / n, with ``unit`` from
+    :func:`grid_unit` and n whole, such that dt * ||G||_1 stays at or
+    below :func:`step_norm`, with ||G(tau)||_1 over the schedule bounded
+    by :attr:`ContourEngine.norm_bound`.  The spectral radius of G is at
+    most its 1-norm, so no eigenvalue of dt G lies farther than that
+    bound from 0.
+
+    A fixed G takes the degree-8 Taylor step, whose stability region
+    holds the left half-disk of radius 3.39.  At 3.35 no generator whose
+    spectrum lies in the closed left half-plane can blow up, and the
+    generators here have spectra on the imaginary axis.  The step error
+    falls as dt^8, so the bound is stability's and accuracy follows:
+    every shipped fixed preset stays within 1e-5 of its dt/4 reference.
+    A schedule takes RK4, stable to about 2.8 along the imaginary and the
+    negative real axis, so its step is set by accuracy instead: 0.85 is
+    the largest multiple of 0.05 at which every shipped anneal preset
+    stays within 1e-5 of its dt/4 reference on the first attempt.
+
+    The accuracy of every run is checked as it goes by the trace, which
+    the closed contour keeps at 1 in continuous time (see
+    ``observables.TRACE_TOL``); the command line reruns a default step
+    that fails it at a smaller one (``cli._solve``).
     """
     explicit = cfg.get("integrator", "dt")
     if explicit is not None:
         return explicit
     unit = grid_unit(cfg)
-    return unit / max(1, math.ceil(unit * norm_bound / STEP_NORM))
+    return unit / max(1, math.ceil(unit * engine.norm_bound
+                                   / step_norm(engine)))
 
 
 def build_components(cfg: RunConfig) -> SimpleNamespace:
@@ -221,7 +245,7 @@ def build_components(cfg: RunConfig) -> SimpleNamespace:
     space = build_space(bath_spec.K, cfg.require("hierarchy", "n_max"))
     model = build_model(cfg)
     engine = ContourEngine(space, expansion, model)
-    dt = effective_dt(cfg, engine.norm_bound)
+    dt = effective_dt(cfg, engine)
     return SimpleNamespace(bath_spec=bath_spec, expansion=expansion,
                            space=space, model=model, engine=engine,
                            init=build_initial(cfg, model), dt=dt,

@@ -14,7 +14,7 @@ from hseom.cli import main, preflight
 from hseom.config import (GridSpec, horizon_of, parse_config,
                           parse_config_file, serialize_config,
                           validate_config)
-from hseom.presets import PRESETS, build_components, preset
+from hseom.presets import PRESETS, build_components, preset, step_norm
 from hseom.reporting import line_plot, read_csv, write_csv, write_manifest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -182,7 +182,9 @@ def test_preflight_reports_resources():
     report = preflight(cfg)
     assert report["awf_count"] == 1771
     assert report["dim"] == 2
-    # the state with its RK4 workspace, the generator both ways, and the
+    # the state with its integrator workspace, six copies where a Taylor
+    # step holds four (the caller's state, the span's copy, the running
+    # factor and one product), the generator both ways, and the
     # hierarchy's tables
     state = 1771 * 2 * 16 * 6
     comps = build_components(cfg)
@@ -195,33 +197,44 @@ def test_preflight_reports_resources():
         space.indices, space.levels, space.raise_table, space.lower_table))
     assert state + built + tables <= report["estimated_bytes"] \
         <= state + 2 * built + tables
-    # a forward and an adjoint sweep to t0 + 4 at dt = 1/50
-    assert report["estimated_steps"] == 600
-    assert report["dt"] == pytest.approx(1 / 50, rel=1e-12)
-    assert report["dt_norm"] <= 0.85
+    # a forward and an adjoint sweep to t0 + 4 at dt = 1/20, each step
+    # eight products of the Taylor step
+    assert report["estimated_steps"] == 240
+    assert report["estimated_products"] == 240 * 8
+    assert report["dt"] == pytest.approx(1 / 20, rel=1e-12)
+    assert report["dt_norm"] <= 3.35
 
 
 def test_preflight_zero_horizon_means_zero_steps():
     cfg = preset("rdm-circular").replace("run", "record",
                                          GridSpec(0.0, 0.0, 0.25))
     report = preflight(cfg)
-    assert report["estimated_steps"] == 0
+    assert report["estimated_steps"] == report["estimated_products"] == 0
     assert report["awf_count"] == 1771
 
 
 @pytest.mark.parametrize("name", ["respond-circular", "rdm-circular",
                                   "thermal-ratio", "anneal-weak"])
 def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
-    # count the column-steps every integrate_span call actually takes
+    # count the column-steps every integrate_span call actually takes, and
+    # the column-products every derivative takes: one per generator part
     from hseom.dynamics import ContourEngine
-    taken = []
-    original = ContourEngine.integrate_span
+    taken, products = [], []
+    span, deriv = ContourEngine.integrate_span, ContourEngine._deriv_flat
 
-    def counted(self, y, step0, n_steps, *args, **kwargs):
-        taken.append((y.shape[1] if y.ndim == 2 else 1) * n_steps)
-        return original(self, y, step0, n_steps, *args, **kwargs)
+    def columns(y):
+        return y.shape[1] if y.ndim == 2 else 1
 
-    monkeypatch.setattr(ContourEngine, "integrate_span", counted)
+    def counted_span(self, y, step0, n_steps, *args, **kwargs):
+        taken.append(columns(y) * n_steps)
+        return span(self, y, step0, n_steps, *args, **kwargs)
+
+    def counted_deriv(self, y, *args):
+        products.append(columns(y) * len(self.generator_parts))
+        return deriv(self, y, *args)
+
+    monkeypatch.setattr(ContourEngine, "integrate_span", counted_span)
+    monkeypatch.setattr(ContourEngine, "_deriv_flat", counted_deriv)
     cfg = preset(name)
     path = tmp_path / "run.ini"
     path.write_text(serialize_config(cfg))
@@ -229,10 +242,17 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
     report = preflight(cfg)
     assert sum(taken) == report["estimated_steps"]
-    # the run's manifest reports the step preflight announced
+    assert sum(products) == report["estimated_products"]
+    # the run's manifest reports the step preflight announced, the bound
+    # of the step that ran, and the products it took
     entries = _manifest_entries(tmp_path / "out")
+    engine = build_components(cfg).engine
     assert float(entries["dt"]) == report["dt"]
-    assert float(entries["dt_norm"]) == report["dt_norm"] <= 0.85
+    assert float(entries["dt_norm"]) == report["dt_norm"] \
+        <= step_norm(engine)
+    assert entries["step_degree"] == str(engine.step_degree) \
+        == ("4" if cfg.experiment == "anneal" else "8")
+    assert entries["products"] == str(report["estimated_products"])
     assert entries["attempts"] == "1"
     assert float(entries["max_trace_error"]) < 1e-4
     assert float(entries["expansion_error"]) == report["expansion_error"]
@@ -305,7 +325,8 @@ def test_cli_preflight_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "awf_count = 1771" in out
-    assert "estimated_steps = 600" in out and "dt_norm = " in out
+    assert "estimated_steps = 240" in out and "dt_norm = " in out
+    assert "estimated_products = 1920" in out
     # K = 20 follows alpha(t) over the 6 time units to 2.9e-4
     printed = dict(line.split(" = ", 1) for line in out.splitlines())
     assert 1e-4 < float(printed["expansion_error"]) < 1e-3
@@ -492,9 +513,10 @@ def test_cli_anneal_artifacts(tmp_path):
     assert float(entries["top_level_max_abs"]) > 0.0
 
 
-_SHARED_KEYS = ("dt", "dt_norm", "attempts", "expansion_error",
-                "max_trace_error", "c1_max_abs", "adjoint_max_abs",
-                "top_level_max_abs", "forward_sweep_s", "adjoint_sweep_s")
+_SHARED_KEYS = ("dt", "dt_norm", "attempts", "step_degree", "products",
+                "expansion_error", "max_trace_error", "c1_max_abs",
+                "adjoint_max_abs", "top_level_max_abs", "forward_sweep_s",
+                "adjoint_sweep_s")
 
 
 def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hseom import (BathExpansion, ConfigError, ContourEngine,
                    DenseOperator, NumericalError, assemble_generator,
                    build_components, build_eta, build_space, preset,
                    pspin_annealing, spin_boson)
+from hseom.dynamics import TAYLOR_DEGREE
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
+from hseom.presets import TAYLOR_STEP_NORM
 
 
 def _free_expansion(K=2, Omega=3.0):
@@ -46,22 +51,78 @@ def test_full_contour_identity_with_coupling(circular_expansion):
     assert np.abs(final[0] - psi0).max() < 1e-9
 
 
-def test_rk4_error_scales_fourth_order(small_engine):
+def _errors_at_t(engine, psi0, dts, ref):
     # Probe the forward state at s = t.  The full round trip is useless
     # here: the backward branch retraces the same steps with the negated
     # generator, the leading error terms cancel, and the return appears to
-    # converge at order five or better.
+    # converge at a higher order.
+    return [np.abs(engine.run(psi0, 1.0, dt)[0].ravel() - ref).max()
+            for dt in dts]
+
+
+def test_rk4_error_scales_fourth_order(small_space, small_expansion):
+    # a schedule steps with RK4
+    engine = ContourEngine(small_space, small_expansion,
+                           pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+    psi0 = np.full(4, 0.5, dtype=complex)
+    ref = engine.run(psi0, 1.0, 0.0015625)[0].ravel()
+    coarse, fine = _errors_at_t(engine, psi0, (0.05, 0.025), ref)
+    assert 12.0 < coarse / fine < 20.0
+
+
+def test_taylor_error_scales_eighth_order(small_engine):
+    # a fixed G takes the degree-8 Taylor step, against the exact
+    # exponential
     psi0 = np.array([1.0, 0.0], dtype=complex)
+    exact = expm(small_engine.flat_generator.toarray()) \
+        @ small_engine.initial_stack(psi0).ravel()
+    coarse, fine = _errors_at_t(small_engine, psi0, (0.2, 0.1), exact)
+    assert 0.75 * 2 ** 8 < coarse / fine < 1.25 * 2 ** 8
 
-    def mid_rwf(dt):
-        turn, _ = small_engine.run(psi0, 1.0, dt)
-        return turn[0]
 
-    ref = mid_rwf(0.003125)
-    err_coarse = np.abs(mid_rwf(0.05) - ref).max()
-    err_fine = np.abs(mid_rwf(0.025) - ref).max()
-    ratio = err_coarse / err_fine
-    assert 12.0 < ratio < 20.0
+def _taylor(z, power=np.power):
+    """The degree-TAYLOR_DEGREE Taylor polynomial of e^z, term by term:
+    elementwise, or of a matrix with ``power=np.linalg.matrix_power``."""
+    return sum(power(z, j) / math.factorial(j)
+               for j in range(TAYLOR_DEGREE + 1))
+
+
+def test_one_step_is_the_adjoints_adjoint(small_engine, rng):
+    # <a, S y> = <S^dagger a, y> for one step S of either branch, with
+    # S^dagger one step of the adjoint engine: what the adjoint sweeps of
+    # the observables rest on
+    adjoint = small_engine.adjoint()
+    size = small_engine.num_awf * small_engine.dim
+    dt = TAYLOR_STEP_NORM / small_engine.norm_bound
+    for sign in (+1.0, -1.0):
+        y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        step_y, _ = small_engine.integrate_span(y, 0, 1, dt, sign)
+        step_a, _ = adjoint.integrate_span(a, 0, 1, dt, sign)
+        lhs, rhs = np.vdot(a, step_y), np.vdot(step_a, y)
+        assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+
+
+def test_taylor_step_is_stable_inside_its_bound(small_engine):
+    # the boundary of the left half-disk of radius TAYLOR_STEP_NORM: the
+    # half-circle and the imaginary segment; |p| <= 1 inside follows by the
+    # maximum modulus principle
+    angles = np.linspace(0.5 * np.pi, 1.5 * np.pi, 2001)
+    circle = TAYLOR_STEP_NORM * np.exp(1j * angles)
+    segment = 1j * np.linspace(-TAYLOR_STEP_NORM, TAYLOR_STEP_NORM, 2001)
+    for z in (circle, segment):
+        assert np.abs(_taylor(z)).max() <= 1.0 + 1e-12
+    # the step is that polynomial of h G, h = +-dt, at the largest dt the
+    # default step rule allows, and every eigenvalue of G keeps it bounded
+    G = small_engine.flat_generator.toarray()
+    dt = TAYLOR_STEP_NORM / small_engine.norm_bound
+    eye = np.eye(G.shape[0], dtype=complex)
+    for sign in (+1.0, -1.0):
+        step, _ = small_engine.integrate_span(eye, 0, 1, dt, sign)
+        polynomial = _taylor(sign * dt * G, np.linalg.matrix_power)
+        assert np.abs(step - polynomial).max() < 1e-13
+        z = sign * dt * np.linalg.eigvals(G)
+        assert np.abs(_taylor(z)).max() <= 1.0 + 1e-12
 
 
 def test_rhs_is_linear(small_engine, rng):

@@ -32,8 +32,8 @@ from hseom import (
 )
 from hseom import observables
 from hseom.models import SIGMA_X, SIGMA_Z
-from hseom.observables import (CorrelationResult, _SWEEP_KEYS,
-                               _advance_together)
+from hseom.observables import (CorrelationResult, _advance_together,
+                               _sweep_report)
 
 
 def _zero_expansion(K=2, Omega=3.0):
@@ -372,7 +372,7 @@ def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
               for _ in range(2))
     steps, dt = [0, 3, 3, 10, 25], 0.02
     seen = []
-    report = dict.fromkeys(_SWEEP_KEYS, 0.0)
+    report = _sweep_report()
     ends = _advance_together(engine, adjoint, y0, a0, 0, dt, steps, report,
                              lambda r, y, a: seen.append((r, y, a)))
     y, a, prev = y0, a0, 0
@@ -387,6 +387,8 @@ def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
         assert np.array_equal(seen[r][2], a)
     assert np.array_equal(ends[0], y) and np.array_equal(ends[1], a)
     assert report["forward_sweep_s"] > 0.0 and report["adjoint_sweep_s"] > 0.0
+    # both sweeps to step 25, each step the products of its routine
+    assert report["products"] == 2 * 25 * (12 if scheduled else 8)
 
 
 @pytest.mark.parametrize("observable", ["rdm", "anneal"])
