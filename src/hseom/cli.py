@@ -50,7 +50,11 @@ try:
 except Exception:  # not installed, e.g. run from a checkout
     _VERSION = "0+unknown"
 
-_WORKSPACE_FACTOR = 5  # integrator scratch alongside the state itself
+# copies of the flat state that one integrate_span holds beside its
+# caller's: its own copy, the running Taylor factor, one product and, for a
+# schedule, one ramp term (tracemalloc read 3.0 for a fixed G and 4.0 for a
+# schedule)
+_WORKSPACE_FACTOR = 4
 # Python objects of the index enumeration per index, above its tables, at
 # the peak of build_space: tracemalloc read 129-166 B at (K, N_max) =
 # (20, 3), (80, 3), (12, 5), (40, 3) and (200, 2)
@@ -102,16 +106,26 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
                    for nnz in parts)
 
 
+def _state_bytes(num: int, dim: int) -> int:
+    """Bytes of the flat states alive at the peak of a solve.
+
+    The forward and the adjoint sweep run at once, each a span with its
+    caller's state and ``_WORKSPACE_FACTOR`` copies; the observable holds
+    at most three more: the start vector, and respond's two states at t0.
+    """
+    return num * dim * 16 * (2 * (1 + _WORKSPACE_FACTOR) + 3)
+
+
 def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
     """Validate and size a config; nothing is built.
 
     Returns the AWF count, the system dimension and ``estimated_bytes``:
-    the state with its integrator workspace, the CSR generator with its
-    adjoint, and the hierarchy's tables (``indices``, ``levels``,
-    ``raise_table`` and ``lower_table``, 10 K + 2 bytes per index) with
-    the peak of their enumeration.  Raises ResourceLimitError when the
-    estimate exceeds the byte budget or the index count exceeds
-    ``hierarchy.MAX_INDICES``.
+    the states of both sweeps with their workspace (:func:`_state_bytes`),
+    the CSR generator with its adjoint, and the hierarchy's tables
+    (``indices``, ``levels``, ``raise_table`` and ``lower_table``,
+    10 K + 2 bytes per index) with the peak of their enumeration.
+    Raises ResourceLimitError when the estimate exceeds the byte budget or
+    the index count exceeds ``hierarchy.MAX_INDICES``.
     """
     validate_config(cfg)
     if cfg.experiment in ("bath-fit", "validate"):
@@ -120,8 +134,7 @@ def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
     K = cfg.require("bath", "K")
     num = capped_count(K, cfg.require("hierarchy", "n_max"))
     dim = _model_dim(cfg)
-    total = (num * dim * 16 * (1 + _WORKSPACE_FACTOR)
-             + _generator_bytes(cfg, num, dim)
+    total = (_state_bytes(num, dim) + _generator_bytes(cfg, num, dim)
              + num * (10 * K + 2 + _ENUMERATION_BYTES))
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
@@ -181,7 +194,7 @@ def _record(comps, metadata, attempts: int) -> Dict[str, str]:
     at; ``dt_norm``, that dt times the norm bound; the expansion error;
     each as the repr of a float, but for the counts: the ``products`` the
     metadata holds, the attempts :func:`_solve` took, and the
-    ``step_degree`` of the engine's step (8, or 4 for a schedule's RK4).
+    ``step_degree``, the degree of every Taylor factor of the step (8).
     ``products`` counts the sparse products of the attempt that ran to
     the end; a retried run's failed attempts are not in it."""
     entries = {key: str(value) if isinstance(value, int)

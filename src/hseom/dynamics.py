@@ -21,34 +21,45 @@ and with the system operators into one generator on the flattened stack
 (see :class:`ContourEngine`), so a derivative is one sparse product, or
 three for a schedule.
 
-There is one stepping routine per kind of model, at a fixed dt on absolute
-grid steps s = n dt.  A time-independent G steps with the degree-8 Taylor
-polynomial of e^{hG}, h = +-dt, in Horner form,
+There is one stepping routine, at a fixed dt on absolute grid steps
+s = n dt: the degree-8 Taylor polynomial p of the exponential, in Horner
+form,
 
-    y <- y + h G (y + (h/2) G (y + (h/3) G (... (y + (h/8) G y)))),
+    p(X) y = y + X (y + (X/2) (y + (X/3) (... (y + (X/8) y)))),
 
-eight sparse products a step (the truncated Taylor method of Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011), at a fixed degree and step,
-so every output is deterministic).  Its stability region holds the left
-half-disk of radius 3.39: the imaginary segment |y| <= 3.395 and the
-half-circle.  The degree must be a multiple of 4: degrees 6 and 10 are
+eight products of a generator a factor (the truncated Taylor method of
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), at a fixed degree
+and step, so every output is deterministic).  Its stability region holds
+the left half-disk of radius 3.39: the imaginary segment |y| <= 3.395 and
+the half-circle.  The degree must be a multiple of 4: degrees 6 and 10 are
 stable on the imaginary axis only to 0.09 and 0.43, and the generators
 here have spectra on that axis; 12 and 16 reach no farther (3.38 and
-3.32), so 8 takes the fewest products.  A schedule steps with classical
-RK4, whose stage times (0, 1/2, 1/2, 1) carry the clock; each of its four
-stages costs three products.  :meth:`ContourEngine.integrate_span` only
-repeats the step, so a sweep may be cut into consecutive spans anywhere
-without changing a bit of the result, and callers insert operators or
-read states between spans.  :meth:`ContourEngine.run` walks the contour
-literally in three spans (to the turning point, back to the second
-insertion, back to 2t); it is the definitional reference.
+3.32), so 8 takes the fewest products.  A time-independent G steps with
+one factor, y <- p(hG) y, h = +-dt.  A schedule steps with two, the
+fourth-order commutator-free Magnus step of Blanes & Moan (Appl. Numer.
+Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
+(2011)),
+
+    y <- p((h/2) G(tau(s + 5dt/6))) p((h/2) G(tau(s + dt/6))) y,
+
+whose weights (3 -+ 2 sqrt 3)/12 at the two Gauss nodes collapse to these
+two stage points because G is linear in tau.  Its error falls as dt^4,
+and each factor costs three products a degree.
+:meth:`ContourEngine.integrate_span` only repeats the step, so a sweep
+may be cut into consecutive spans anywhere without changing a bit of the
+result, and callers insert operators or read states between spans.
+:meth:`ContourEngine.run` walks the contour literally in three spans (to
+the turning point, back to the second insertion, back to 2t); it is the
+definitional reference.
 
 Observables do not run the backward branch at all.  Every contour value is
-<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of either
-step on a linear equation is the same step of the adjoint generator: the
-Taylor polynomial p has real coefficients, so p(hG)^H = p(hG^H), and the
-adjoint of an RK4 step takes its stages' adjoint operators in reverse
-time order, which the symmetric stage times make an RK4 step again.  So
+<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of the step
+on a linear equation is the same step of the adjoint generator.  Each
+factor is a polynomial with real coefficients, so p(X)^H = p(X^H); the
+adjoint of a schedule's step takes its two factors in reverse order, and
+reversing an interval maps its stage points s + dt/6 and s + 5dt/6 onto
+each other, so the adjoint of a step backward in time is the adjoint
+generator's step forward over the same interval.  So
 U_back^dagger (e0 x v) is one sweep of :meth:`ContourEngine.adjoint` from
 s = 0 with the lower sign and tau(s) = s, and its state after n steps
 serves every turning point at step n.  The cost is one forward and one
@@ -79,8 +90,8 @@ from .models import Operator, SystemModel, _pruned_csr
 __all__ = ["build_coupling_matrices", "ContourEngine", "TAYLOR_DEGREE"]
 
 _GRID_TOL = 1e-9
-# degree of the Taylor step of a time-independent generator: a multiple
-# of 4, the only degrees stable on the imaginary axis (module docstring)
+# degree of every Taylor factor of the step: a multiple of 4, the only
+# degrees stable on the imaginary axis (module docstring)
 TAYLOR_DEGREE = 8
 
 
@@ -241,14 +252,21 @@ class ContourEngine:
         return (self._G,) + (self._ramp or ())
 
     @property
+    def step_factors(self) -> int:
+        """Taylor factors of one step: 1, or for a schedule 2, each of
+        exponent (h/2) G(tau)."""
+        return 1 if self._ramp is None else 2
+
+    @property
     def step_degree(self) -> int:
-        """The degree of the step: TAYLOR_DEGREE, or 4 for a schedule's RK4."""
-        return 4 if self._ramp is not None else TAYLOR_DEGREE
+        """The degree of every Taylor factor: TAYLOR_DEGREE."""
+        return TAYLOR_DEGREE
 
     @property
     def step_products(self) -> int:
-        """Sparse products of one column-step: one per part per stage."""
-        return self.step_degree * len(self.generator_parts)
+        """Sparse products of one column-step: one per part per degree per
+        factor."""
+        return self.step_factors * TAYLOR_DEGREE * len(self.generator_parts)
 
     def adjoint(self) -> "ContourEngine":
         """An engine for the Hermitian-conjugate generator G(tau)^H.
@@ -274,13 +292,18 @@ class ContourEngine:
                     scale: float) -> np.ndarray:
         """scale * G(tau) y for a flat state or a block of flat columns.
 
-        ``scale`` is the branch sign, times h / j in a Taylor step.
+        ``scale`` is the branch sign, times h / j in a Taylor step.  A
+        schedule's ramp terms are weighted in place, so no more than one
+        of them is alive beside the result.
         """
         out = self._G @ y
         if self._ramp is not None:
             r = tau / self.model.t_f
-            out += (1.0 - r) * (self._ramp[0] @ y)
-            out += r * (self._ramp[1] @ y)
+            for weight, part in zip((1.0 - r, r), self._ramp):
+                term = part @ y
+                term *= weight
+                out += term
+                del term
         out *= scale
         return out
 
@@ -311,42 +334,29 @@ class ContourEngine:
                 f"magnitude {largest:.3e}")
         return peak
 
-    def _step(self, y: np.ndarray, s: float, dt: float, sign: float,
-              tau_of) -> None:
-        """Advance y in place by one step from s: Taylor, or a schedule's RK4.
+    def _taylor(self, y: np.ndarray, tau: float, h: float) -> None:
+        """y <- p(h G(tau)) y in place, p the degree-8 Taylor polynomial.
 
-        The Taylor step evaluates p(hG) y, h = sign * dt, by Horner's rule
-        from the innermost factor, so y, the running factor and one product
-        are all it holds.
+        Horner's rule from the innermost factor, so y, the running factor
+        and one product (with a schedule's ramp term) are all it holds.
         """
-        if self._ramp is not None:
-            self._rk4_step(y, s, dt, sign, tau_of)
-            return
-        h = sign * dt
         acc = y
         for j in range(TAYLOR_DEGREE, 0, -1):
-            acc = self._deriv_flat(acc, 0.0, h / j)
+            acc = self._deriv_flat(acc, tau, h / j)
             if j > 1:
                 acc += y
         y += acc
 
-    def _rk4_step(self, y: np.ndarray, s: float, dt: float, sign: float,
-                  tau_of) -> None:
-        """Advance y in place by one classical RK4 step from s.
-
-        The stage sum accumulates in k1's buffer as the stages come, in
-        the order ((k1 + 2 k2) + 2 k3) + k4, so the four stages are never
-        all alive at once.
-        """
-        t1, t2, t3 = tau_of(s), tau_of(s + 0.5 * dt), tau_of(s + dt)
-        acc = k = self._deriv_flat(y, t1, sign)
-        k = self._deriv_flat(y + (0.5 * dt) * k, t2, sign)
-        acc += 2.0 * k
-        k = self._deriv_flat(y + (0.5 * dt) * k, t2, sign)
-        acc += 2.0 * k
-        acc += self._deriv_flat(y + dt * k, t3, sign)
-        acc *= dt / 6.0
-        y += acc
+    def _step(self, y: np.ndarray, s: float, dt: float, sign: float,
+              tau_of) -> None:
+        """Advance y in place by one step from s, h = sign * dt: one Taylor
+        factor p(hG), or a schedule's two at s + dt/6 and s + 5dt/6."""
+        h = sign * dt
+        if self._ramp is None:
+            self._taylor(y, 0.0, h)
+            return
+        self._taylor(y, tau_of(s + dt / 6.0), 0.5 * h)
+        self._taylor(y, tau_of(s + 5.0 * dt / 6.0), 0.5 * h)
 
     def integrate_span(self, y: np.ndarray, step0: int, n_steps: int,
                        dt: float, sign: float, tau_of=None):

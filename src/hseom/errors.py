@@ -30,10 +30,10 @@ class TraceError(NumericalError):
     """The trace of rho_S left 1 by more than the tolerance: dt too coarse.
 
     ``retry_dt`` is the smaller divisor of the step that a dt^4 error law
-    expects to pass: RK4's, for a schedule.  The degree-8 Taylor step of
-    a fixed G keeps that law, which asks for at least the refinement its
-    dt^8 law needs, and a step that fails lies outside the asymptotic
-    range anyway.
+    expects to pass: the law of a schedule's fourth-order Magnus step.
+    The single Taylor factor of a fixed G keeps that law, which asks for
+    at least the refinement its dt^8 law needs, and a step that fails
+    lies outside the asymptotic range anyway.
     """
 
     def __init__(self, message, retry_dt):

@@ -62,12 +62,15 @@ __all__ = [
 
 # largest |tr rho_S - 1| a result may carry.  The trace is a proxy for
 # the step's error, not a bound on the observable's: on the shipped
-# presets, with RK4 at dt * ||G||_1 <= 0.6 and <= 0.85 and with the
-# Taylor step at <= 3.35, the largest error of the outputs against a dt/4
-# reference ran from 0.3 to 11 times the trace error, the largest ratios
-# with the smallest errors (11x on respond-circular with RK4 at 0.6,
-# 1.9e-7 against 1.7e-8; 10x with the Taylor step, 9.9e-10 against
-# 9.5e-11)
+# presets, with an earlier RK4 step at dt * ||G||_1 <= 0.6 and <= 0.85
+# and with the Taylor step of a fixed G at <= 3.35, the largest error of
+# the outputs against a dt/4 reference ran from 0.3 to 11 times the trace
+# error, the largest ratios with the smallest errors (11x on
+# respond-circular with RK4 at 0.6, 1.9e-7 against 1.7e-8; 10x with the
+# Taylor step, 9.9e-10 against 9.5e-11).  The Magnus step of a schedule
+# keeps the trace far better than its outputs: at one step per record
+# interval the shipped anneals miss their dt/4 reference by 6.1e-7 to
+# 1.2e-6 while their traces leave 1 by 1.5e-12 to 6.4e-8
 TRACE_TOL = 1e-4
 # largest equilibration drift of P_1 a response passes without a warning
 DRIFT_TOL = 0.05
@@ -233,11 +236,11 @@ def _check_trace(error: float, dt: float, what: str) -> float:
     The TraceError names a step to retry with, as its message and as its
     ``retry_dt``: dt / n divides every grid dt does, and n is the whole
     number, at least 2, that brings the error under the tolerance if it
-    falls as dt^4.  That is RK4's law, for a schedule.  The degree-8
-    Taylor step of a fixed G keeps the same n: its error falls as dt^8
-    in the asymptotic range, so n asks for at least the refinement
-    needed, and a step that fails the trace lies outside that range
-    anyway.  A NaN names none.
+    falls as dt^4.  That is the law of a schedule's fourth-order Magnus
+    step.  The single Taylor factor of a fixed G keeps the same n: its
+    error falls as dt^8 in the asymptotic range, so n asks for at least
+    the refinement needed, and a step that fails the trace lies outside
+    that range anyway.  A NaN names none.
     """
     if not error <= TRACE_TOL:
         if math.isnan(error):

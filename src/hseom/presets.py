@@ -2,10 +2,10 @@
 
 The presets pin every number a run needs, so tests, shipped config files,
 and the command line all draw from one place.  Time steps default to the
-largest value that divides the relevant record grid while keeping
-dt * ||G||_1 at or below the bound of the step that runs (see
-:func:`effective_dt`): ``TAYLOR_STEP_NORM`` for the degree-8 Taylor step
-of a fixed G, ``STEP_NORM`` for the RK4 step of a schedule.
+largest value that divides the relevant record grid while keeping the
+exponent of every degree-8 Taylor factor of the step within
+``TAYLOR_STEP_NORM`` (see :func:`effective_dt`): dt * ||G||_1 for a fixed
+G, (dt/2) * ||G||_1 for a schedule.
 """
 
 from __future__ import annotations
@@ -19,26 +19,21 @@ import numpy as np
 from .bath import (INFINITE, BathSpec, OhmicCircular, OhmicExponential,
                    compute_coefficients)
 from .config import GridSpec, RunConfig
-from .dynamics import TAYLOR_DEGREE, ContourEngine
+from .dynamics import ContourEngine
 from .errors import ConfigError
 from .hierarchy import build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
                      thermal_state, uniform_superposition)
 
-__all__ = ["PRESETS", "STEP_NORM", "TAYLOR_STEP_NORM", "preset",
+__all__ = ["PRESETS", "TAYLOR_STEP_NORM", "preset",
            "build_bath_spec", "build_model", "build_initial", "grid_unit",
            "step_norm", "effective_dt", "build_components"]
 
 _OMEGA0 = math.pi
-# the default RK4 step of a schedule keeps dt * ||G(tau)||_1 at or below
-# this: the largest multiple of 0.05 at which every shipped anneal preset
-# stays within 1e-5 of a dt/4 reference (at 0.9 and 1.0
-# anneal-intermediate and anneal-large do not), far inside RK4's
-# stability region
-STEP_NORM = 0.85
-# the default Taylor step of a fixed G keeps dt * ||G||_1 at or below
-# this: the largest multiple of 0.05 inside the left half-disk of radius
-# 3.39 where the degree-8 Taylor polynomial is stable
+# the default step keeps the exponent of every Taylor factor, dt * ||G||_1
+# or a schedule's (dt/2) * ||G(tau)||_1, at or below this: the largest
+# multiple of 0.05 inside the left half-disk of radius 3.39 where the
+# degree-8 Taylor polynomial is stable
 TAYLOR_STEP_NORM = 3.35
 
 
@@ -198,10 +193,9 @@ def grid_unit(cfg: RunConfig) -> float:
 
 
 def step_norm(engine: ContourEngine) -> float:
-    """The bound on dt * ||G||_1 of the step the engine takes."""
-    if engine.step_degree == TAYLOR_DEGREE:
-        return TAYLOR_STEP_NORM
-    return STEP_NORM
+    """The bound on dt * ||G||_1: ``TAYLOR_STEP_NORM`` on each factor's
+    share of dt."""
+    return TAYLOR_STEP_NORM * engine.step_factors
 
 
 def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
@@ -214,16 +208,15 @@ def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
     most its 1-norm, so no eigenvalue of dt G lies farther than that
     bound from 0.
 
-    A fixed G takes the degree-8 Taylor step, whose stability region
-    holds the left half-disk of radius 3.39.  At 3.35 no generator whose
-    spectrum lies in the closed left half-plane can blow up, and the
-    generators here have spectra on the imaginary axis.  The step error
-    falls as dt^8, so the bound is stability's and accuracy follows:
-    every shipped fixed preset stays within 1e-5 of its dt/4 reference.
-    A schedule takes RK4, stable to about 2.8 along the imaginary and the
-    negative real axis, so its step is set by accuracy instead: 0.85 is
-    the largest multiple of 0.05 at which every shipped anneal preset
-    stays within 1e-5 of its dt/4 reference on the first attempt.
+    Every step is made of degree-8 Taylor factors (``dynamics``), whose
+    stability region holds the left half-disk of radius 3.39: one factor
+    of exponent dt G for a fixed G, two of (dt/2) G(tau) for a schedule.
+    At 3.35 on each exponent no generator whose spectrum lies in the
+    closed left half-plane can blow up, and the generators here have
+    spectra on the imaginary axis.  So the bound is stability's, and
+    accuracy follows: the fixed G's error falls as dt^8, the schedule's
+    as dt^4, and every shipped run preset stays within 1e-5 of its dt/4
+    reference.  Every shipped anneal takes one step per record interval.
 
     The accuracy of every run is checked as it goes by the trace, which
     the closed contour keeps at 1 in continuous time (see

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +183,11 @@ def test_preflight_reports_resources():
     report = preflight(cfg)
     assert report["awf_count"] == 1771
     assert report["dim"] == 2
-    # the state with its integrator workspace, six copies where a Taylor
-    # step holds four (the caller's state, the span's copy, the running
-    # factor and one product), the generator both ways, and the
-    # hierarchy's tables
-    state = 1771 * 2 * 16 * 6
+    # the states of both sweeps, 13 copies: two spans of five (the
+    # caller's state, the span's copy, the running factor, one product and
+    # a schedule's ramp term) and three the observable holds; the generator
+    # both ways, and the hierarchy's tables
+    state = 1771 * 2 * 16 * 13
     comps = build_components(cfg)
     # response_function starts from |1>, so comps.init is that state
     (w, v), = comps.init.components()
@@ -250,8 +251,7 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     assert float(entries["dt"]) == report["dt"]
     assert float(entries["dt_norm"]) == report["dt_norm"] \
         <= step_norm(engine)
-    assert entries["step_degree"] == str(engine.step_degree) \
-        == ("4" if cfg.experiment == "anneal" else "8")
+    assert entries["step_degree"] == str(engine.step_degree) == "8"
     assert entries["products"] == str(report["estimated_products"])
     assert entries["attempts"] == "1"
     assert float(entries["max_trace_error"]) < 1e-4
@@ -262,7 +262,34 @@ def test_preflight_bytes_cover_the_built_generator():
     cfg = parse_config_file(CONFIG_DIR / "anneal_large.ini")
     report = preflight(cfg)
     built = _csr_bytes(build_components(cfg).engine)
-    assert report["estimated_bytes"] >= built + 21 * 1024 * 16 * 6
+    assert report["estimated_bytes"] >= built + 21 * 1024 * 16 * 13
+
+
+def test_state_bytes_bound_the_traced_solve(monkeypatch):
+    # a wide register on a shallow hierarchy, where the states are most of
+    # what a solve allocates: the state term of estimated_bytes bounds the
+    # traced peak of the solve, both sweeps at once.  The adjoint's CSR is
+    # the generator term's, so it is built before tracing.
+    from hseom import cli
+    from hseom.dynamics import ContourEngine
+    from hseom.observables import annealing_populations
+    from hseom.presets import _anneal
+    cfg = _anneal(0.1, 1, Ncal=10).replace("bath", "K", 2)
+    report = cli._refuse_oversize(cfg)
+    assert (report["awf_count"], report["dim"]) == (3, 1024)
+    state = cli._state_bytes(3, 1024)
+    assert state < report["estimated_bytes"]
+    comps = build_components(cfg)
+    adjoint = comps.engine.adjoint()
+    monkeypatch.setattr(ContourEngine, "adjoint", lambda self: adjoint)
+    tracemalloc.start()
+    try:
+        annealing_populations(comps.engine, comps.init, comps.dt,
+                              cfg.require("run", "record").values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state
 
 
 def test_preflight_refuses_over_budget_before_building(tmp_path,
@@ -279,10 +306,10 @@ def test_preflight_refuses_over_budget_before_building(tmp_path,
                         (cli, "build_components"),
                         (ContourEngine, "__init__")):
         monkeypatch.setattr(owner, name, forbidden)
-    # 56 indices x 2^16 states: the state fits the 2 GiB budget, the
+    # 56 indices x 2^16 states: the states fit the 2 GiB budget, the
     # generator's 16 driver blocks per index do not
     cfg = _anneal(0.1, 3, Ncal=16)
-    assert 56 * 2 ** 16 * 16 * 6 < 2 * 1024 ** 3
+    assert cli._state_bytes(56, 2 ** 16) < 2 * 1024 ** 3
     with pytest.raises(ResourceLimitError):
         preflight(cfg)
     # the run subcommand refuses it too, before building

@@ -11,7 +11,7 @@ from hseom import (BathExpansion, ConfigError, ContourEngine,
 from hseom.dynamics import TAYLOR_DEGREE
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
-from hseom.presets import TAYLOR_STEP_NORM
+from hseom.presets import TAYLOR_STEP_NORM, step_norm
 
 
 def _free_expansion(K=2, Omega=3.0):
@@ -60,10 +60,15 @@ def _errors_at_t(engine, psi0, dts, ref):
             for dt in dts]
 
 
-def test_rk4_error_scales_fourth_order(small_space, small_expansion):
-    # a schedule steps with RK4
-    engine = ContourEngine(small_space, small_expansion,
-                           pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+def _small_anneal(space, expansion):
+    return ContourEngine(space, expansion,
+                         pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+
+
+def test_schedule_error_scales_fourth_order(small_space, small_expansion):
+    # a schedule takes the fourth-order commutator-free Magnus step: two
+    # Taylor factors at the stage points s + dt/6 and s + 5dt/6
+    engine = _small_anneal(small_space, small_expansion)
     psi0 = np.full(4, 0.5, dtype=complex)
     ref = engine.run(psi0, 1.0, 0.0015625)[0].ravel()
     coarse, fine = _errors_at_t(engine, psi0, (0.05, 0.025), ref)
@@ -87,20 +92,30 @@ def _taylor(z, power=np.power):
                for j in range(TAYLOR_DEGREE + 1))
 
 
-def test_one_step_is_the_adjoints_adjoint(small_engine, rng):
+def test_one_step_is_the_adjoints_adjoint(small_engine, small_space,
+                                         small_expansion, rng):
     # <a, S y> = <S^dagger a, y> for one step S of either branch, with
-    # S^dagger one step of the adjoint engine: what the adjoint sweeps of
-    # the observables rest on
-    adjoint = small_engine.adjoint()
-    size = small_engine.num_awf * small_engine.dim
-    dt = TAYLOR_STEP_NORM / small_engine.norm_bound
-    for sign in (+1.0, -1.0):
-        y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        step_y, _ = small_engine.integrate_span(y, 0, 1, dt, sign)
-        step_a, _ = adjoint.integrate_span(a, 0, 1, dt, sign)
-        lhs, rhs = np.vdot(a, step_y), np.vdot(step_a, y)
-        assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+    # S^dagger one step of the adjoint engine at the largest default dt:
+    # what the adjoint sweeps of the observables rest on.  A schedule's
+    # adjoint step runs its clock the other way over the same interval
+    # [0, dt]: the observables' case is a backward step on s -> 2t - s
+    # from s = t = dt against an adjoint step on s -> s from s = 0
+    for engine in (small_engine, _small_anneal(small_space,
+                                               small_expansion)):
+        adjoint = engine.adjoint()
+        size = engine.num_awf * engine.dim
+        dt = step_norm(engine) / engine.norm_bound
+        up, down = (0, lambda s: s), (1, lambda s: 2.0 * dt - s)
+        for sign in (+1.0, -1.0):
+            for (n_y, clock_y), (n_a, clock_a) in ((up, down), (down, up)):
+                y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                step_y, _ = engine.integrate_span(y, n_y, 1, dt, sign,
+                                                  tau_of=clock_y)
+                step_a, _ = adjoint.integrate_span(a, n_a, 1, dt, sign,
+                                                   tau_of=clock_a)
+                lhs, rhs = np.vdot(a, step_y), np.vdot(step_a, y)
+                assert abs(lhs - rhs) < 1e-13 * abs(lhs)
 
 
 def test_taylor_step_is_stable_inside_its_bound(small_engine):
@@ -123,6 +138,30 @@ def test_taylor_step_is_stable_inside_its_bound(small_engine):
         assert np.abs(step - polynomial).max() < 1e-13
         z = sign * dt * np.linalg.eigvals(G)
         assert np.abs(_taylor(z)).max() <= 1.0 + 1e-12
+
+
+def test_a_schedule_steps_by_two_taylor_factors(small_space,
+                                                small_expansion):
+    # one step is p((h/2) G(tau_b)) p((h/2) G(tau_a)), tau_a at s + dt/6
+    # and tau_b at s + 5dt/6, h = +-dt, at the largest dt the default step
+    # rule allows, and every eigenvalue of each exponent keeps it bounded
+    engine = _small_anneal(small_space, small_expansion)
+    dt = step_norm(engine) / engine.norm_bound
+    eye = np.eye(engine.num_awf * engine.dim, dtype=complex)
+
+    def clock(s):  # any map of s to the schedule's clock will do
+        return 0.2 + s
+
+    for sign in (+1.0, -1.0):
+        step, _ = engine.integrate_span(eye, 0, 1, dt, sign, tau_of=clock)
+        factors = [0.5 * sign * dt * engine._deriv_flat(eye, clock(s), 1.0)
+                   for s in (dt / 6.0, 5.0 * dt / 6.0)]
+        polynomial = _taylor(factors[1], np.linalg.matrix_power) \
+            @ _taylor(factors[0], np.linalg.matrix_power)
+        assert np.abs(step - polynomial).max() < 1e-13
+        for exponent in factors:
+            z = np.linalg.eigvals(exponent)
+            assert np.abs(_taylor(z)).max() <= 1.0 + 1e-12
 
 
 def test_rhs_is_linear(small_engine, rng):

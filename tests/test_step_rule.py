@@ -18,8 +18,8 @@ from hseom.cli import main
 from hseom.config import parse_config_file
 from hseom.observables import (TRACE_TOL, _check_trace,
                                annealing_populations)
-from hseom.presets import (build_components, effective_dt, grid_unit,
-                           preset, step_norm)
+from hseom.presets import (TAYLOR_STEP_NORM, build_components, effective_dt,
+                           grid_unit, preset, step_norm)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_RUNS = sorted(
@@ -72,10 +72,11 @@ def test_default_dt_divides_the_grid_and_bounds_the_norm(path):
     ratio = grid_unit(cfg) / comps.dt
     assert ratio == pytest.approx(round(ratio), abs=1e-9)
     assert comps.dt_norm == comps.dt * comps.engine.norm_bound
-    # the bound of the step that runs: Taylor for a fixed G, RK4 for a
-    # schedule
+    # the bound on every Taylor factor's exponent: dt ||G||_1 for a fixed
+    # G, (dt/2) ||G||_1 for each of a schedule's two factors
     bound = step_norm(comps.engine)
-    assert bound == (0.85 if cfg.experiment == "anneal" else 3.35)
+    assert bound == TAYLOR_STEP_NORM * (2 if cfg.experiment == "anneal"
+                                        else 1)
     assert comps.dt_norm <= bound + 1e-12
     # the next larger divisor of the grid unit would break the bound
     if round(ratio) > 1:
@@ -85,8 +86,8 @@ def test_default_dt_divides_the_grid_and_bounds_the_norm(path):
 
 @pytest.mark.parametrize("name, steps_per_unit", [
     ("respond-circular", 20), ("respond-exponential", 50),
-    ("anneal-weak", 20), ("anneal-intermediate", 30),
-    ("anneal-strong", 60), ("anneal-large", 50),
+    ("anneal-weak", 10), ("anneal-intermediate", 10),
+    ("anneal-strong", 10), ("anneal-large", 10),
     ("rdm-circular", 16), ("thermal-ratio", 4), ("dephasing", 10)])
 def test_default_dt_per_preset(name, steps_per_unit):
     # per unit of time: the unit grid step is 0.1, 0.25 or 0.5
@@ -116,8 +117,8 @@ def _outputs(cfg, comps, dt):
 
 
 # every run preset but the two costly respond-exponential ones; the
-# anneals pin STEP_NORM: at 0.9 or 1.0 anneal-intermediate and
-# anneal-large miss, by 1.5e-5 and 1.7e-5
+# anneals step once per record interval, where the grid rather than
+# TAYLOR_STEP_NORM caps the step
 @pytest.mark.parametrize("name", [
     "anneal-weak", "anneal-strong", "rdm-circular", "thermal-ratio",
     "respond-circular", "dephasing", "anneal-intermediate", "anneal-large"])
@@ -225,12 +226,12 @@ def _run_counted(path, out, monkeypatch):
 
 
 def test_strong_transverse_field_exits_3(tmp_path, capsys, monkeypatch):
-    # an explicit step is never changed: the default dt = 1/210 set
+    # an explicit step is never changed: the default dt = 1/30 set
     # explicitly fails once and exits
-    path = _strong_field(tmp_path, f"\n[integrator]\ndt = {1 / 210!r}\n")
+    path = _strong_field(tmp_path, f"\n[integrator]\ndt = {1 / 30!r}\n")
     code, calls = _run_counted(path, tmp_path / "out", monkeypatch)
     assert code == 3
-    assert calls == [1 / 210]
+    assert calls == [1 / 30]
     assert "set [integrator] dt" in capsys.readouterr().err
 
 
@@ -238,10 +239,10 @@ def test_a_failed_default_step_is_retried(tmp_path, capsys, monkeypatch):
     path = _strong_field(tmp_path)
     threads = threading.active_count()
     code, calls = _run_counted(path, tmp_path / "out", monkeypatch)
-    # the first record past t = 0 leaves 1 by 3.9e-2 at dt = 1/210, so the
-    # dt^4 law names dt / 5, which passes
+    # the first record past t = 0 leaves 1 by 1.0e-1 at dt = 1/30, so the
+    # dt^4 law names dt / 6, which passes
     assert code == 0
-    assert calls == [1 / 210, 1 / 210 / 5]
+    assert calls == [1 / 30, 1 / 30 / 6]
     assert "retrying at dt" in capsys.readouterr().err
     # the early stop left no worker thread behind
     assert threading.active_count() == threads
