@@ -191,10 +191,11 @@ def _solve(cfg: RunConfig, comps, observable):
 
 def _record(comps, metadata, attempts: int) -> Dict[str, str]:
     """Manifest entries: the observable's metadata, with the ``dt`` it ran
-    at; ``dt_norm``, that dt times the norm bound; the expansion error;
-    each as the repr of a float, but for the counts: the ``products`` the
-    metadata holds, the attempts :func:`_solve` took, and the
-    ``step_degree``, the degree of every Taylor factor of the step (8).
+    at; ``dt_norm``, that dt times the norm bound, the smaller of the
+    bounds on ||G||_1 and ||G||_inf; the expansion error; each as the repr
+    of a float, but for the counts: the ``products`` the metadata holds,
+    the attempts :func:`_solve` took, and the ``step_degree``, the degree
+    of every Taylor factor of the step (8).
     ``products`` counts the sparse products of the attempt that ran to
     the end; a retried run's failed attempts are not in it."""
     entries = {key: str(value) if isinstance(value, int)
@@ -213,7 +214,8 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     The refusals of :func:`_refuse_oversize` come first, before anything
     is allocated.  A propagation experiment is then built, because its
     default dt comes from the generator's norm bound; the report gives
-    that ``dt``, ``dt_norm`` = dt * ||G||_1, ``estimated_steps``, the
+    that ``dt``, ``dt_norm`` = dt * :attr:`ContourEngine.norm_bound` (the
+    smaller of the 1-norm and inf-norm bounds), ``estimated_steps``, the
     column-steps the run takes (a forward and an adjoint sweep to its last
     point per initial-state component), ``estimated_products``, the sparse
     products those steps take (:attr:`ContourEngine.step_products` each),

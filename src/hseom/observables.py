@@ -63,11 +63,14 @@ __all__ = [
 # largest |tr rho_S - 1| a result may carry.  The trace is a proxy for
 # the step's error, not a bound on the observable's: on the shipped
 # presets, with an earlier RK4 step at dt * ||G||_1 <= 0.6 and <= 0.85
-# and with the Taylor step of a fixed G at <= 3.35, the largest error of
-# the outputs against a dt/4 reference ran from 0.3 to 11 times the trace
-# error, the largest ratios with the smallest errors (11x on
-# respond-circular with RK4 at 0.6, 1.9e-7 against 1.7e-8; 10x with the
-# Taylor step, 9.9e-10 against 9.5e-11).  The Magnus step of a schedule
+# and with the Taylor step of a fixed G at dt * ||G||_1 <= 3.35, the
+# largest error of the outputs against a dt/4 reference ran from 0.3 to 11
+# times the trace error, the largest ratios with the smallest errors (11x
+# on respond-circular with RK4 at 0.6, 1.9e-7 against 1.7e-8; 10x with the
+# Taylor step, 9.9e-10 against 9.5e-11).  With the Taylor step at the
+# smaller of the 1-norm and inf-norm bounds <= 3.35 it runs from 1.0 to
+# 5.2 times (5.2x on respond-circular, 2.2e-7 against 4.3e-8; 1.6x on
+# rdm-circular, 5.0e-7 against 3.2e-7).  The Magnus step of a schedule
 # keeps the trace far better than its outputs: at one step per record
 # interval the shipped anneals miss their dt/4 reference by 6.1e-7 to
 # 1.2e-6 while their traces leave 1 by 1.5e-12 to 6.4e-8

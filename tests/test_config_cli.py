@@ -198,11 +198,11 @@ def test_preflight_reports_resources():
         space.indices, space.levels, space.raise_table, space.lower_table))
     assert state + built + tables <= report["estimated_bytes"] \
         <= state + 2 * built + tables
-    # a forward and an adjoint sweep to t0 + 4 at dt = 1/20, each step
+    # a forward and an adjoint sweep to t0 + 4 at dt = 1/10, each step
     # eight products of the Taylor step
-    assert report["estimated_steps"] == 240
-    assert report["estimated_products"] == 240 * 8
-    assert report["dt"] == pytest.approx(1 / 20, rel=1e-12)
+    assert report["estimated_steps"] == 120
+    assert report["estimated_products"] == 120 * 8
+    assert report["dt"] == pytest.approx(1 / 10, rel=1e-12)
     assert report["dt_norm"] <= 3.35
 
 
@@ -352,8 +352,8 @@ def test_cli_preflight_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["preflight", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "awf_count = 1771" in out
-    assert "estimated_steps = 240" in out and "dt_norm = " in out
-    assert "estimated_products = 1920" in out
+    assert "estimated_steps = 120" in out and "dt_norm = " in out
+    assert "estimated_products = 960" in out
     # K = 20 follows alpha(t) over the 6 time units to 2.9e-4
     printed = dict(line.split(" = ", 1) for line in out.splitlines())
     assert 1e-4 < float(printed["expansion_error"]) < 1e-3

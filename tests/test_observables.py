@@ -306,7 +306,7 @@ def test_annealing_adiabatic_closed_limit():
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=30.0)
     engine = ContourEngine(build_space(2, 0), _zero_expansion(), model)
     trace = annealing_populations(engine, uniform_superposition(2),
-                                  0.01, [30.0])
+                                  0.1, [30.0])
     assert trace.p_ground[0] > 0.95
 
 
