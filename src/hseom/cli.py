@@ -52,8 +52,9 @@ except Exception:  # not installed, e.g. run from a checkout
 
 # copies of the flat state that one integrate_span holds beside its
 # caller's: its own copy, the running Taylor factor, one product and, for a
-# schedule, one ramp term (tracemalloc read 3.0 for a fixed G and 4.0 for a
-# schedule)
+# schedule, the system-axis copy that H(tau) acts on.  tracemalloc read 3.0
+# for a fixed G and, above the schedule's H(tau) (see _state_bytes), 4.0
+# for a schedule: 4.52 on anneal-large, whose H(tau) is 0.52 of a state
 _WORKSPACE_FACTOR = 4
 # Python objects of the index enumeration per index, above its tables, at
 # the peak of build_space: tracemalloc read 129-166 B at (K, N_max) =
@@ -82,6 +83,16 @@ def _system_entries(cfg: RunConfig, dim: int):
     return dim * dim, dim * dim, dim * dim
 
 
+def _ramp_entries(cfg: RunConfig, dim: int) -> int:
+    """An upper bound on the stored entries of a schedule's H(0) and
+    H(t_f) on their one pattern (:class:`ContourEngine`); 0 for a fixed
+    model, whose H folds into G_c."""
+    if cfg.get("model", "kind") != "pspin":
+        return 0
+    h_start, h_end, _ = _system_entries(cfg, dim)
+    return h_start + h_end
+
+
 def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
     """CSR bytes of the generator's parts, forward and adjoint.
 
@@ -89,31 +100,36 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
     k, awf_count(K, N_max - 1) indices have n_k > 0, so each of the
     2K - 2 entries of eta adds at most that many exchange blocks, and each
     raise, plus the one lowering (phi_k(0) = delta_k0), as many coupling
-    blocks.  A schedule keeps H(0) and H(t_f) as two more parts.
+    blocks.  A schedule keeps H(0) and H(t_f) as two more dim x dim parts,
+    each with the union of the two patterns.
     """
     K = cfg.require("bath", "K")
     n_max = cfg.require("hierarchy", "n_max")
     movable = awf_count(K, n_max - 1) if n_max > 0 else 0
-    h_start, h_end, v = _system_entries(cfg, dim)
+    h_start, _, v = _system_entries(cfg, dim)
     fixed = (2 * K - 2) * movable * dim + (K + 1) * movable * v
-    if cfg.get("model", "kind") == "pspin":
-        parts = [fixed, num * h_start, num * h_end]
+    ramp = _ramp_entries(cfg, dim)
+    if ramp:
+        parts = [(fixed, num * dim), (ramp, dim), (ramp, dim)]
     else:
-        parts = [fixed + num * h_start]
-    rows = num * dim
-    index = 4 if max(rows, *parts) < 2 ** 31 else 8
-    return 2 * sum(nnz * (16 + index) + (rows + 1) * index
-                   for nnz in parts)
+        parts = [(fixed + num * h_start, num * dim)]
+    total = 0
+    for nnz, rows in parts:
+        index = 4 if max(rows, nnz) < 2 ** 31 else 8
+        total += nnz * (16 + index) + (rows + 1) * index
+    return 2 * total
 
 
-def _state_bytes(num: int, dim: int) -> int:
+def _state_bytes(num: int, dim: int, ramp: int = 0) -> int:
     """Bytes of the flat states alive at the peak of a solve.
 
     The forward and the adjoint sweep run at once, each a span with its
-    caller's state and ``_WORKSPACE_FACTOR`` copies; the observable holds
-    at most three more: the start vector, and respond's two states at t0.
+    caller's state and ``_WORKSPACE_FACTOR`` copies, and for a schedule
+    the data of its H(tau), ``ramp`` entries; the observable holds at
+    most three more states: the start vector, and respond's two states
+    at t0.
     """
-    return num * dim * 16 * (2 * (1 + _WORKSPACE_FACTOR) + 3)
+    return 16 * (num * dim * (2 * (1 + _WORKSPACE_FACTOR) + 3) + 2 * ramp)
 
 
 def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
@@ -134,7 +150,8 @@ def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
     K = cfg.require("bath", "K")
     num = capped_count(K, cfg.require("hierarchy", "n_max"))
     dim = _model_dim(cfg)
-    total = (_state_bytes(num, dim) + _generator_bytes(cfg, num, dim)
+    total = (_state_bytes(num, dim, _ramp_entries(cfg, dim))
+             + _generator_bytes(cfg, num, dim)
              + num * (10 * K + 2 + _ENUMERATION_BYTES))
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(

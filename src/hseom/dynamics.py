@@ -18,8 +18,10 @@ is the k-sum over n_k phi_k(0) phi_{n - e_k} collapsed by phi_k(0) =
 J_k(0) = delta_{k0}, so only k = 0 lowers.  All hierarchy-space
 mixing is precomputed into two sparse matrices (exchange E, coupling B),
 and with the system operators into one generator on the flattened stack
-(see :class:`ContourEngine`), so a derivative is one sparse product, or
-three for a schedule.
+(see :class:`ContourEngine`), so a derivative is one sparse product.  A
+schedule keeps its Hamiltonian on the system axis, so its derivative takes
+two: the generator's, and the dim x dim H(tau) applied to every hierarchy
+row at once.
 
 There is one stepping routine, at a fixed dt on absolute grid steps
 s = n dt: the degree-8 Taylor polynomial p of the exponential, in Horner
@@ -44,7 +46,8 @@ Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930
 
 whose weights (3 -+ 2 sqrt 3)/12 at the two Gauss nodes collapse to these
 two stage points because G is linear in tau.  Its error falls as dt^4,
-and each factor costs three products a degree.
+and each factor costs two products a degree, with H(tau) assembled once a
+factor.
 :meth:`ContourEngine.integrate_span` only repeats the step, so a sweep
 may be cut into consecutive spans anywhere without changing a bit of the
 result, and callers insert operators or read states between spans.
@@ -167,6 +170,31 @@ def _coo_from_parts(vals, rows, cols, M) -> sparse.csr_matrix:
         shape=(M, M)).tocsr()
 
 
+def _on_one_pattern(start, end) -> Tuple[sparse.csr_matrix, ...]:
+    """The two matrices, pruned, as CSR on the union of their patterns.
+
+    Each stores a zero where only the other has an entry; both share one
+    ``indices`` and one ``indptr`` array, so a weighted sum of them is an
+    axpy on their ``data``.
+    """
+    parts = [_pruned_csr(start), _pruned_csr(end)]
+    # bit j of an entry of the union marks an entry of parts[j]; all three
+    # are sorted, so a part's entries fill its marked places in order
+    union = sum(sparse.csr_matrix((np.full(part.nnz, float(1 << j)),
+                                   part.indices, part.indptr),
+                                  shape=part.shape)
+                for j, part in enumerate(parts))
+    union.sort_indices()
+    marks = union.data.astype(np.int64)
+    out = []
+    for j, part in enumerate(parts):
+        data = np.zeros(union.nnz, dtype=complex)
+        data[(marks & (1 << j)) != 0] = part.data
+        out.append(sparse.csr_matrix((data, union.indices, union.indptr),
+                                     shape=union.shape))
+    return tuple(out)
+
+
 def _abs_sums(A: sparse.csr_matrix, axis: int) -> np.ndarray:
     """The absolute column (axis 0) or row (axis 1) sums of a CSR matrix."""
     index = A.indices if axis == 0 else np.repeat(
@@ -189,16 +217,20 @@ class ContourEngine:
     """Precomputed machinery for repeated contour runs of one setup.
 
     The right-hand side is one sparse generator on the flattened stack,
-    built once for every model as CSR with no stored zeros:
+    built once for every model, G_c as CSR with no stored zeros:
 
-        G(tau) = G_c + (1 - tau/t_f) G_start + (tau/t_f) G_end,
+        G(tau) = G_c - i kron(I, H(tau)),
         G_c = kron(E, I) - i kron(B, V),
-        G_start = -i kron(I, H(0)),   G_end = -i kron(I, H(t_f)),
+        H(tau) = (1 - tau/t_f) H(0) + (tau/t_f) H(t_f),
 
     which is exact because :class:`SystemModel` only admits schedules that
     ramp linearly from H(0) to H(t_f).  A time-independent model folds
-    -i kron(I, H) into G_c and has no other parts, so its derivative is a
-    single sparse product; a schedule's takes three.
+    -i kron(I, H) into G_c, so its derivative is a single sparse product.
+    A schedule keeps -i H(0) and -i H(t_f) as dim x dim CSR on one
+    pattern, the union of theirs, never as num_awf copies: each Taylor
+    factor assembles -i H(tau) once, one axpy on their data, and each
+    derivative is G_c y plus that H(tau) applied to the system axis of
+    the [num_awf, dim] view of y, two sparse products.
 
     ``norm_bound`` is the smaller of two bounds over the whole schedule,
     one on ||G(tau)||_1 and one on ||G(tau)||_inf.  Both are induced
@@ -231,8 +263,7 @@ class ContourEngine:
         start, end = model.ramp
         if model.time_dependent:
             self._G = _pruned_csr(G)
-            self._ramp = (self._on_every_row(-1j * start),
-                          self._on_every_row(-1j * end))
+            self._ramp = _on_one_pattern(-1j * start, -1j * end)
         else:
             self._G = _pruned_csr(G + self._on_every_row(-1j * start))
             self._ramp = None
@@ -241,9 +272,10 @@ class ContourEngine:
         """kron(I, H) over the hierarchy rows, assembled as CSR directly.
 
         ``sparse.kron`` goes through COO and a sort, ten times slower on
-        a 1024-state register.  H must be pruned and sorted; so is the
-        result.  Its index arrays are int32 when they fit, as scipy would
-        make them, so the constructor need not convert them.
+        a 1024-state register.  H must be sorted; so is the result, which
+        stores zeros only where H does.  Its index arrays are int32 when
+        they fit, as scipy would make them, so the constructor need not
+        convert them.
         """
         size, nnz = self.num_awf * self.dim, self.num_awf * H.nnz
         index = np.int32 if max(size, nnz) < 2 ** 31 else np.int64
@@ -257,14 +289,16 @@ class ContourEngine:
 
     @property
     def flat_generator(self) -> sparse.csr_matrix:
-        """G(0) as one CSR matrix; all of G for a time-independent model."""
+        """G(0) as one CSR matrix; all of G for a time-independent model.
+        A schedule's is assembled on each call."""
         if self._ramp is None:
             return self._G
-        return _pruned_csr(self._G + self._ramp[0])
+        return _pruned_csr(self._G + self._on_every_row(self._ramp[0]))
 
     @property
     def generator_parts(self) -> Tuple[sparse.csr_matrix, ...]:
-        """The CSR parts of G: (G_c,), or (G_c, G_start, G_end)."""
+        """The CSR parts the engine stores: (G_c,), or G_c with the
+        dim x dim pair (-iH(0), -iH(t_f))."""
         return (self._G,) + (self._ramp or ())
 
     @property
@@ -280,15 +314,17 @@ class ContourEngine:
 
     @property
     def step_products(self) -> int:
-        """Sparse products of one column-step: one per part per degree per
-        factor."""
-        return self.step_factors * TAYLOR_DEGREE * len(self.generator_parts)
+        """Sparse products of one column-step, per degree per factor: G_c's,
+        and a schedule's H(tau) on the system axis."""
+        per_degree = 1 if self._ramp is None else 2
+        return self.step_factors * TAYLOR_DEGREE * per_degree
 
     def adjoint(self) -> "ContourEngine":
         """An engine for the Hermitian-conjugate generator G(tau)^H.
 
-        Each part of G is conjugate-transposed; the schedule's weights are
-        real, so G(tau)^H keeps the same form.  One ``integrate_span`` of
+        G_c and each end of the ramp are conjugate-transposed, the ends
+        again on one pattern; the schedule's weights are real, so
+        G(tau)^H keeps the same form.  One ``integrate_span`` of
         the adjoint from step 0 with ``sign=-1.0, tau_of=lambda s: s``
         gives, at step n, U_back(t_n -> 0)^dagger applied to the start
         vector, exactly in the discrete sense, scheduled Hamiltonians
@@ -298,28 +334,59 @@ class ContourEngine:
         twin = copy.copy(self)
         twin._G = _pruned_csr(self._G.conj().T)
         if self._ramp is not None:
-            twin._ramp = tuple(_pruned_csr(part.conj().T)
-                               for part in self._ramp)
+            twin._ramp = _on_one_pattern(*(part.conj().T
+                                           for part in self._ramp))
         return twin
 
     # -- derivative -------------------------------------------------------
+
+    def _ramp_at(self, tau: float) -> Optional[sparse.csr_matrix]:
+        """-i H(tau) = (1 - r)(-i H(0)) + r (-i H(t_f)), r = tau / t_f, as
+        dim x dim CSR on the pair's one pattern; None for a fixed model.
+
+        The data are formed in place as H(0) + r (H(t_f) - H(0)), so no
+        second array of their size is made.
+        """
+        if self._ramp is None:
+            return None
+        start, end = self._ramp
+        data = end.data - start.data
+        data *= tau / self.model.t_f
+        data += start.data
+        return sparse.csr_matrix((data, start.indices, start.indptr),
+                                 shape=start.shape)
 
     def _deriv_flat(self, y: np.ndarray, tau: float,
                     scale: float) -> np.ndarray:
         """scale * G(tau) y for a flat state or a block of flat columns.
 
-        ``scale`` is the branch sign, times h / j in a Taylor step.  A
-        schedule's ramp terms are weighted in place, so no more than one
-        of them is alive beside the result.
+        ``scale`` is the branch sign, times h / j in a Taylor step.
         """
+        return self._deriv(y, self._ramp_at(tau), scale)
+
+    def _deriv(self, y: np.ndarray, ham: Optional[sparse.csr_matrix],
+               scale: float) -> np.ndarray:
+        """scale * (G_c y + ham on the system axis of y), ham = -i H(tau)
+        from :meth:`_ramp_at`, or None for a fixed model.
+
+        ham acts on a [dim, num_awf * columns] copy of the state, one
+        product over every hierarchy row and column at once, and the
+        product is copied back into the copy's buffer in the state's
+        order.  So that buffer and the product are the only arrays alive
+        beside y before G_c's product, and the buffer alone after it.
+        """
+        if ham is not None:
+            rows = y.reshape(self.num_awf, self.dim, -1)
+            # a new complex array, never a view of y
+            moved = np.array(rows.transpose(1, 0, 2), dtype=complex,
+                             order="C")
+            product = ham @ moved.reshape(self.dim, -1)
+            moved.reshape(rows.shape)[...] = product.reshape(
+                moved.shape).transpose(1, 0, 2)
+            del product
         out = self._G @ y
-        if self._ramp is not None:
-            r = tau / self.model.t_f
-            for weight, part in zip((1.0 - r, r), self._ramp):
-                term = part @ y
-                term *= weight
-                out += term
-                del term
+        if ham is not None:
+            out += moved.reshape(out.shape)
         out *= scale
         return out
 
@@ -354,11 +421,14 @@ class ContourEngine:
         """y <- p(h G(tau)) y in place, p the degree-8 Taylor polynomial.
 
         Horner's rule from the innermost factor, so y, the running factor
-        and one product (with a schedule's ramp term) are all it holds.
+        and one product (for a schedule, with its H(tau) term) are all it
+        holds.  A schedule's H(tau) is assembled once for all eight
+        products.
         """
+        ham = self._ramp_at(tau)
         acc = y
         for j in range(TAYLOR_DEGREE, 0, -1):
-            acc = self._deriv_flat(acc, tau, h / j)
+            acc = self._deriv(acc, ham, h / j)
             if j > 1:
                 acc += y
         y += acc

@@ -185,8 +185,8 @@ def test_preflight_reports_resources():
     assert report["dim"] == 2
     # the states of both sweeps, 13 copies: two spans of five (the
     # caller's state, the span's copy, the running factor, one product and
-    # a schedule's ramp term) and three the observable holds; the generator
-    # both ways, and the hierarchy's tables
+    # a schedule's system-axis copy) and three the observable holds; the
+    # generator both ways, and the hierarchy's tables
     state = 1771 * 2 * 16 * 13
     comps = build_components(cfg)
     # response_function starts from |1>, so comps.init is that state
@@ -218,10 +218,11 @@ def test_preflight_zero_horizon_means_zero_steps():
                                   "thermal-ratio", "anneal-weak"])
 def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     # count the column-steps every integrate_span call actually takes, and
-    # the column-products every derivative takes: one per generator part
+    # the column-products every derivative takes: G_c's, and a schedule's
+    # H(tau) on the system axis
     from hseom.dynamics import ContourEngine
     taken, products = [], []
-    span, deriv = ContourEngine.integrate_span, ContourEngine._deriv_flat
+    span, deriv = ContourEngine.integrate_span, ContourEngine._deriv
 
     def columns(y):
         return y.shape[1] if y.ndim == 2 else 1
@@ -230,12 +231,12 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
         taken.append(columns(y) * n_steps)
         return span(self, y, step0, n_steps, *args, **kwargs)
 
-    def counted_deriv(self, y, *args):
-        products.append(columns(y) * len(self.generator_parts))
-        return deriv(self, y, *args)
+    def counted_deriv(self, y, ham, scale):
+        products.append(columns(y) * (1 if ham is None else 2))
+        return deriv(self, y, ham, scale)
 
     monkeypatch.setattr(ContourEngine, "integrate_span", counted_span)
-    monkeypatch.setattr(ContourEngine, "_deriv_flat", counted_deriv)
+    monkeypatch.setattr(ContourEngine, "_deriv", counted_deriv)
     cfg = preset(name)
     path = tmp_path / "run.ini"
     path.write_text(serialize_config(cfg))
@@ -261,8 +262,16 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
 def test_preflight_bytes_cover_the_built_generator():
     cfg = parse_config_file(CONFIG_DIR / "anneal_large.ini")
     report = preflight(cfg)
-    built = _csr_bytes(build_components(cfg).engine)
-    assert report["estimated_bytes"] >= built + 21 * 1024 * 16 * 13
+    comps = build_components(cfg)
+    built = _csr_bytes(comps.engine)
+    # 13 state copies, and each sweep's H(tau) on the ramp's pattern: at
+    # most 10 transverse-field entries and one target entry a row
+    state = 21 * 1024 * 16 * 13 + 2 * 16 * 11 * 1024
+    space = comps.space
+    tables = sum(table.nbytes for table in (
+        space.indices, space.levels, space.raise_table, space.lower_table))
+    assert state + built + tables <= report["estimated_bytes"] \
+        <= state + 2 * built + tables
 
 
 def test_state_bytes_bound_the_traced_solve(monkeypatch):
@@ -277,7 +286,9 @@ def test_state_bytes_bound_the_traced_solve(monkeypatch):
     cfg = _anneal(0.1, 1, Ncal=10).replace("bath", "K", 2)
     report = cli._refuse_oversize(cfg)
     assert (report["awf_count"], report["dim"]) == (3, 1024)
-    state = cli._state_bytes(3, 1024)
+    # each sweep's H(tau): 10 transverse-field entries and one target
+    # entry a row
+    state = cli._state_bytes(3, 1024, 11 * 1024)
     assert state < report["estimated_bytes"]
     comps = build_components(cfg)
     adjoint = comps.engine.adjoint()
@@ -306,10 +317,10 @@ def test_preflight_refuses_over_budget_before_building(tmp_path,
                         (cli, "build_components"),
                         (ContourEngine, "__init__")):
         monkeypatch.setattr(owner, name, forbidden)
-    # 56 indices x 2^16 states: the states fit the 2 GiB budget, the
-    # generator's 16 driver blocks per index do not
-    cfg = _anneal(0.1, 3, Ncal=16)
-    assert cli._state_bytes(56, 2 ** 16) < 2 * 1024 ** 3
+    # 56 indices x 2^17 states: the states fit the 2 GiB budget, the
+    # states and the generator together do not
+    cfg = _anneal(0.1, 3, Ncal=17)
+    assert cli._state_bytes(56, 2 ** 17, 18 * 2 ** 17) < 2 * 1024 ** 3
     with pytest.raises(ResourceLimitError):
         preflight(cfg)
     # the run subcommand refuses it too, before building

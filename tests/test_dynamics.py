@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from hseom import (BathExpansion, ConfigError, ContourEngine,
@@ -201,9 +202,36 @@ def test_flat_generator_matches_oracle(scheduled, small_space,
 @pytest.mark.parametrize("name", ["respond-circular", "dephasing",
                                   "anneal-weak"])
 def test_flat_generator_stores_no_zeros(name):
+    # G_c stores no zeros; a schedule's ramp pair shares one pattern, the
+    # union of the two ends', so each stored entry is nonzero at one end
     engine = build_components(preset(name)).engine
-    for G in engine.generator_parts + engine.adjoint().generator_parts:
+    for twin in (engine, engine.adjoint()):
+        G, *ramp = twin.generator_parts
         assert G.nnz == np.count_nonzero(G.data)
+        if ramp:
+            start, end = ramp
+            assert np.array_equal(start.indptr, end.indptr)
+            assert np.array_equal(start.indices, end.indices)
+            assert np.all((start.data != 0) | (end.data != 0))
+
+
+def test_a_schedule_stores_no_hierarchy_sized_ramp(small_space,
+                                                   small_expansion):
+    # the schedule's H(0) and H(t_f) stay dim x dim, forward and adjoint:
+    # G_c is the one stored matrix with a row per hierarchy row and state
+    engine = ContourEngine(small_space, small_expansion,
+                           pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+    size = engine.num_awf * engine.dim
+    for twin in (engine, engine.adjoint()):
+        G, *ramp = twin.generator_parts
+        assert G.shape == (size, size)
+        assert [part.shape for part in ramp] == [(twin.dim, twin.dim)] * 2
+        stored = [value for value in vars(twin).values()
+                  if sparse.issparse(value)]
+        stored += [part for value in vars(twin).values()
+                   if isinstance(value, tuple) for part in value
+                   if sparse.issparse(part)]
+        assert [A.shape[0] for A in stored].count(size) == 1
 
 
 @pytest.mark.parametrize("scheduled", [False, True])

@@ -387,10 +387,10 @@ def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
         assert np.array_equal(seen[r][2], a)
     assert np.array_equal(ends[0], y) and np.array_equal(ends[1], a)
     assert report["forward_sweep_s"] > 0.0 and report["adjoint_sweep_s"] > 0.0
-    # both sweeps to step 25, each step eight products a Taylor factor
-    # and generator part: one of one for a fixed G, two of three for a
-    # schedule
-    assert report["products"] == 2 * 25 * (48 if scheduled else 8)
+    # both sweeps to step 25, each step eight degrees a Taylor factor:
+    # one factor of G_c's product for a fixed G, two of G_c's and
+    # H(tau)'s for a schedule
+    assert report["products"] == 2 * 25 * (32 if scheduled else 8)
 
 
 @pytest.mark.parametrize("observable", ["rdm", "anneal"])

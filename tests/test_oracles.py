@@ -76,6 +76,36 @@ def test_generator_matches_engine_rhs_on_a_schedule(sign, rng):
                              0.37, sign, rng) < 1e-13
 
 
+@branches
+@pytest.mark.parametrize("at", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("columns", [None, 3], ids=["state", "block"])
+@pytest.mark.parametrize("n_max", [2, 0])
+def test_scheduled_rhs_matches_the_oracle_through_the_ramp(n_max, at,
+                                                           columns, sign,
+                                                           rng):
+    # H(tau) on the system axis, at both ends of the ramp and inside it,
+    # on one flat state and on a block of flat columns, complex and real;
+    # N_max = 0 leaves one hierarchy row, where the system axis is already
+    # the leading one
+    t_f = 2.5
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=t_f)
+    space, expansion = build_space(3, n_max), _expansion(3)
+    engine = ContourEngine(space, expansion, model)
+    shape = (space.num_indices * model.dim,) + ((columns,) if columns
+                                                 else ())
+    flat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tau = at * t_f
+    oracle = assemble_generator(space, expansion, model, tau, sign)
+    for state in (flat, flat.real):
+        kept = state.copy()
+        via_engine = engine._deriv_flat(state, tau, sign)
+        assert np.array_equal(state, kept)
+        assert via_engine.shape == shape
+        via_matrix = oracle @ state
+        assert np.abs(via_matrix - via_engine).max() \
+            < 1e-13 * np.abs(via_matrix).max()
+
+
 def test_generator_branches_are_negatives(rng):
     space = build_space(3, 2)
     expansion = _expansion(3)

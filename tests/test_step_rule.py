@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hseom import (BathSpec, ContourEngine, NumericalError, OhmicCircular,
                    PureState, TraceError, build_space, compute_coefficients,
@@ -54,8 +55,9 @@ def test_norm_bound_covers_both_ends_of_the_generator(name):
     engine = build_components(preset(name)).engine
     parts = engine.generator_parts
     ends = [engine.flat_generator]
-    if len(parts) == 3:
-        ends.append(parts[0] + parts[2])  # G(t_f)
+    if len(parts) == 3:  # G(t_f): G_c and -i H(t_f) on every row
+        ends.append(parts[0] + sparse.kron(
+            sparse.identity(engine.num_awf), parts[2], format="csr"))
     sides = _sides(engine)
     for axis, side in enumerate(sides):
         # ||G||_1 (axis 0) and ||G||_inf (axis 1) at both ends
@@ -104,15 +106,18 @@ def test_default_dt_divides_the_grid_and_bounds_the_norm(path):
         assert larger * comps.engine.norm_bound > bound
 
 
-@pytest.mark.parametrize("name, steps_per_unit", [
-    ("respond-circular", 10), ("respond-exponential", 30),
-    ("anneal-weak", 10), ("anneal-intermediate", 10),
-    ("anneal-strong", 10), ("anneal-large", 10),
-    ("rdm-circular", 8), ("thermal-ratio", 4), ("dephasing", 6)])
-def test_default_dt_per_preset(name, steps_per_unit):
-    # per unit of time: the unit grid step is 0.1, 0.25 or 0.5
+# default steps per unit of time; the unit grid step is 0.1, 0.25 or 0.5
+STEPS_PER_UNIT = {
+    "respond-circular": 10, "respond-exponential": 30,
+    "anneal-weak": 10, "anneal-intermediate": 10,
+    "anneal-strong": 10, "anneal-large": 10,
+    "rdm-circular": 8, "thermal-ratio": 4, "dephasing": 6}
+
+
+@pytest.mark.parametrize("name", STEPS_PER_UNIT)
+def test_default_dt_per_preset(name):
     assert build_components(preset(name)).dt == pytest.approx(
-        1.0 / steps_per_unit, rel=1e-12)
+        1.0 / STEPS_PER_UNIT[name], rel=1e-12)
 
 
 def test_explicit_dt_overrides_the_default():
