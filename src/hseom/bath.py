@@ -23,7 +23,8 @@ they do so when called, so a run never loads it.
 Temperature enters in one place, the occupation-weighted density
 J(omega) / (1 - e^{-beta_hbar omega}) of :func:`_occupied`; the
 coefficients, alpha(t) and the tail mass all integrate it.  The Bessel
-functions J_k come from :func:`scipy.special.jv`.
+functions J_k come from one FFT of Bessel's integral (:func:`_bessel_ladder`),
+so the run path loads no :mod:`scipy.special`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 
 from .errors import ConfigError, QuadratureError
 
@@ -335,10 +336,31 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
     return BathExpansion(Omega=Om, K=K, c=c, eta=build_eta(K, Om))
 
 
+def _bessel_ladder(K: int, z) -> np.ndarray:
+    """J_k(z) for k = 0..K-1 at every point of z; shape (K,) + z.shape.
+
+    Bessel's integral J_k(z) = (1/2pi) int_0^2pi e^{i(z sin theta - k theta)}
+    dtheta by the trapezoid rule on n equispaced theta_j = 2 pi j/n:
+
+        J_k(z) ~ (1/n) sum_j e^{i z sin theta_j} e^{-i k theta_j},
+
+    which is one FFT along the n nodes of an [points, n] block.  The rule's
+    error is the aliasing sum_{m != 0} J_{k+mn}(z).  With
+    n = 2(ceil(max|z|) + K + 16) every aliased order is at least
+    n - K > 2 max|z| + 32, where J_nu(z) is far below rounding.
+    """
+    z = np.asarray(z, dtype=float)
+    n = 2 * (math.ceil(float(np.abs(z).max(initial=0.0))) + K + 16)
+    sines = np.sin(2.0 * np.pi / n * np.arange(n))
+    block = np.exp(1j * np.outer(z, sines))
+    ladder = np.fft.fft(block, axis=1)[:, :K].real / n
+    return ladder.T.reshape((K,) + z.shape)
+
+
 def alpha_reconstruct(expansion: BathExpansion, t):
     """Sum_k c_k J_k(Omega t) for scalar or array t."""
     z = expansion.Omega * np.asarray(t, dtype=float)
-    ladder = special.jv.outer(np.arange(expansion.K), z)
+    ladder = _bessel_ladder(expansion.K, z)
     out = np.tensordot(expansion.c, ladder, axes=(0, 0))
     return complex(out) if np.ndim(t) == 0 else out
 

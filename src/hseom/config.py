@@ -198,7 +198,8 @@ def validate_config(cfg: RunConfig) -> None:
     """Structural and cross-field checks; raises ConfigError on the first.
 
     Required keys must be present, and a key that the experiment, its
-    bath density or its model kind does not read is refused.
+    bath density or its model kind does not read is refused.  Every float
+    and grid value must be finite; only ``beta_hbar`` may be ``inf``.
     """
     kind = cfg.experiment
     if kind not in EXPERIMENTS:
@@ -233,6 +234,19 @@ def validate_config(cfg: RunConfig) -> None:
         for key in values:
             if key not in reads.get(section, ()):
                 raise ConfigError(f"a {kind} run does not read this key",
+                                  section=section, key=key)
+    # the bound checks below let inf through, and the "at least" ones NaN
+    # too; beta_hbar is no _FLOAT, so its inf (zero temperature) passes
+    for section, values in cfg.data.items():
+        for key, value in values.items():
+            if _SCHEMA[section][key] is _GRID:
+                numbers = (value.start, value.stop, value.step)
+            elif _SCHEMA[section][key] is _FLOAT:
+                numbers = (value,)
+            else:
+                continue
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(f"must be finite, got {value}",
                                   section=section, key=key)
     for section, key in (("integrator", "dt"), ("bath", "Omega"),
                          ("run", "window_time")):

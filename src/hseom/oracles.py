@@ -13,7 +13,7 @@ run them in the field.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 
 from .bath import BathSpec, alpha_quadrature
 from .errors import ResourceLimitError
@@ -76,6 +76,8 @@ def assemble_generator(space: HierarchySpace, expansion, model: SystemModel,
     Deliberately no reuse of the production coupling matrices.  ``sign``
     is +1 on the forward branch C1 and -1 on the backward branch C2.
     """
+    from scipy import special  # lazy: the run path loads no scipy.special
+
     c = np.asarray(expansion.c)
     Omega = float(expansion.Omega)
     K = space.K

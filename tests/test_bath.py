@@ -158,6 +158,23 @@ def test_alpha_reconstruct_scalar_and_array_agree():
         assert abs(arr[i] - alpha_reconstruct(exp, float(t))) < 1e-12
 
 
+@pytest.mark.parametrize("K,z_max", [(5, 3.0), (20, 36.0), (80, 32.0),
+                                     (80, 120.0)])
+def test_bessel_ladder_matches_scipy(K, z_max):
+    z = np.linspace(0.0, z_max, 401)
+    reference = special.jv.outer(np.arange(K), z)
+    assert np.abs(bath._bessel_ladder(K, z) - reference).max() < 1e-14
+
+
+@pytest.mark.parametrize("K", [2, 20, 80])
+def test_bessel_ladder_at_zero_is_the_unit_vector(K):
+    # phi_k(0) = J_k(0) = delta_{k0}, so alpha(0) is c_0
+    assert np.abs(bath._bessel_ladder(K, 0.0) - np.eye(K)[0]).max() <= 1e-15
+    exp = compute_coefficients(_circular(K=K))
+    assert abs(alpha_reconstruct(exp, 0.0) - exp.c[0]) \
+        <= 1e-15 * abs(exp.c[0])
+
+
 def test_zero_temperature_is_the_large_beta_limit():
     dens = OhmicCircular(zeta=0.3, nu=2.0)
     cold = BathSpec(dens, INFINITE, 2.0, 10)

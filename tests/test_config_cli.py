@@ -428,6 +428,35 @@ def test_cli_config_errors_exit_2(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2, (key, value)
 
 
+@pytest.mark.parametrize("name, changes", [
+    ("respond-circular", {("bath", "zeta"): math.inf}),
+    ("respond-circular", {("bath", "Omega"): math.inf,
+                          ("bath", "nu"): math.inf}),
+    ("respond-circular", {("model", "omega0"): math.inf}),
+    ("respond-circular", {("run", "t0"): math.nan}),
+    ("respond-circular", {("run", "t0"): math.inf}),
+    ("respond-circular", {("run", "tau"): GridSpec(0.0, math.nan, 0.1)}),
+    ("respond-circular", {("run", "omega"): GridSpec(0.3, 2.2, math.inf)}),
+    ("respond-exponential", {("bath", "gamma"): math.nan}),
+    ("anneal-weak", {("model", "Gamma"): math.inf}),
+    ("anneal-weak", {("run", "record"): GridSpec(0.0, math.inf, 0.1)}),
+    ("rdm-circular", {("integrator", "dt"): math.inf}),
+    ("bath-fit-circular", {("run", "t_max"): math.nan}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(k for _, k in v))
+def test_cli_refuses_non_finite_values(name, changes, tmp_path, capsys):
+    # each used to pass validate_config and crash later with a traceback
+    cfg = preset(name)
+    for (section, key), value in changes.items():
+        cfg = cfg.replace(section, key, value)
+    path = tmp_path / "bad.ini"
+    path.write_text(serialize_config(cfg))
+    assert main([cfg.experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert any(f"[{section}] {key}: must be finite" in err
+               for section, key in changes), err
+
+
 def test_cli_numerical_failure_exits_3(monkeypatch):
     from hseom import cli as cli_module
     monkeypatch.setattr(cli_module, "_validate_rows",
@@ -444,8 +473,10 @@ for command, name in (("respond", "respond_circular"),
     assert main([command, "--config", f"{configs}/{name}.ini",
                  "--out", out]) == 0, command
 print("after runs", "scipy.integrate" in sys.modules)
+print("special after runs", "scipy.special" in sys.modules)
 assert main(["bath-fit", "--config", fit, "--out", out]) == 0
 print("after bath-fit", "scipy.integrate" in sys.modules)
+print("special after bath-fit", "scipy.special" in sys.modules)
 from hseom.bath import alpha_quadrature
 from hseom.presets import build_bath_spec, preset
 alpha_quadrature(build_bath_spec(preset("bath-fit-circular")), 0.0)
@@ -464,8 +495,9 @@ def _child_env(**extra) -> dict:
 
 def test_runs_never_import_scipy_integrate(tmp_path):
     # the theta rule behind the coefficients, the expansion check and
-    # bath-fit needs only numpy; the adaptive reference imports
-    # scipy.integrate when it is called, which shows the probe works
+    # bath-fit needs only numpy, and so does the Bessel ladder; the
+    # adaptive reference imports scipy.integrate when it is called, which
+    # shows the probe works
     fit = tmp_path / "fit.ini"
     fit.write_text(serialize_config(
         preset("bath-fit-circular").replace("run", "t_max", 0.0)))
@@ -478,6 +510,17 @@ def test_runs_never_import_scipy_integrate(tmp_path):
     assert "after runs False" in lines
     assert "after bath-fit False" in lines
     assert "after the adaptive reference True" in lines
+    assert "special after runs False" in lines
+    assert "special after bath-fit False" in lines
+
+
+@pytest.mark.parametrize("module", ["hseom", "hseom.cli"])
+def test_import_loads_no_scipy_special(module):
+    probe = f"import sys, {module}; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_respond_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
