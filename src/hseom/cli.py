@@ -94,14 +94,16 @@ def _ramp_entries(cfg: RunConfig, dim: int) -> int:
 
 
 def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
-    """CSR bytes of the generator's parts, forward and adjoint.
+    """CSR bytes of the generator's parts: G_c once, which the adjoint
+    reads through its transpose, and a schedule's ramp pair per engine.
 
     The entry counts are upper bounds read off the index moves: for each
     k, awf_count(K, N_max - 1) indices have n_k > 0, so each of the
     2K - 2 entries of eta adds at most that many exchange blocks, and each
     raise, plus the one lowering (phi_k(0) = delta_k0), as many coupling
     blocks.  A schedule keeps H(0) and H(t_f) as two more dim x dim parts,
-    each with the union of the two patterns.
+    each with the union of the two patterns, and the adjoint their
+    transposes.
     """
     K = cfg.require("bath", "K")
     n_max = cfg.require("hierarchy", "n_max")
@@ -110,14 +112,14 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
     fixed = (2 * K - 2) * movable * dim + (K + 1) * movable * v
     ramp = _ramp_entries(cfg, dim)
     if ramp:
-        parts = [(fixed, num * dim), (ramp, dim), (ramp, dim)]
+        parts = [(fixed, num * dim)] + [(ramp, dim)] * 4
     else:
         parts = [(fixed + num * h_start, num * dim)]
     total = 0
     for nnz, rows in parts:
         index = 4 if max(rows, nnz) < 2 ** 31 else 8
         total += nnz * (16 + index) + (rows + 1) * index
-    return 2 * total
+    return total
 
 
 def _state_bytes(num: int, dim: int, ramp: int = 0) -> int:
@@ -137,9 +139,10 @@ def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
 
     Returns the AWF count, the system dimension and ``estimated_bytes``:
     the states of both sweeps with their workspace (:func:`_state_bytes`),
-    the CSR generator with its adjoint, and the hierarchy's tables
-    (``indices``, ``levels``, ``raise_table`` and ``lower_table``,
-    10 K + 2 bytes per index) with the peak of their enumeration.
+    the sparse generator's parts (:func:`_generator_bytes`), and the
+    hierarchy's tables (``indices``, ``levels``, ``raise_table`` and
+    ``lower_table``, 10 K + 2 bytes per index) with the peak of their
+    enumeration.
     Raises ResourceLimitError when the estimate exceeds the byte budget or
     the index count exceeds ``hierarchy.MAX_INDICES``.
     """

@@ -161,8 +161,11 @@ def parse_config(text: str) -> RunConfig:
             parse, _ = _SCHEMA[section][key]
             try:
                 data[section][key] = parse(raw)
-            except ConfigError:
-                raise
+            except ConfigError as exc:
+                if exc.section is not None:
+                    raise
+                raise ConfigError(str(exc), section=section,
+                                  key=key) from exc
             except ValueError as exc:
                 raise ConfigError(f"bad value {raw!r}: {exc}",
                                   section=section, key=key) from exc

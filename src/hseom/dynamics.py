@@ -65,7 +65,13 @@ each other, so the adjoint of a step backward in time is the adjoint
 generator's step forward over the same interval.  So
 U_back^dagger (e0 x v) is one sweep of :meth:`ContourEngine.adjoint` from
 s = 0 with the lower sign and tau(s) = s, and its state after n steps
-serves every turning point at step n.  The cost is one forward and one
+serves every turning point at step n.  The adjoint stores no generator of
+its own.  G^H = conj(G^T), and the transpose of a CSR matrix is a CSC view
+of the same three arrays; h and p's coefficients are real, so
+p(h G^H) y = conj(p(h G^T) conj(y)).  So the adjoint sweeps the conjugate
+state with G^T and conjugates it back at the end of each span, bit for bit
+the sweep of a stored G^H: a CSC product sums each output entry in the
+order a CSR product of G^H sums its row.  The cost is one forward and one
 adjoint sweep per initial-state component, O(horizon) whatever the number
 of record times.  The observables run the two sweeps concurrently on two
 threads, which ``integrate_span`` allows: it writes nothing but its own
@@ -267,6 +273,8 @@ class ContourEngine:
         else:
             self._G = _pruned_csr(G + self._on_every_row(-1j * start))
             self._ramp = None
+        # an adjoint stores G(tau)^T and sweeps the conjugate state
+        self._conjugate = False
 
     def _on_every_row(self, H: sparse.csr_matrix) -> sparse.csr_matrix:
         """kron(I, H) over the hierarchy rows, assembled as CSR directly.
@@ -290,15 +298,19 @@ class ContourEngine:
     @property
     def flat_generator(self) -> sparse.csr_matrix:
         """G(0) as one CSR matrix; all of G for a time-independent model.
-        A schedule's is assembled on each call."""
-        if self._ramp is None:
+        A schedule's, and an adjoint's G(0)^H, are assembled on each
+        call."""
+        if self._ramp is None and not self._conjugate:
             return self._G
-        return _pruned_csr(self._G + self._on_every_row(self._ramp[0]))
+        G = self._G if self._ramp is None \
+            else self._G + self._on_every_row(self._ramp[0])
+        return _pruned_csr(G.conj() if self._conjugate else G)
 
     @property
-    def generator_parts(self) -> Tuple[sparse.csr_matrix, ...]:
-        """The CSR parts the engine stores: (G_c,), or G_c with the
-        dim x dim pair (-iH(0), -iH(t_f))."""
+    def generator_parts(self) -> Tuple[sparse.spmatrix, ...]:
+        """The sparse parts the engine stores: (G_c,), or G_c with the
+        dim x dim pair (-iH(0), -iH(t_f)); an adjoint's are their
+        transposes, G_c^T as a CSC view of G_c's arrays."""
         return (self._G,) + (self._ramp or ())
 
     @property
@@ -322,20 +334,22 @@ class ContourEngine:
     def adjoint(self) -> "ContourEngine":
         """An engine for the Hermitian-conjugate generator G(tau)^H.
 
-        G_c and each end of the ramp are conjugate-transposed, the ends
-        again on one pattern; the schedule's weights are real, so
-        G(tau)^H keeps the same form.  One ``integrate_span`` of
-        the adjoint from step 0 with ``sign=-1.0, tau_of=lambda s: s``
-        gives, at step n, U_back(t_n -> 0)^dagger applied to the start
-        vector, exactly in the discrete sense, scheduled Hamiltonians
-        included.  The adjoint shares the space, expansion and model; it is
-        built on demand, so ``build_components`` does not pay for it.
+        It stores G(tau)^T and sweeps the conjugate state (module
+        docstring): G_c^T is a CSC view of G_c's own arrays, so G_c is
+        stored once for both, and only the dim x dim ends of the ramp
+        are transposed into new CSR, again on one pattern.  The
+        schedule's weights are real, so G(tau)^T keeps the same form.
+        One ``integrate_span`` of the adjoint from step 0 with
+        ``sign=-1.0, tau_of=lambda s: s`` gives, at step n,
+        U_back(t_n -> 0)^dagger applied to the start vector, exactly in
+        the discrete sense, scheduled Hamiltonians included.  The adjoint
+        shares the space, expansion and model.
         """
         twin = copy.copy(self)
-        twin._G = _pruned_csr(self._G.conj().T)
+        twin._G = self._G.T
         if self._ramp is not None:
-            twin._ramp = _on_one_pattern(*(part.conj().T
-                                           for part in self._ramp))
+            twin._ramp = _on_one_pattern(*(part.T for part in self._ramp))
+        twin._conjugate = not self._conjugate
         return twin
 
     # -- derivative -------------------------------------------------------
@@ -360,9 +374,13 @@ class ContourEngine:
                     scale: float) -> np.ndarray:
         """scale * G(tau) y for a flat state or a block of flat columns.
 
-        ``scale`` is the branch sign, times h / j in a Taylor step.
+        ``scale`` is the branch sign, times h / j in a Taylor step.  An
+        adjoint takes conj(scale * G(tau)^T conj(y)).
         """
-        return self._deriv(y, self._ramp_at(tau), scale)
+        if not self._conjugate:
+            return self._deriv(y, self._ramp_at(tau), scale)
+        out = self._deriv(np.conj(y), self._ramp_at(tau), scale)
+        return np.conj(out, out=out)
 
     def _deriv(self, y: np.ndarray, ham: Optional[sparse.csr_matrix],
                scale: float) -> np.ndarray:
@@ -456,16 +474,20 @@ class ContourEngine:
         first included, is checked for finiteness.  Returns (y, max |entry|
         seen); the input is not modified, and nothing else the engine
         holds is written, so two threads may run spans of one engine, or of
-        an engine and its adjoint, at once.
+        an engine and its adjoint, at once.  An adjoint's copy is the
+        conjugate state, conjugated back in place before it returns.
         """
         if self._ramp is not None and tau_of is None:
             raise ConfigError("a scheduled model needs tau_of, the physical "
                               "clock of each contour time")
-        y = y.astype(complex, copy=True)
+        y = np.conj(y, dtype=complex) if self._conjugate \
+            else y.astype(complex, copy=True)
         max_abs = self._check_finite(y, step0 * dt)
         for step in range(step0, step0 + n_steps):
             self._step(y, step * dt, dt, sign, tau_of)
             max_abs = max(max_abs, self._check_finite(y, (step + 1) * dt))
+        if self._conjugate:
+            np.conj(y, out=y)
         return y, max_abs
 
     def backward_batch(self, columns: np.ndarray, steps: np.ndarray,
@@ -482,13 +504,18 @@ class ContourEngine:
         otherwise the final columns themselves are returned.
 
         Only valid for time-independent models (a shared clock would
-        otherwise mean different physical times per column).  The
-        observables use :meth:`adjoint` sweeps instead; nothing in the
-        package calls this, but ``perfbench/child.py`` wraps it by name.
+        otherwise mean different physical times per column), and refused
+        on an adjoint, whose stored G^T would step the columns with the
+        wrong generator.  The observables use :meth:`adjoint` sweeps
+        instead; nothing in the package calls this, but
+        ``perfbench/child.py`` wraps it by name.
         """
         if self.model.time_dependent:
             raise NumericalError(
                 "backward_batch requires a time-independent model")
+        if self._conjugate:
+            raise NumericalError("backward_batch steps a forward engine "
+                                 "only; an adjoint sweeps by integrate_span")
         R = columns.shape[1]
         steps = np.asarray(steps)
         if np.any(np.diff(steps) > 0):

@@ -1,8 +1,9 @@
 """The names the traced benchmark wraps or imports still exist.
 
 perfbench/child.py replaces package functions by name for its per-layer
-spans.  Its ``install`` runs here in a fresh process, so a renamed or
-deleted entry point fails this test instead of the benchmark.
+spans, and perfbench/run.py's micro-probes read engine attributes by name.
+Both run here in a fresh process, so a renamed or deleted entry point
+fails this test instead of the benchmark.
 """
 
 import os
@@ -14,12 +15,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
 import sys
+from types import SimpleNamespace
 sys.path[:0] = ["perfbench"]
 import numpy as np
+import run
 from child import install
 from spans import Tracer
 from hseom import (BathSpec, ContourEngine, OhmicCircular, build_space,
-                   compute_coefficients, spin_boson)
+                   compute_coefficients, pspin_annealing, spin_boson)
 
 tracer = Tracer()
 install(tracer, True, {})
@@ -38,6 +41,17 @@ for name in ("dynamics.engine_init", "dynamics.integrate_span",
              "models.apply"):
     assert name in names, name
 assert tracer.counts["dynamics.column_steps"] == 3 * 2 + 3, tracer.counts
+
+# the --trace 1 micro-probes, each timed call made once
+run.per_call = lambda fn: (fn(), 1e-6)[1]
+anneal = ContourEngine(build_space(4, 2), engine.expansion,
+                       pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
+for probed in (engine, anneal):
+    out = run.probe_metrics(SimpleNamespace(engine=probed, dt=0.01), 0, 3)
+    assert out["dynamics.generator_stored"] > 0, out
+    assert set(out) >= {"dynamics.matvec_us", "dynamics.spmm_us",
+                        "dynamics.rk4_step_ms",
+                        "models.pauli_sum_apply_us"}, out
 print("hooks ok")
 """
 

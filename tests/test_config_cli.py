@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -172,10 +173,13 @@ def _manifest_entries(out) -> dict:
 
 
 def _csr_bytes(engine):
-    """Stored bytes of an engine's generator parts and of its adjoint's."""
-    return sum(G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
+    """Stored bytes of an engine's generator parts and of its adjoint's,
+    each distinct buffer once: the adjoint's G_c^T is a view of G_c's."""
+    buffers = {array.__array_interface__["data"][0]: array.nbytes
                for G in engine.generator_parts
-               + engine.adjoint().generator_parts)
+               + engine.adjoint().generator_parts
+               for array in (G.data, G.indices, G.indptr)}
+    return sum(buffers.values())
 
 
 def test_preflight_reports_resources():
@@ -185,8 +189,8 @@ def test_preflight_reports_resources():
     assert report["dim"] == 2
     # the states of both sweeps, 13 copies: two spans of five (the
     # caller's state, the span's copy, the running factor, one product and
-    # a schedule's system-axis copy) and three the observable holds; the
-    # generator both ways, and the hierarchy's tables
+    # a schedule's system-axis copy) and three the observable holds; G_c,
+    # stored once for both sweeps, and the hierarchy's tables
     state = 1771 * 2 * 16 * 13
     comps = build_components(cfg)
     # response_function starts from |1>, so comps.init is that state
@@ -277,8 +281,8 @@ def test_preflight_bytes_cover_the_built_generator():
 def test_state_bytes_bound_the_traced_solve(monkeypatch):
     # a wide register on a shallow hierarchy, where the states are most of
     # what a solve allocates: the state term of estimated_bytes bounds the
-    # traced peak of the solve, both sweeps at once.  The adjoint's CSR is
-    # the generator term's, so it is built before tracing.
+    # traced peak of the solve, both sweeps at once.  The adjoint's ramp
+    # pair is the generator term's, so it is built before tracing.
     from hseom import cli
     from hseom.dynamics import ContourEngine
     from hseom.observables import annealing_populations
@@ -426,6 +430,18 @@ def test_cli_config_errors_exit_2(tmp_path):
         path.write_text(serialize_config(cfg))
         assert main([cfg.experiment, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2, (key, value)
+
+
+@pytest.mark.parametrize("grid", ["0.0:4.0:0.0", "4.0:0.0:0.1", "0.0:4.0"])
+def test_a_malformed_grid_names_its_key(grid, tmp_path, capsys):
+    # the grid parser's own errors carry no key; the config error names it
+    text = (CONFIG_DIR / "respond_circular.ini").read_text()
+    path = tmp_path / "bad.ini"
+    bad, count = re.subn(r"(?m)^tau = .*$", f"tau = {grid}", text)
+    assert count == 1
+    path.write_text(bad)
+    assert main(["preflight", "--config", str(path)]) == 2
+    assert "[run] tau" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, changes", [

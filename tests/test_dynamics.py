@@ -218,20 +218,49 @@ def test_flat_generator_stores_no_zeros(name):
 def test_a_schedule_stores_no_hierarchy_sized_ramp(small_space,
                                                    small_expansion):
     # the schedule's H(0) and H(t_f) stay dim x dim, forward and adjoint:
-    # G_c is the one stored matrix with a row per hierarchy row and state
+    # G_c is the one stored matrix with a row per hierarchy row and state,
+    # and the engine and its adjoint hold one copy of its entries together
     engine = ContourEngine(small_space, small_expansion,
                            pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
     size = engine.num_awf * engine.dim
+    stored = []
     for twin in (engine, engine.adjoint()):
         G, *ramp = twin.generator_parts
         assert G.shape == (size, size)
         assert [part.shape for part in ramp] == [(twin.dim, twin.dim)] * 2
-        stored = [value for value in vars(twin).values()
-                  if sparse.issparse(value)]
+        stored += [value for value in vars(twin).values()
+                   if sparse.issparse(value)]
         stored += [part for value in vars(twin).values()
                    if isinstance(value, tuple) for part in value
                    if sparse.issparse(part)]
-        assert [A.shape[0] for A in stored].count(size) == 1
+    buffers = {A.data.__array_interface__["data"][0] for A in stored
+               if A.shape[0] == size}
+    assert len(buffers) == 1
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_the_adjoint_stores_no_generator_of_its_own(scheduled, small_space,
+                                                    small_expansion):
+    # the adjoint reads G_c through its transpose, a view of G_c's three
+    # arrays; only a schedule's dim x dim ramp pair is its own
+    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
+        else spin_boson(1.0)
+    engine = ContourEngine(small_space, small_expansion, model)
+    G, *ramp = engine.generator_parts
+    G_adj, *ramp_adj = engine.adjoint().generator_parts
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(G_adj, name), getattr(G, name))
+    assert len(ramp_adj) == len(ramp)
+    for part, part_adj in zip(ramp, ramp_adj):
+        assert not np.shares_memory(part_adj.data, part.data)
+        assert np.array_equal(part_adj.toarray(), part.toarray().T)
+    # the adjoint's assembled G(0) is the Hermitian conjugate, and the
+    # adjoint's adjoint is the engine again
+    assert np.array_equal(engine.adjoint().flat_generator.toarray(),
+                          engine.flat_generator.toarray().conj().T)
+    again = engine.adjoint().adjoint()
+    assert np.array_equal(again.flat_generator.toarray(),
+                          engine.flat_generator.toarray())
 
 
 @pytest.mark.parametrize("scheduled", [False, True])
@@ -351,6 +380,15 @@ def test_backward_batch_matches_single_runs(small_engine, rng):
         single, _ = small_engine.backward_batch(columns[:, [i]],
                                                 np.array([n]), dt)
         assert np.abs(batched[:, i] - single[:, 0]).max() < 1e-12
+
+
+def test_backward_batch_refuses_an_adjoint(small_engine):
+    # the adjoint stores G^T and sweeps conjugate states by integrate_span;
+    # backward_batch would step its columns with G^T
+    columns = np.zeros((small_engine.num_awf * small_engine.dim, 1),
+                       dtype=complex)
+    with pytest.raises(NumericalError, match="adjoint"):
+        small_engine.adjoint().backward_batch(columns, np.array([2]), 0.01)
 
 
 def test_backward_batch_extracts_with_bras(small_engine, rng):
