@@ -19,15 +19,16 @@ from .errors import (ConfigError, EquilibrationWarning, HorizonWarning,
 from .hierarchy import (ABSENT, HierarchySpace, awf_count, build_space)
 from .models import (DenseOperator, DiagonalOperator, MixedState,
                      PauliSumOperator, PauliTerm, PureState,
-                     ScaledSumOperator, SystemModel, magnetization_values,
-                     pspin_annealing, pure_dephasing, spin_boson,
-                     thermal_state, uniform_superposition)
+                     ScaledSumOperator, SystemModel, pspin_annealing,
+                     pure_dephasing, spin_boson, thermal_state,
+                     uniform_superposition)
 from .observables import (CorrelationResult, PopulationTrace, Spectrum,
                           annealing_populations, half_fourier,
                           rdm_trajectory, response_function,
                           two_body_correlation)
 from .oracles import (assemble_generator, closed_schedule_propagate,
-                      closed_system_propagate, dephasing_exact)
+                      closed_system_propagate, dephasing_exact,
+                      magnetization_values, pspin_register)
 from .presets import (PRESETS, build_bath_spec, build_components,
                       build_initial, build_model, effective_dt, preset)
 

@@ -38,7 +38,7 @@ from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
                      spin_boson)
 from .observables import (annealing_populations, half_fourier,
                           rdm_trajectory, response_function)
-from .oracles import assemble_generator, dephasing_exact
+from .oracles import assemble_generator, dephasing_exact, pspin_register
 from .presets import build_bath_spec, build_components, preset
 from .reporting import line_plot, read_csv, write_csv, write_manifest
 
@@ -54,7 +54,8 @@ except Exception:  # not installed, e.g. run from a checkout
 # caller's: its own copy, the running Taylor factor, one product and, for a
 # schedule, the system-axis copy that H(tau) acts on.  tracemalloc read 3.0
 # for a fixed G and, above the schedule's H(tau) (see _state_bytes), 4.0
-# for a schedule: 4.52 on anneal-large, whose H(tau) is 0.52 of a state
+# for a schedule: 4.52 on 21 AWFs of a 1,024-state system, whose H(tau)
+# is 0.52 of a state
 _WORKSPACE_FACTOR = 4
 # Python objects of the index enumeration per index, above its tables, at
 # the peak of build_space: tracemalloc read 129-166 B at (K, N_max) =
@@ -71,15 +72,17 @@ MAX_ATTEMPTS = 3
 
 def _model_dim(cfg: RunConfig) -> int:
     if cfg.get("model", "kind") == "pspin":
-        return 2 ** int(cfg.require("model", "Ncal"))
+        # the Ncal + 1 permutation-symmetric states
+        return int(cfg.require("model", "Ncal")) + 1
     return 2
 
 
 def _system_entries(cfg: RunConfig, dim: int):
     """Upper bounds on the stored entries of H(0), H(t_f) and V."""
     if cfg.get("model", "kind") == "pspin":
-        # the driver flips one of Ncal bits; target and coupling are diagonal
-        return int(cfg.require("model", "Ncal")) * dim, dim, dim
+        # the driver moves k by one up or down; target and coupling are
+        # diagonal
+        return 2 * int(cfg.require("model", "Ncal")), dim, dim
     return dim * dim, dim * dim, dim * dim
 
 
@@ -214,17 +217,24 @@ def _record(comps, metadata, attempts: int) -> Dict[str, str]:
     at; ``dt_norm``, that dt times the norm bound, the smaller of the
     bounds on ||G||_1 and ||G||_inf; the expansion error; each as the repr
     of a float, but for the counts: the ``products`` the metadata holds,
-    the attempts :func:`_solve` took, and the ``step_degree``, the degree
-    of every Taylor factor of the step (8).
+    the attempts :func:`_solve` took, the ``step_degree``, the degree
+    of every Taylor factor of the step (8), and the size of the problem:
+    ``awf_count``, the system ``dim`` and ``generator_entries``, the
+    entries the engine stores over its ``generator_parts``.
     ``products`` counts the sparse products of the attempt that ran to
     the end; a retried run's failed attempts are not in it."""
+    engine = comps.engine
     entries = {key: str(value) if isinstance(value, int)
                else repr(float(value)) for key, value in
                {**metadata,
-                "dt_norm": metadata["dt"] * comps.engine.norm_bound,
+                "dt_norm": metadata["dt"] * engine.norm_bound,
                 "expansion_error": comps.expansion_error}.items()}
     entries["attempts"] = str(attempts)
-    entries["step_degree"] = str(comps.engine.step_degree)
+    entries["step_degree"] = str(engine.step_degree)
+    entries["awf_count"] = str(engine.num_awf)
+    entries["dim"] = str(engine.dim)
+    entries["generator_entries"] = str(
+        sum(part.nnz for part in engine.generator_parts))
     return entries
 
 
@@ -480,6 +490,22 @@ def _validate_rows():
     err = np.abs(exact - alpha_reconstruct(expansion, ts)).max() \
         / np.abs(exact).max()
     rows.append(("expansion_fidelity", float(err), 1e-4))
+
+    # the anneal on the symmetric states against the full register
+    cfg = preset("anneal-intermediate").replace("model", "Ncal", 3)
+    comps = build_components(cfg)
+    gamma, p, t_f = (cfg.require("model", key)
+                     for key in ("Gamma", "p", "t_f"))
+    register = ContourEngine(comps.space, comps.expansion,
+                             pspin_register(3, gamma, p, t_f))
+    record = cfg.require("run", "record").values()
+    ours = annealing_populations(comps.engine, comps.init, comps.dt, record)
+    full = annealing_populations(register, PureState(np.full(8, 8 ** -0.5)),
+                                 comps.dt, record)
+    rows.append(("anneal_symmetric_vs_register", max(
+        float(np.abs(getattr(ours, key) - getattr(full, key)).max())
+        for key in ("p_ground", "p_excited_rep", "p_excited_sum", "trace")),
+        1e-12))
     return rows
 
 

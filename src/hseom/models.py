@@ -1,11 +1,18 @@
 """System models: the dissipative qubit, multi-qubit Pauli algebra, and the
-p-spin annealing Hamiltonian, plus initial-state builders.
+p-spin annealing Hamiltonian on its permutation-symmetric states, plus
+initial-state builders.
 
 Conventions (fixed here, used everywhere): hbar = 1; qubit site i maps to
 bit i of the computational basis label with bit 0 least significant; |1> is
-the sigma_z = +1 eigenstate.  There is one operator type, :class:`Operator`:
-a pruned, sorted CSR matrix with ``dim``, ``apply`` along the last axis,
-``to_dense`` (refused above ``DENSIFY_DIM_LIMIT``) and ``to_csr``.  Its
+the sigma_z = +1 eigenstate.  The p-spin model is not written on that
+register: its schedule, coupling and start are invariant under qubit
+permutations, so it runs on the Ncal + 1 symmetric (Dicke) states, basis
+state k holding k up spins, each standing for C(Ncal, k) register states
+(``SystemModel.multiplicity``).
+
+There is one operator type, :class:`Operator`: a pruned, sorted CSR
+matrix with ``dim``, ``apply`` along the last axis, ``to_dense``
+(refused above ``DENSIFY_DIM_LIMIT``) and ``to_csr``.  Its
 four backings only build that matrix: from a dense matrix, a diagonal, the
 bit masks and phases of a Pauli sum (never densified), or a scaled sum of
 other operators, summed on first use.  The engine only ever reads
@@ -23,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -44,7 +51,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1> -> +1
 
 DENSIFY_DIM_LIMIT = 4096  # largest operator to_dense will build
-MAX_QUBITS = 16
 # relative energy tolerance that groups eigenvalues into one level
 _LEVEL_TOL = 1e-8
 
@@ -207,6 +213,9 @@ class SystemModel:
     Construction also takes the CSR forms the engine is assembled from,
     each checked Hermitian exactly: ``V_csr``, and ``ramp`` = (H(0),
     H(t_f)), whose two entries are one matrix for a fixed model.
+    ``multiplicity`` is the number of states of the underlying system that
+    each basis state stands for: ones (the default) for a model written on
+    all of them, C(Ncal, k) for the p-spin model's symmetric states.
     """
 
     dim: int
@@ -214,6 +223,7 @@ class SystemModel:
     time_dependent: bool
     _ham_at: Callable[[float], Operator]
     t_f: float = 0.0
+    multiplicity: Optional[np.ndarray] = None
 
     def hamiltonian_at(self, tau: float) -> Operator:
         return self._ham_at(tau)
@@ -222,6 +232,12 @@ class SystemModel:
         if self.V.dim != self.dim:
             raise ConfigError("coupling dimension does not match system",
                               section="model")
+        self.multiplicity = np.ones(self.dim) if self.multiplicity is None \
+            else np.asarray(self.multiplicity, dtype=float)
+        if self.multiplicity.shape != (self.dim,) \
+                or not np.all(self.multiplicity >= 1.0):
+            raise ConfigError("multiplicity needs one entry >= 1 per basis "
+                              "state", section="model")
         self.V_csr = _hermitian_csr(self.V, "coupling operator")
         start = _hermitian_csr(self.hamiltonian_at(0.0), "H(tau=0.0)")
         if not self.time_dependent:
@@ -272,44 +288,53 @@ def pure_dephasing(omega0: float) -> SystemModel:
                        time_dependent=False, _ham_at=lambda tau: ham)
 
 
-def magnetization_values(n_qubits: int) -> np.ndarray:
-    """m(b) = (number of 1 bits) - (number of 0 bits) per basis label b."""
-    labels = np.arange(1 << n_qubits)
-    ones = np.zeros(labels.shape, dtype=np.int64)
-    for i in range(n_qubits):
-        ones += (labels >> i) & 1
-    return 2.0 * ones - n_qubits
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, as sums of log((n - j + 1) / j).
+
+    Each half is summed from its own end and mirrored, so the two ends
+    are exactly 0 and nothing overflows at any n.
+    """
+    j = np.arange(1, n // 2 + 1)
+    half = np.concatenate(([0.0], np.cumsum(np.log((n - j + 1.0) / j))))
+    return np.concatenate((half, half[:n + 1 - half.size][::-1]))
 
 
 def pspin_annealing(Ncal: int, Gamma: float, p: int, t_f: float) -> SystemModel:
-    """Annealing schedule H(tau) = (1 - tau/t_f) H0 + (tau/t_f) H1.
+    """Annealing schedule H(tau) = (1 - tau/t_f) H0 + (tau/t_f) H1 on the
+    Ncal + 1 permutation-symmetric states.
 
     H0 = -Gamma sum_i sigma_i^x is the transverse driver; the target
-    H1 = -Ncal (sum_i sigma_i^z / Ncal)^p is diagonal with energy
-    -Ncal (m(b)/Ncal)^p, so the all-ones string sits at -Ncal.  The bath
-    couples through V = sum_i sigma_i^z.
+    H1 = -Ncal (sum_i sigma_i^z / Ncal)^p and the bath coupling
+    V = sum_i sigma_i^z are diagonal in the magnetization.  All three, and
+    the uniform start, are invariant under qubit permutations, so the
+    hierarchy never leaves the symmetric states.  Basis state k holds k up
+    spins, m = 2k - Ncal; the driver couples k and k + 1 with
+    -Gamma sqrt((Ncal - k)(k + 1)), the target is -Ncal (m/Ncal)^p, so
+    k = Ncal sits at -Ncal, and V is m.  State k stands for C(Ncal, k)
+    register states, its ``multiplicity``.  Every operator is sparse, so
+    the size is bounded by the byte budget of ``cli`` alone.
     """
-    if not 1 <= Ncal <= MAX_QUBITS:
-        raise ResourceLimitError(
-            f"Ncal = {Ncal} outside supported range 1..{MAX_QUBITS}")
+    if Ncal < 1:
+        raise ConfigError("Ncal must be >= 1", section="model", key="Ncal")
     if p < 1:
         raise ConfigError("p must be >= 1", section="model", key="p")
     if not t_f > 0:
         raise ConfigError("t_f must be positive", section="model", key="t_f")
-    dim = 1 << Ncal
-    m = magnetization_values(Ncal)
-    h1_diag = -Ncal * (m / Ncal) ** p
-    driver_terms = [PauliTerm(-Gamma, ((i, "X"),)) for i in range(Ncal)]
-    h0 = PauliSumOperator(Ncal, driver_terms)
-    h1 = DiagonalOperator(h1_diag)
+    k = np.arange(Ncal + 1)
+    m = 2.0 * k - Ncal
+    hop = -Gamma * np.sqrt((Ncal - k[:-1]) * (k[:-1] + 1.0))
+    h0 = Operator(sparse.diags([hop, hop], [-1, 1]))
+    h1 = DiagonalOperator(-Ncal * (m / Ncal) ** p)
     v = DiagonalOperator(m)
 
     def ham_at(tau):
         r = tau / t_f
         return ScaledSumOperator([(1.0 - r, h0), (r, h1)])
 
-    return SystemModel(dim=dim, V=v, time_dependent=True, _ham_at=ham_at,
-                       t_f=t_f)
+    with np.errstate(over="ignore"):  # inf past the float range, k ~ Ncal/2
+        multiplicity = np.round(np.exp(_log_binomials(Ncal)))
+    return SystemModel(dim=Ncal + 1, V=v, time_dependent=True,
+                       _ham_at=ham_at, t_f=t_f, multiplicity=multiplicity)
 
 
 @dataclasses.dataclass(eq=False)
@@ -360,11 +385,14 @@ InitialState = PureState | MixedState
 
 
 def uniform_superposition(Ncal: int) -> PureState:
-    """The equal superposition of all 2^Ncal basis states of the register."""
+    """The equal superposition of all 2^Ncal register states, written on
+    the symmetric states of :func:`pspin_annealing`: amplitude
+    sqrt(C(Ncal, k) / 2^Ncal) on state k, from log C(Ncal, k), so that
+    no factor overflows at any Ncal."""
     if Ncal < 1:
         raise ConfigError("Ncal must be >= 1", section="model", key="Ncal")
-    dim = 1 << Ncal
-    return PureState(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
+    return PureState(np.exp(0.5 * (_log_binomials(Ncal)
+                                   - Ncal * math.log(2.0))))
 
 
 def thermal_state(model: SystemModel, beta_hbar: float) -> MixedState:

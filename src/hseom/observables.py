@@ -436,17 +436,20 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     p-spin target is, so its levels are read off the diagonal and each
     projector is a set of basis indices; a target that is not diagonal is
     refused.  Populations are measured against the ground level and the
-    first excited level (one representative state, the lowest basis index
-    of the level, and the degenerate cluster summed; for the p-spin target
-    the cluster holds the Ncal single-flip states and the two conventions
-    differ).  All of them, and the trace, are sums over the diagonal of
-    rho_S, which is all that is read: the full matrix of a 1,024-state
-    register costs about a thousand times as much as its diagonal.  At
-    t = 0 the uniform superposition gives P_ground = 1/2^Ncal.  The
-    identity tracks the trace.  The forward and adjoint states advance
-    together from one record time to the next; the adjoint of the
-    scheduled backward branch is again a sweep forward in time, so each
-    record time costs only its own segment.  Record times past t_f are
+    first excited level: the degenerate cluster summed (P_e_sum), and one
+    representative state, the lowest basis index of the level, whose
+    population is that of its basis state divided by the state's
+    ``multiplicity`` (P_e_rep), so that it is one underlying state's
+    population.  On the p-spin model's symmetric states at odd p the
+    cluster is the one state k = Ncal - 1, which stands for the Ncal
+    single-flip register states, so P_e_rep = P_e_sum / Ncal, as on the
+    register, where the cluster holds those Ncal states.  All of them,
+    and the trace, are sums over the diagonal of rho_S, which is all that
+    is read.  At t = 0 the uniform superposition gives P_ground =
+    1/2^Ncal.  The identity tracks the trace.  The forward and adjoint
+    states advance together from one record time to the next; the
+    adjoint of the scheduled backward branch is again a sweep forward in
+    time, so each record time costs only its own segment.  Record times past t_f are
     refused: the schedule ends there.  Levels closer than ``_LEVEL_TOL``
     times the target's spectral width (at least 1) are one level.  The
     first record time where a component's trace leaves 1 by more than
@@ -478,12 +481,14 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
         levels[1:] = [cluster[:1], cluster]
 
     d = engine.dim
+    rep_states = engine.model.multiplicity[levels[1]]
 
     def read(y, a):
         diagonal = np.einsum("ri,ri->i", y.reshape(-1, d),
                              a.reshape(-1, d).conj()).real
-        return np.array([diagonal[idx].sum() for idx in levels]
-                        + [diagonal.sum()])
+        ground, rep, cluster = (diagonal[idx] for idx in levels)
+        return np.array([ground.sum(), (rep / rep_states).sum(),
+                         cluster.sum(), diagonal.sum()])
 
     sums, report = _pair_sums(engine, init, dt, steps, read,
                               lambda row: row[-1])

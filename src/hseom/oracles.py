@@ -5,9 +5,10 @@ generator is assembled index-by-index from the definitional coupling rules
 (its own position map, eta entries written out literally, initial basis
 values from the library Bessel function), closed-system propagation goes
 through eigendecomposition or a generic ODE solver, and the dephasing
-factor comes from double quadrature of the exact bath correlation.  They
-ship in the library, not the test tree, so the `validate` subcommand can
-run them in the field.
+factor comes from double quadrature of the exact bath correlation.  The
+p-spin anneal is written out on the full 2^Ncal-state register, against
+production's permutation-symmetric states.  They ship in the library,
+not the test tree, so the `validate` subcommand can run them in the field.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ from scipy import sparse
 from .bath import BathSpec, alpha_quadrature
 from .errors import ResourceLimitError
 from .hierarchy import HierarchySpace
-from .models import SystemModel
+from .models import (DiagonalOperator, PauliSumOperator, PauliTerm,
+                     ScaledSumOperator, SystemModel)
 
 __all__ = [
     "closed_system_propagate",
     "closed_schedule_propagate",
     "assemble_generator",
     "dephasing_exact",
+    "magnetization_values",
+    "pspin_register",
 ]
+
+# largest register pspin_register builds: 4,096 states
+REGISTER_MAX_QUBITS = 12
 
 
 def closed_system_propagate(model: SystemModel, psi0: np.ndarray,
@@ -161,3 +168,42 @@ def dephasing_exact(spec: BathSpec, coupling_scale: float,
 
     weight, _ = integrate.quad(integrand, 0.0, t, limit=200)
     return complex(np.exp(-4.0 * coupling_scale ** 2 * weight))
+
+
+def magnetization_values(n_qubits: int) -> np.ndarray:
+    """m(b) = (number of 1 bits) - (number of 0 bits) per basis label b."""
+    labels = np.arange(1 << n_qubits)
+    ones = np.zeros(labels.shape, dtype=np.int64)
+    for i in range(n_qubits):
+        ones += (labels >> i) & 1
+    return 2.0 * ones - n_qubits
+
+
+def pspin_register(Ncal: int, Gamma: float, p: int,
+                   t_f: float) -> SystemModel:
+    """The p-spin anneal of ``models.pspin_annealing`` on all 2^Ncal
+    register states, the reference its symmetric reduction is checked
+    against.
+
+    H0 = -Gamma sum_i sigma_i^x as a sum of single-site Pauli terms, the
+    target -Ncal (m(b)/Ncal)^p and the coupling m(b) diagonal on the
+    labels b (:func:`magnetization_values`), so the all-ones string sits
+    at -Ncal.  The uniform start is the flat vector 2^(-Ncal/2), and the
+    first excited level's lowest-index state, a single flip, is
+    ``annealing_populations``' representative.  Refused above
+    ``REGISTER_MAX_QUBITS``.
+    """
+    if not 1 <= Ncal <= REGISTER_MAX_QUBITS:
+        raise ResourceLimitError(f"register oracle takes Ncal in "
+                                 f"1..{REGISTER_MAX_QUBITS}, got {Ncal}")
+    m = magnetization_values(Ncal)
+    h0 = PauliSumOperator(Ncal, [PauliTerm(-Gamma, ((i, "X"),))
+                                 for i in range(Ncal)])
+    h1 = DiagonalOperator(-Ncal * (m / Ncal) ** p)
+
+    def ham_at(tau):
+        r = tau / t_f
+        return ScaledSumOperator([(1.0 - r, h0), (r, h1)])
+
+    return SystemModel(dim=1 << Ncal, V=DiagonalOperator(m),
+                       time_dependent=True, _ham_at=ham_at, t_f=t_f)

@@ -268,9 +268,10 @@ def test_preflight_bytes_cover_the_built_generator():
     report = preflight(cfg)
     comps = build_components(cfg)
     built = _csr_bytes(comps.engine)
-    # 13 state copies, and each sweep's H(tau) on the ramp's pattern: at
-    # most 10 transverse-field entries and one target entry a row
-    state = 21 * 1024 * 16 * 13 + 2 * 16 * 11 * 1024
+    # 13 state copies of 21 AWFs on the 11 symmetric states, and each
+    # sweep's H(tau) on the ramp's pattern: at most two transverse-field
+    # entries and one target entry a row, 2 Ncal + 11 in all
+    state = 21 * 11 * 16 * 13 + 2 * 16 * (2 * 10 + 11)
     space = comps.space
     tables = sum(table.nbytes for table in (
         space.indices, space.levels, space.raise_table, space.lower_table))
@@ -279,7 +280,7 @@ def test_preflight_bytes_cover_the_built_generator():
 
 
 def test_state_bytes_bound_the_traced_solve(monkeypatch):
-    # a wide register on a shallow hierarchy, where the states are most of
+    # a wide system on a shallow hierarchy, where the states are most of
     # what a solve allocates: the state term of estimated_bytes bounds the
     # traced peak of the solve, both sweeps at once.  The adjoint's ramp
     # pair is the generator term's, so it is built before tracing.
@@ -287,20 +288,23 @@ def test_state_bytes_bound_the_traced_solve(monkeypatch):
     from hseom.dynamics import ContourEngine
     from hseom.observables import annealing_populations
     from hseom.presets import _anneal
-    cfg = _anneal(0.1, 1, Ncal=10).replace("bath", "K", 2)
+    cfg = _anneal(0.1, 1, Ncal=1023).replace("bath", "K", 2)
     report = cli._refuse_oversize(cfg)
     assert (report["awf_count"], report["dim"]) == (3, 1024)
-    # each sweep's H(tau): 10 transverse-field entries and one target
+    # each sweep's H(tau): two transverse-field entries and one target
     # entry a row
-    state = cli._state_bytes(3, 1024, 11 * 1024)
+    state = cli._state_bytes(3, 1024, 2 * 1023 + 1024)
     assert state < report["estimated_bytes"]
     comps = build_components(cfg)
     adjoint = comps.engine.adjoint()
     monkeypatch.setattr(ContourEngine, "adjoint", lambda self: adjoint)
+    # the default step leaves the trace by 2e-2 at this Ncal, and the peak
+    # depends on neither the step nor the horizon: one record interval at
+    # dt / 4, which holds the trace to 1.1e-7
     tracemalloc.start()
     try:
-        annealing_populations(comps.engine, comps.init, comps.dt,
-                              cfg.require("run", "record").values())
+        annealing_populations(comps.engine, comps.init, comps.dt / 4,
+                              [0.0, 0.1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,10 +325,10 @@ def test_preflight_refuses_over_budget_before_building(tmp_path,
                         (cli, "build_components"),
                         (ContourEngine, "__init__")):
         monkeypatch.setattr(owner, name, forbidden)
-    # 56 indices x 2^17 states: the states fit the 2 GiB budget, the
-    # states and the generator together do not
-    cfg = _anneal(0.1, 3, Ncal=17)
-    assert cli._state_bytes(56, 2 ** 17, 18 * 2 ** 17) < 2 * 1024 ** 3
+    # 56 indices x 2^17 symmetric states: the states fit the 2 GiB budget,
+    # the states and the generator together do not
+    cfg = _anneal(0.1, 3, Ncal=2 ** 17 - 1)
+    assert cli._state_bytes(56, 2 ** 17, 3 * 2 ** 17) < 2 * 1024 ** 3
     with pytest.raises(ResourceLimitError):
         preflight(cfg)
     # the run subcommand refuses it too, before building
@@ -613,7 +617,7 @@ def test_cli_anneal_artifacts(tmp_path):
 _SHARED_KEYS = ("dt", "dt_norm", "attempts", "step_degree", "products",
                 "expansion_error", "max_trace_error", "c1_max_abs",
                 "adjoint_max_abs", "top_level_max_abs", "forward_sweep_s",
-                "adjoint_sweep_s")
+                "adjoint_sweep_s", "awf_count", "dim", "generator_entries")
 
 
 def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
@@ -641,6 +645,37 @@ def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
     assert entries["max_trace_error"] == \
         repr(result.metadata["max_trace_error"])
     assert float(entries["max_hermiticity_error"]) < 1e-12
+
+
+def test_anneal_manifest_reports_the_problem_size(tmp_path):
+    # 21 AWFs on the 11 symmetric states of ten qubits, and the entries
+    # the engine stores: G_c and the ramp pair
+    out = tmp_path / "large"
+    config = CONFIG_DIR / "anneal_large.ini"
+    assert main(["anneal", "--config", str(config), "--out", str(out)]) == 0
+    entries = _manifest_entries(out)
+    engine = build_components(parse_config_file(config)).engine
+    stored = sum(part.nnz for part in engine.generator_parts)
+    assert (entries["awf_count"], entries["dim"]) == ("21", "11")
+    assert entries["generator_entries"] == str(stored)
+    assert engine.generator_parts[0].nnz == 888 and stored == 948
+
+
+def test_anneal_runs_past_sixteen_qubits(tmp_path):
+    # forty qubits on their 41 symmetric states: no qubit cap, one
+    # attempt at the default step
+    from hseom.observables import TRACE_TOL
+    path = tmp_path / "forty.ini"
+    path.write_text((CONFIG_DIR / "anneal_intermediate.ini").read_text()
+                    .replace("Ncal = 4", "Ncal = 40"))
+    out = tmp_path / "out"
+    assert main(["anneal", "--config", str(path), "--out", str(out)]) == 0
+    header, data = read_csv(out / "populations.csv")
+    assert data[0, header.index("P_ground")] == \
+        pytest.approx(2.0 ** -40, rel=1e-12)
+    entries = _manifest_entries(out)
+    assert (entries["dim"], entries["attempts"]) == ("41", "1")
+    assert float(entries["max_trace_error"]) < TRACE_TOL
 
 
 _ARRAYS_OF_RDM = """

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from hseom import (BathExpansion, ConfigError, ContourEngine,
                    DenseOperator, NumericalError, assemble_generator,
                    build_components, build_eta, build_space, preset,
-                   pspin_annealing, spin_boson)
+                   pspin_annealing, spin_boson, uniform_superposition)
 from hseom.dynamics import TAYLOR_DEGREE
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
@@ -70,7 +70,7 @@ def test_schedule_error_scales_fourth_order(small_space, small_expansion):
     # a schedule takes the fourth-order commutator-free Magnus step: two
     # Taylor factors at the stage points s + dt/6 and s + 5dt/6
     engine = _small_anneal(small_space, small_expansion)
-    psi0 = np.full(4, 0.5, dtype=complex)
+    psi0 = uniform_superposition(2).vector
     ref = engine.run(psi0, 1.0, 0.0015625)[0].ravel()
     coarse, fine = _errors_at_t(engine, psi0, (0.05, 0.025), ref)
     assert 12.0 < coarse / fine < 20.0
@@ -350,7 +350,7 @@ def test_a_schedule_refuses_a_missing_clock(small_space, small_expansion,
     # without tau_of a schedule would integrate with H frozen at tau = 0
     engine = ContourEngine(small_space, small_expansion,
                            pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
-    y = engine.initial_stack(np.full(4, 0.5, dtype=complex)).ravel()
+    y = engine.initial_stack(uniform_superposition(2).vector).ravel()
     with pytest.raises(ConfigError, match="tau_of"):
         engine.integrate_span(y, 0, 2, 0.01, +1.0)
     with pytest.raises(ConfigError, match="tau_of"):

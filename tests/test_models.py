@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hseom import (ConfigError, DenseOperator, MixedState, PureState,
-                   ResourceLimitError, magnetization_values, models,
-                   pspin_annealing, pure_dephasing, spin_boson, thermal_state,
+                   ResourceLimitError, models, pspin_annealing,
+                   pure_dephasing, spin_boson, thermal_state,
                    uniform_superposition)
 from hseom.models import (SIGMA_X, SIGMA_Z, DiagonalOperator,
                           PauliSumOperator, PauliTerm, ScaledSumOperator,
                           SystemModel)
+from hseom.oracles import magnetization_values, pspin_register
 
 
 def test_spin_boson_matrices():
@@ -61,9 +62,41 @@ def _driver_by_kron(Ncal, Gamma):
     return h0
 
 
+def _dicke_columns(Ncal):
+    """Register vectors of the symmetric states: column k is the normalized
+    sum of the C(Ncal, k) basis labels with k one bits."""
+    ones = (magnetization_values(Ncal) + Ncal) / 2
+    cols = (ones[:, None] == np.arange(Ncal + 1)).astype(float)
+    return cols / np.sqrt(cols.sum(axis=0))
+
+
+def test_pspin_is_the_register_on_its_symmetric_states():
+    # every operator of the production model is the register's, restricted
+    # to the symmetric states; the multiplicities are the column sizes
+    Ncal, Gamma, p = 5, 0.7, 3
+    model = pspin_annealing(Ncal, Gamma, p, 2.0)
+    register = pspin_register(Ncal, Gamma, p, 2.0)
+    S = _dicke_columns(Ncal)
+    assert model.dim == Ncal + 1
+    for tau in (0.0, 0.6, 2.0):
+        reduced = S.T @ register.hamiltonian_at(tau).to_dense() @ S
+        assert np.abs(model.hamiltonian_at(tau).to_dense()
+                      - reduced).max() < 1e-14
+    assert np.abs(model.V.to_dense()
+                  - S.T @ register.V.to_dense() @ S).max() < 1e-14
+    assert np.array_equal(model.multiplicity,
+                          [math.comb(Ncal, k) for k in range(Ncal + 1)])
+    assert np.array_equal(register.multiplicity, np.ones(2 ** Ncal))
+    # the driver is tridiagonal and target and coupling are diagonal: no
+    # (Ncal + 1)^2 matrix is stored
+    start, end = model.ramp
+    assert (start.nnz, end.nnz, model.V_csr.nnz) == (2 * Ncal, Ncal + 1,
+                                                       Ncal + 1)
+
+
 def test_pspin_endpoints():
     Ncal, Gamma, p = 3, 0.7, 3
-    model = pspin_annealing(Ncal, Gamma, p, 1.0)
+    model = pspin_register(Ncal, Gamma, p, 1.0)
     h0 = _driver_by_kron(Ncal, Gamma)
     assert np.abs(model.hamiltonian_at(0.0).to_dense() - h0).max() < 1e-14
     # target: -N (m/N)^p on the diagonal
@@ -77,7 +110,7 @@ def test_pspin_endpoints():
 def test_pspin_large_uses_structured_operators():
     # the CSR forms the engine reads, against explicit kron and to_dense
     Ncal, p = 8, 5
-    model = pspin_annealing(Ncal, 1.0, p, 1.0)
+    model = pspin_register(Ncal, 1.0, p, 1.0)
     assert model.dim == 256
     start, end = model.ramp
     h0 = _driver_by_kron(Ncal, 1.0)
@@ -147,10 +180,15 @@ def test_every_backing_refuses_to_densify_above_the_limit(rng,
 
 
 def test_pspin_bounds():
+    # the register oracle has its own cap; production has none but the
+    # byte budget, and an empty system is a config error
     with pytest.raises(ResourceLimitError):
-        pspin_annealing(17, 1.0, 3, 1.0)
+        pspin_register(17, 1.0, 3, 1.0)
     with pytest.raises(ResourceLimitError):
+        pspin_register(0, 1.0, 3, 1.0)
+    with pytest.raises(ConfigError):
         pspin_annealing(0, 1.0, 3, 1.0)
+    assert pspin_annealing(17, 1.0, 3, 1.0).dim == 18
 
 
 def test_pure_state_requires_normalization():
@@ -180,14 +218,30 @@ def test_mixed_state_requires_unit_weights():
 
 
 def test_uniform_superposition_is_the_flat_vector():
+    # the flat register vector, written on the symmetric states
     for Ncal in (1, 3, 12):
         init = uniform_superposition(Ncal)
         assert isinstance(init, PureState)
         (w, v), = init.components()
-        assert w == 1.0 and v.shape == (2 ** Ncal,)
-        assert np.all(v == 1.0 / math.sqrt(2 ** Ncal))
+        assert w == 1.0 and v.shape == (Ncal + 1,)
+        flat = np.full(2 ** Ncal, 1.0 / math.sqrt(2 ** Ncal))
+        assert np.abs(v - _dicke_columns(Ncal).T @ flat).max() < 1e-14
     with pytest.raises(ConfigError):
         uniform_superposition(0)
+
+
+def test_uniform_superposition_from_log_binomials():
+    # sqrt(C(N, k) / 2^N) without forming C(N, k) or 2^N
+    for Ncal in range(1, 61):
+        v = uniform_superposition(Ncal).vector
+        exact = np.array([math.comb(Ncal, k) / 2 ** Ncal
+                          for k in range(Ncal + 1)])
+        assert np.abs(v.real ** 2 / exact - 1.0).max() < 1e-13, Ncal
+        assert np.all(v.imag == 0.0)
+    # far past where C(N, N/2) and 2^N leave the float range
+    v = uniform_superposition(2000).vector
+    assert np.all(np.isfinite(v)) and v.shape == (2001,)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_thermal_state_follows_boltzmann():

@@ -21,6 +21,7 @@ from hseom import (
     closed_system_propagate,
     half_fourier,
     pspin_annealing,
+    pspin_register,
     pure_dephasing,
     rdm_trajectory,
     response_function,
@@ -150,8 +151,8 @@ def test_rdm_trajectory_matches_full_contour_on_a_schedule(
     record, dt = [0.0, 0.4, 1.0], 0.01
     _, rho, _ = rdm_trajectory(engine, init, dt, record)
     for r, t in enumerate(record):
-        for i, j in ((0, 0), (1, 2), (3, 0)):
-            flip = np.zeros((4, 4), dtype=complex)
+        for i, j in ((0, 0), (1, 2), (2, 0)):
+            flip = np.zeros((3, 3), dtype=complex)
             flip[j, i] = 1.0
             exact = two_body_correlation(engine, DenseOperator(flip), None,
                                          t, 0.0, init, dt)
@@ -280,10 +281,11 @@ def test_annealing_starts_at_uniform_overlap(small_expansion):
 
 def test_annealing_matches_full_contours(small_expansion):
     # the scheduled discrete adjoint against one full contour per record
-    # time, with the projector inserted at the turning point
-    model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
+    # time, with the projector inserted at the turning point, on the full
+    # register, whose first excited level is a degenerate cluster
+    model = pspin_register(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 2), small_expansion, model)
-    init = uniform_superposition(2)
+    init = PureState(np.full(4, 0.5))
     record, dt = [0.0, 0.3, 0.7, 1.0], 0.01
     trace = annealing_populations(engine, init, dt, record)
     energies, states = np.linalg.eigh(model.hamiltonian_at(1.0).to_dense())

@@ -5,6 +5,9 @@ definitions by entirely separate code; agreement to near machine precision
 on several (dim, K, N_max) instances is the core correctness argument.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, sparse
@@ -13,17 +16,28 @@ from hseom import (
     BathSpec,
     ContourEngine,
     OhmicCircular,
+    PureState,
     ResourceLimitError,
+    annealing_populations,
     assemble_generator,
+    build_components,
     build_space,
     closed_schedule_propagate,
     closed_system_propagate,
     compute_coefficients,
     dephasing_exact,
+    parse_config_file,
+    preset,
     pspin_annealing,
+    pspin_register,
+    serialize_config,
     spin_boson,
 )
+from hseom.cli import main
 from hseom.models import DenseOperator, SystemModel
+from hseom.reporting import read_csv
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _expansion(K):
@@ -203,9 +217,49 @@ def test_dephasing_factor_decays_early():
 
 
 def test_closed_system_dim_guard():
-    model = pspin_annealing(7, Gamma=1.0, p=3, t_f=1.0)
+    model = pspin_register(7, Gamma=1.0, p=3, t_f=1.0)
     frozen = _fixed_model(model.hamiltonian_at(0.0).to_dense(),
                           np.eye(model.dim))
     with pytest.raises(ResourceLimitError):
         closed_system_propagate(frozen, np.zeros(model.dim, dtype=complex),
                                 1.0)
+
+
+
+def _anneal_vs_register(cfg, tmp_path):
+    """Largest difference of ``hseom anneal``'s P_ground, P_e_rep and
+    P_e_sum, and of its trace, from the same anneal on the full register
+    at the step the run took."""
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(cfg))
+    assert main(["anneal", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    header, data = read_csv(tmp_path / "out" / "populations.csv")
+    manifest = (tmp_path / "out" / "manifest").read_text()
+    dt = float(re.search(r"^dt = (.*)$", manifest, re.M).group(1))
+    comps = build_components(cfg)
+    record = cfg.require("run", "record").values()
+    Ncal = cfg.require("model", "Ncal")
+    register = ContourEngine(comps.space, comps.expansion, pspin_register(
+        Ncal, *(cfg.require("model", key) for key in ("Gamma", "p", "t_f"))))
+    flat = PureState(np.full(2 ** Ncal, 2.0 ** (-Ncal / 2)))
+    full = annealing_populations(register, flat, dt, record)
+    ours = annealing_populations(comps.engine, comps.init, dt, record)
+    assert np.array_equal(data[:, 0], full.times)
+    return max([float(np.abs(data[:, header.index(column)]
+                             - getattr(full, key)).max())
+                for column, key in (("P_ground", "p_ground"),
+                                    ("P_e_rep", "p_excited_rep"),
+                                    ("P_e_sum", "p_excited_sum"))]
+               + [float(np.abs(ours.trace - full.trace).max())])
+
+
+@pytest.mark.parametrize("cfg", [
+    preset("anneal-intermediate").replace("model", "Ncal", 3),
+    parse_config_file(CONFIG_DIR / "anneal_large.ini")],
+    ids=["intermediate-Ncal3", "anneal_large"])
+def test_anneal_matches_the_full_register(cfg, tmp_path):
+    # the run on the Ncal + 1 symmetric states against the 2^Ncal-state
+    # register, whose representative excited state is its lowest-index
+    # single flip
+    assert _anneal_vs_register(cfg, tmp_path) < 1e-12

@@ -251,8 +251,8 @@ def _run_counted(path, out, monkeypatch):
 
 
 def test_strong_transverse_field_exits_3(tmp_path, capsys, monkeypatch):
-    # an explicit step is never changed: the default dt = 1/30 set
-    # explicitly fails once and exits
+    # an explicit step is never changed: dt = 1/30, coarser than the
+    # default 1/40, set explicitly fails once and exits
     path = _strong_field(tmp_path, f"\n[integrator]\ndt = {1 / 30!r}\n")
     code, calls = _run_counted(path, tmp_path / "out", monkeypatch)
     assert code == 3
@@ -264,10 +264,10 @@ def test_a_failed_default_step_is_retried(tmp_path, capsys, monkeypatch):
     path = _strong_field(tmp_path)
     threads = threading.active_count()
     code, calls = _run_counted(path, tmp_path / "out", monkeypatch)
-    # the first record past t = 0 leaves 1 by 1.0e-1 at dt = 1/30, so the
-    # dt^4 law names dt / 6, which passes
+    # the first record past t = 0 leaves 1 by 1.4e-2 at dt = 1/40, so the
+    # dt^4 law names dt / 4, which passes
     assert code == 0
-    assert calls == [1 / 30, 1 / 30 / 6]
+    assert calls == [1 / 40, 1 / 40 / 4]
     assert "retrying at dt" in capsys.readouterr().err
     # the early stop left no worker thread behind
     assert threading.active_count() == threads
