@@ -25,6 +25,12 @@ J(omega) / (1 - e^{-beta_hbar omega}) of :func:`_occupied`; the
 coefficients, alpha(t) and the tail mass all integrate it.  The Bessel
 functions J_k come from one FFT of Bessel's integral (:func:`_bessel_ladder`),
 so the run path loads no :mod:`scipy.special`.
+
+The run path calls no BLAS or LAPACK either.  The Gauss-Legendre rule comes
+from Newton's method on the Legendre recurrence (:func:`_gauss_legendre`),
+not from an eigensolve, and every sum is an ``np.einsum`` in numpy's own
+loops.  A BLAS call would wake OpenBLAS's thread pool, whose threads then
+busy-wait for further work and take a core from the sweeps that follow.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ _QUAD_LIMIT = 400
 # Largest disagreement allowed between the n- and 2n-node theta-rule sums,
 # relative to the largest |sum|.
 _RULE_RTOL = 1e-10
+# Cap on the Newton steps of :func:`_gauss_legendre`; from n = 8 to
+# n = 2000 they number three or four.
+_NEWTON_STEPS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,16 +286,77 @@ def _node_count(K: int, z_max: float = 0.0) -> int:
     return max(64, K, math.ceil(z_max))
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by their three-term recurrences.
+
+        P_{j+1} = x P_j + j (x P_j - P_{j-1}) / (j + 1),
+        P'_{j+1} = P'_{j-1} + (2j + 1) P_j.
+
+    The derivative is summed, not formed as n (P_{n-1} - x P_n)/(x^2 - 1):
+    next to the outermost roots P_{n-1} is small, the recurrence loses
+    about four digits in it at n = 128, and the weights would inherit them.
+    """
+    p_prev, p = np.ones_like(x), x
+    d_prev, d = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n):
+        xp = x * p
+        p_prev, p, d_prev, d = (p, xp + (xp - p_prev) * (j / (j + 1)),
+                                d, d_prev + (2 * j + 1) * p)
+    return p, d
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n from Tricomi's estimate of the roots,
+    x_k ~ (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (k - 1/4)/(n + 1/2)), with P_n
+    and P_n' from :func:`_legendre` over the ceil(n/2) roots of one half;
+    the weights are 2/((1 - x^2) P_n'(x)^2).  The rule is built symmetric,
+    with the node 0 for odd n.  It takes O(n^2) operations and no
+    eigensolve (Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)),
+    and numpy's own loops only, so it wakes no BLAS thread.
+
+    Raises :class:`QuadratureError` if ``_NEWTON_STEPS`` steps leave a
+    node unconverged.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(
+        np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly, so Newton leaves it there
+    for _ in range(_NEWTON_STEPS):
+        p, d = _legendre(n, x)
+        step = p / d
+        if np.abs(step).max() < 1e-14:
+            # Newton converges quadratically with a constant of order n^2,
+            # so this step leaves x exact to rounding.  P_n' follows it to
+            # first order, with P_n'' from Legendre's equation
+            # (1 - x^2) P'' = 2x P' - n(n + 1) P.
+            d = d - step * (2.0 * x * d - n * (n + 1) * p) / (
+                (1.0 - x) * (1.0 + x))
+            x = x - step
+            break
+        x = x - step
+    else:
+        raise QuadratureError(
+            f"Newton's method left the {n}-point Gauss-Legendre nodes "
+            f"unconverged", residual=float(np.abs(step).max()))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * d * d)
+    half = n // 2
+    return (np.concatenate([-x, x[:half][::-1]]),
+            np.concatenate([w, w[:half][::-1]]))
+
+
 def _theta_rule(spec: BathSpec, n: int):
     """Nodes theta on [0, pi] and the weighted integrand g at them.
 
-    Gauss-Legendre with n nodes on each of [0, pi/2] and [pi/2, pi], so
-    that the integrand's kink at omega = 0 (|omega| in the exponential
-    density, the step at zero temperature) falls on the split.  For a
-    smooth f, int_0^pi f(theta) occ(Omega cos theta) sin(theta) dtheta is
-    f(theta) @ g.
+    Gauss-Legendre (:func:`_gauss_legendre`) with n nodes on each of
+    [0, pi/2] and [pi/2, pi], so that the integrand's kink at omega = 0
+    (|omega| in the exponential density, the step at zero temperature)
+    falls on the split.  For a smooth f, int_0^pi f(theta)
+    occ(Omega cos theta) sin(theta) dtheta is sum_j f(theta_j) g_j.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     quarter = np.pi / 4.0
     theta = np.concatenate([quarter * (nodes + 1.0), quarter * (nodes + 3.0)])
     g = np.tile(quarter * weights, 2) * np.sin(theta) \
@@ -295,12 +365,14 @@ def _theta_rule(spec: BathSpec, n: int):
 
 
 def _theta_integrals(spec: BathSpec, n: int, kernel, what: str) -> np.ndarray:
-    """kernel(theta) @ g with n and with 2n nodes per half; the 2n sums.
+    """kernel(theta) times g with n and with 2n nodes per half; the 2n sums.
 
-    Raises :class:`QuadratureError` if the two differ by more than
-    ``_RULE_RTOL`` times the largest |sum|.
+    The sums run in numpy's own einsum loops, not in BLAS, whose thread
+    pool would wake and busy-wait through the sweeps that follow.  Raises
+    :class:`QuadratureError` if the two differ by more than ``_RULE_RTOL``
+    times the largest |sum|.
     """
-    coarse, total = (kernel(theta) @ g for theta, g in
+    coarse, total = (np.einsum("ij,j->i", kernel(theta), g) for theta, g in
                      (_theta_rule(spec, n), _theta_rule(spec, 2 * n)))
     miss = float(np.abs(total - coarse).max())
     if miss > _RULE_RTOL * np.abs(total).max():
@@ -361,7 +433,7 @@ def alpha_reconstruct(expansion: BathExpansion, t):
     """Sum_k c_k J_k(Omega t) for scalar or array t."""
     z = expansion.Omega * np.asarray(t, dtype=float)
     ladder = _bessel_ladder(expansion.K, z)
-    out = np.tensordot(expansion.c, ladder, axes=(0, 0))
+    out = np.einsum("k,k...->...", expansion.c, ladder)
     return complex(out) if np.ndim(t) == 0 else out
 
 

@@ -77,9 +77,10 @@ of record times.  The observables run the two sweeps concurrently on two
 threads, which ``integrate_span`` allows: it writes nothing but its own
 copy of the state.  A step is sparse products and elementwise numpy, and the
 observables read each record time with one ``np.einsum``, so no BLAS runs
-at all: the two threads never wake OpenBLAS's own, which would spin on
-after a call and take a core from the sweeps, and no result depends on
-the BLAS thread count.
+in a sweep, nor in the set-up before it (see :mod:`hseom.bath`).  The two
+threads never wake OpenBLAS's own, which would busy-wait after a call and
+take a core from the sweeps, and no result depends on the BLAS thread
+count.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ The two sweeps of a pair share nothing mutable until they meet at a record
 time, so they run concurrently: the adjoint on a worker thread, the
 forward on the calling one, each doing the same float operations in the
 same order as it would alone.  Every readout is one ``np.einsum`` over
-the rows, summed by numpy's own loops with no BLAS, so no output depends
-on the BLAS thread count, and no OpenBLAS thread is woken to spin on and
-take a core from the next segment.
+the rows, summed by numpy's own loops with no BLAS, and the bath set-up
+before the sweeps calls none either.  So no output depends on the BLAS
+thread count, and no OpenBLAS thread is woken to busy-wait and take a
+core from the sweeps.
 
 In continuous time the closed contour is the identity, so the trace of
 every rho_S(t) is 1 and whatever a run measures beyond that is the
@@ -243,11 +244,12 @@ def _check_trace(error: float, dt: float, what: str) -> float:
     step.  The single Taylor factor of a fixed G keeps the same n: its
     error falls as dt^8 in the asymptotic range, so n asks for at least
     the refinement needed, and a step that fails the trace lies outside
-    that range anyway.  A NaN names none.
+    that range anyway.  A NaN or infinite error names none.
     """
     if not error <= TRACE_TOL:
-        if math.isnan(error):
-            raise NumericalError(f"{what} is NaN at dt = {dt!r}")
+        if not math.isfinite(error):
+            kind = "NaN" if math.isnan(error) else "infinite"
+            raise NumericalError(f"{what} is {kind} at dt = {dt!r}")
         n = max(2, math.ceil((error / TRACE_TOL) ** 0.25))
         raise TraceError(
             f"{what} leaves 1 by {error:.2e}, more than {TRACE_TOL:g}, at "

@@ -69,13 +69,10 @@ def _ticks(lo: float, hi: float, want: int = 5) -> List[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag)
                if s >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        out.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
-    return out
+    # count by index: where step is below half an ulp of v, v += step
+    # would never move
+    last = math.floor((hi + 1e-9 * span) / step)
+    return [k * step for k in range(math.ceil(lo / step), last + 1)]
 
 
 def _fmt_tick(v: float) -> str:
@@ -100,7 +97,7 @@ def line_plot(path: Union[str, Path], x: np.ndarray,
     yhi = max(float(y.max()) for y in ys)
     if xhi == xlo:
         xhi = xlo + 1.0
-    if yhi == ylo:
+    if yhi - ylo <= 4 * math.ulp(max(abs(ylo), abs(yhi))):
         yhi, ylo = ylo + 0.5, ylo - 0.5
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad

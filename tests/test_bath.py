@@ -91,8 +91,50 @@ def test_coefficient_rule_takes_n_and_2n_nodes(K, monkeypatch):
     assert calls == [n, 2 * n]
     ks = np.arange(K)
     theta, g = original(spec, 2 * n)
+    total = np.einsum("ij,j->i", np.cos(np.outer(ks, theta)), g)
     assert np.array_equal(c, np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks
-                          * spec.Omega * (np.cos(np.outer(ks, theta)) @ g))
+                          * spec.Omega * total)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 65, 128, 151, 256, 512])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = bath._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - ref_x).max() <= 2.3e-16
+    assert np.abs(w - ref_w).max() <= 2e-14
+    assert abs(w.sum() - 2.0) <= 1e-13
+    # built symmetric, with the node 0 for odd n
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert (x[n // 2] == 0.0) == bool(n % 2)
+    # exact for polynomials up to degree 2n - 1
+    assert abs(w @ x ** (2 * n - 2) - 2.0 / (2 * n - 1)) <= 1e-13
+
+
+def test_gauss_legendre_refuses_unconverged_nodes(monkeypatch):
+    # one Newton step from Tricomi's estimate leaves 64 nodes about 4e-9
+    # from the roots
+    monkeypatch.setattr(bath, "_NEWTON_STEPS", 1)
+    with pytest.raises(QuadratureError):
+        bath._gauss_legendre(64)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_gauss_legendre_matches_a_high_precision_rule(n):
+    # Newton's method at 40 digits on mpmath's own P_n, from the float nodes
+    mpmath = pytest.importorskip("mpmath")
+    x, w = bath._gauss_legendre(n)
+    with mpmath.workdps(40):
+        ref_x, ref_w = [], []
+        for x0 in x:
+            r = mpmath.mpf(float(x0))
+            for _ in range(4):
+                p, q = mpmath.legendre(n, r), mpmath.legendre(n - 1, r)
+                r -= p * (1 - r * r) / (n * (q - r * p))
+            ref_x.append(float(r))
+            ref_w.append(float(2 * (1 - r * r)
+                               / (n * mpmath.legendre(n - 1, r)) ** 2))
+    assert np.abs(x - ref_x).max() <= 2.3e-16
+    assert np.abs(w - ref_w).max() <= 1e-15
 
 
 def test_unconverged_coefficient_quadrature_is_refused(monkeypatch):

@@ -17,7 +17,8 @@ from hseom.config import (GridSpec, horizon_of, parse_config,
                           parse_config_file, serialize_config,
                           validate_config)
 from hseom.presets import PRESETS, build_components, preset, step_norm
-from hseom.reporting import line_plot, read_csv, write_csv, write_manifest
+from hseom.reporting import (_ticks, line_plot, read_csv, write_csv,
+                             write_manifest)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -153,6 +154,33 @@ def test_line_plot_writes_svg(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
     assert "demo" in text
+
+
+_FLAT_PLOT = """
+import sys
+import numpy as np
+from hseom.reporting import _ticks, line_plot
+line_plot(sys.argv[1], np.arange(2.0), [("p", np.array([0.5, 0.5 + 2.0**-52]))])
+print(len(_ticks(0.5, 0.5 + 2.0**-52)))
+"""
+
+
+def test_line_plot_of_a_range_a_few_ulps_wide_returns(tmp_path):
+    # a tick step below half an ulp of the tick once stalled the tick loop;
+    # in a subprocess, so a regression fails on the timeout, not hangs
+    path = tmp_path / "flat.svg"
+    done = subprocess.run([sys.executable, "-c", _FLAT_PLOT, str(path)],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert 1 <= int(done.stdout) <= 10
+    assert path.read_text().count("<polyline") == 1
+
+
+def test_ticks_land_on_multiples_of_the_step():
+    assert _ticks(-0.05, 1.05) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _ticks(0.0, 4.0) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert _ticks(2.0, 2.0) == [2.0]
 
 
 def test_manifest_format(tmp_path):
@@ -543,25 +571,100 @@ def test_import_loads_no_scipy_special(module):
     assert done.stdout.split() == ["False"]
 
 
+def _small_runs(tmp_path) -> list:
+    """(subcommand, config path, CSV name) for one short run of each kind.
+
+    The respond run keeps respond-exponential's 24,682 state entries, above
+    the 10,000 from which OpenBLAS splits a complex dot product over its
+    threads.  The rdm run starts thermal, from an eigensolve of H.
+    """
+    respond = parse_config_file(CONFIG_DIR / "respond_exponential.ini") \
+        .replace("run", "t0", 0.5).replace("run", "tau", GridSpec(0.0, 0.5, 0.1))
+    rdm = preset("thermal-ratio").replace("run", "record",
+                                          GridSpec(0.0, 2.0, 0.5))
+    runs = []
+    for sub, cfg, csv in (("respond", respond, "response_t.csv"),
+                          ("rdm", rdm, "rho_t.csv"),
+                          ("anneal", preset("anneal-weak"),
+                           "populations.csv")):
+        path = tmp_path / f"{sub}.ini"
+        path.write_text(serialize_config(cfg))
+        runs.append((sub, path, csv))
+    return runs
+
+
 def test_respond_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # 24,682 state entries, above the 10,000 from which OpenBLAS splits a
-    # complex dot product over its threads; a readout on BLAS would write
-    # different last digits under one and two threads
-    cfg = parse_config_file(CONFIG_DIR / "respond_exponential.ini").replace(
-        "run", "t0", 0.5).replace("run", "tau", GridSpec(0.0, 0.5, 0.1))
-    path = tmp_path / "respond.ini"
-    path.write_text(serialize_config(cfg))
-    written = []
+    # a readout or a bath sum on BLAS would write different last digits
+    # under one and two threads
+    written = {}
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        done = subprocess.run(
-            [sys.executable, "-m", "hseom", "respond", "--config", str(path),
-             "--out", str(out)],
-            env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        written.append((out / "response_t.csv").read_bytes())
-    assert written[0] == written[1]
+        for sub, path, csv in _small_runs(tmp_path):
+            out = tmp_path / threads / sub
+            done = subprocess.run(
+                [sys.executable, "-m", "hseom", sub, "--config", str(path),
+                 "--out", str(out)],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            written.setdefault(sub, []).append(
+                ((out / csv).read_bytes(),
+                 _manifest_entries(out)["expansion_error"]))
+    for sub, (one, two) in written.items():
+        assert one == two, sub
+
+
+# Runs the three run subcommands in one process once OpenBLAS's pool has
+# gone idle, and prints the CPU clock ticks that the threads present before
+# the runs spent from then until 0.3 s after them.  The sweeps' own worker
+# threads start later and are not counted.
+_POOL_PROBE = r"""
+import os, sys, threading, time
+from hseom.cli import main
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != threading.get_native_id():
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            out[tid] = int(fields[11]) + int(fields[12])  # utime + stime
+    return out
+
+before = ticks()
+for _ in range(100):
+    time.sleep(0.2)
+    now, before = before, ticks()
+    if now == before:
+        break
+else:
+    sys.exit("the threads never went idle")
+for sub, path in zip(sys.argv[2::2], sys.argv[3::2]):
+    if main([sub, "--config", path, "--out", os.path.join(sys.argv[1], sub)]):
+        sys.exit(f"{sub} failed")
+time.sleep(0.3)
+after = ticks()
+print("ticks", sum(after[t] - before[t] for t in before if t in after))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads per-thread CPU times from Linux's /proc")
+def test_a_run_wakes_no_blas_thread(tmp_path):
+    # a BLAS or LAPACK call large enough to be split wakes OpenBLAS's pool,
+    # whose thread then busy-waits through the sweeps and takes a core from
+    # them.  The bath set-up's eigensolve for the Gauss-Legendre nodes and
+    # its dense products once cost 40 ticks in this test.
+    argv = []
+    for sub, path, _ in _small_runs(tmp_path):
+        argv += [sub, str(path)]
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _POOL_PROBE,
+         str(tmp_path / "out"), *argv],
+        env=_child_env(OPENBLAS_NUM_THREADS="2"), capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    ticks = int(done.stdout.split("ticks")[-1])
+    assert ticks <= 1
 
 
 def test_cli_zero_temperature_thermal_start_is_the_ground_state(tmp_path):

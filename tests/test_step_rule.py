@@ -2,6 +2,7 @@
 trace check that stops a run at its first failed record and reruns a
 default step at the smaller one it names."""
 
+import math
 import re
 import threading
 import warnings
@@ -181,6 +182,12 @@ def test_a_nan_trace_error_is_refused():
     # NaN compares false with every bound, so "error > TRACE_TOL" passed it
     with pytest.raises(NumericalError, match="NaN"):
         _check_trace(float("nan"), 0.1, "tr rho")
+
+
+def test_an_infinite_trace_error_is_refused():
+    # finite states can overflow in the readout; no step divides inf away
+    with pytest.raises(NumericalError, match="infinite"):
+        _check_trace(math.inf, 0.1, "tr rho")
     assert _check_trace(TRACE_TOL, 0.1, "tr rho") == TRACE_TOL
 
 
