@@ -97,16 +97,15 @@ def _ramp_entries(cfg: RunConfig, dim: int) -> int:
 
 
 def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
-    """CSR bytes of the generator's parts: G_c once, which the adjoint
-    reads through its transpose, and a schedule's ramp pair per engine.
+    """CSR bytes of the generator's parts, each stored once: the
+    transpose engine reads them all through CSC views.
 
     The entry counts are upper bounds read off the index moves: for each
     k, awf_count(K, N_max - 1) indices have n_k > 0, so each of the
     2K - 2 entries of eta adds at most that many exchange blocks, and each
     raise, plus the one lowering (phi_k(0) = delta_k0), as many coupling
     blocks.  A schedule keeps H(0) and H(t_f) as two more dim x dim parts,
-    each with the union of the two patterns, and the adjoint their
-    transposes.
+    each with the union of the two patterns.
     """
     K = cfg.require("bath", "K")
     n_max = cfg.require("hierarchy", "n_max")
@@ -115,7 +114,7 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
     fixed = (2 * K - 2) * movable * dim + (K + 1) * movable * v
     ramp = _ramp_entries(cfg, dim)
     if ramp:
-        parts = [(fixed, num * dim)] + [(ramp, dim)] * 4
+        parts = [(fixed, num * dim)] + [(ramp, dim)] * 2
     else:
         parts = [(fixed + num * h_start, num * dim)]
     total = 0
@@ -128,7 +127,7 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
 def _state_bytes(num: int, dim: int, ramp: int = 0) -> int:
     """Bytes of the flat states alive at the peak of a solve.
 
-    The forward and the adjoint sweep run at once, each a span with its
+    The forward and the transpose sweep run at once, each a span with its
     caller's state and ``_WORKSPACE_FACTOR`` copies, and for a schedule
     the data of its H(tau), ``ramp`` entries; the observable holds at
     most three more states: the start vector, and respond's two states
@@ -246,7 +245,7 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     default dt comes from the generator's norm bound; the report gives
     that ``dt``, ``dt_norm`` = dt * :attr:`ContourEngine.norm_bound` (the
     smaller of the 1-norm and inf-norm bounds), ``estimated_steps``, the
-    column-steps the run takes (a forward and an adjoint sweep to its last
+    column-steps the run takes (a forward and a transpose sweep to its last
     point per initial-state component), ``estimated_products``, the sparse
     products those steps take (:attr:`ContourEngine.step_products` each),
     and the ``expansion_error`` that :func:`_build` measures and warns

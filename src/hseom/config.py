@@ -29,7 +29,8 @@ EXPERIMENTS = ("bath-fit", "respond", "anneal", "rdm", "validate")
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid start:stop:step, stop included (snapped to the step)."""
+    """Uniform grid start:stop:step, stop included when it lies on the
+    grid; otherwise the grid ends at the last step below it."""
 
     start: float
     stop: float
@@ -43,7 +44,9 @@ class GridSpec:
             raise ConfigError("grid stop must not precede start")
 
     def values(self) -> np.ndarray:
-        n = int(round((self.stop - self.start) / self.step))
+        """start + k step for every k that stays at or below stop, to a
+        relative 1e-9 of the step."""
+        n = math.floor((self.stop - self.start) / self.step + 1e-9)
         return self.start + self.step * np.arange(n + 1)
 
     def __str__(self):
@@ -279,7 +282,7 @@ def validate_config(cfg: RunConfig) -> None:
 def horizon_of(cfg: RunConfig) -> Optional[float]:
     """The latest physical time the experiment's sweeps reach, if any.
 
-    That is the last point of the snapped grid, not the written stop: the
+    That is the last point of the grid, not the written stop: the
     respond sweeps reach t0 + the last lag, the anneal and rdm sweeps the
     last record time.
     """

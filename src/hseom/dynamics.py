@@ -56,31 +56,31 @@ the turning point, back to the second insertion, back to 2t); it is the
 definitional reference.
 
 Observables do not run the backward branch at all.  Every contour value is
-<e0 x v | U_back A U_fwd (e0 x v)>, and the discrete adjoint of the step
-on a linear equation is the same step of the adjoint generator.  Each
-factor is a polynomial with real coefficients, so p(X)^H = p(X^H); the
-adjoint of a schedule's step takes its two factors in reverse order, and
+<e0 x v | U_back A U_fwd (e0 x v)> = a^T A y, with y = U_fwd (e0 x v) and
+a = U_back^T conj(e0 x v), and the discrete transpose of the step on a
+linear equation is the same step of the transposed generator.  Each
+factor is a polynomial with real coefficients, so p(X)^T = p(X^T); the
+transpose of a schedule's step takes its two factors in reverse order, and
 reversing an interval maps its stage points s + dt/6 and s + 5dt/6 onto
-each other, so the adjoint of a step backward in time is the adjoint
-generator's step forward over the same interval.  So
-U_back^dagger (e0 x v) is one sweep of :meth:`ContourEngine.adjoint` from
-s = 0 with the lower sign and tau(s) = s, and its state after n steps
-serves every turning point at step n.  The adjoint stores no generator of
-its own.  G^H = conj(G^T), and the transpose of a CSR matrix is a CSC view
-of the same three arrays; h and p's coefficients are real, so
-p(h G^H) y = conj(p(h G^T) conj(y)).  So the adjoint sweeps the conjugate
-state with G^T and conjugates it back at the end of each span, bit for bit
-the sweep of a stored G^H: a CSC product sums each output entry in the
-order a CSR product of G^H sums its row.  The cost is one forward and one
-adjoint sweep per initial-state component, O(horizon) whatever the number
-of record times.  The observables run the two sweeps concurrently on two
-threads, which ``integrate_span`` allows: it writes nothing but its own
-copy of the state.  A step is sparse products and elementwise numpy, and the
-observables read each record time with one ``np.einsum``, so no BLAS runs
-in a sweep, nor in the set-up before it (see :mod:`hseom.bath`).  The two
-threads never wake OpenBLAS's own, which would busy-wait after a call and
-take a core from the sweeps, and no result depends on the BLAS thread
-count.
+each other, so the transpose of a step backward in time is the transposed
+generator's step forward over the same interval.  So a is one sweep of
+:meth:`ContourEngine.transpose` from conj(e0 x v) at s = 0 with the lower
+sign and tau(s) = s, and its state after n steps serves every turning
+point at step n.  It is the conjugate of the adjoint state
+U_back^dagger (e0 x v) exactly, since h and p's coefficients are real.
+The transpose stores nothing of its own: the transpose of a CSR matrix is
+a CSC view of the same three arrays, and a CSC product sums each output
+entry in the order a CSR product of the transposed matrix sums its row,
+so its sweep is bit for bit the sweep of a stored G^T.  The cost is one
+forward and one transpose sweep per initial-state component, O(horizon)
+whatever the number of record times.  The observables run the two sweeps
+concurrently on two threads, which ``integrate_span`` allows: it writes
+nothing but its own copy of the state.  A step is sparse products and
+elementwise numpy, and the observables read each record time with one
+``np.einsum``, so no BLAS runs in a sweep, nor in the set-up before it
+(see :mod:`hseom.bath`).  The two threads never wake OpenBLAS's own, which
+would busy-wait after a call and take a core from the sweeps, and no
+result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class ContourEngine:
     ``norm_bound`` is the smaller of two bounds over the whole schedule,
     one on ||G(tau)||_1 and one on ||G(tau)||_inf.  Both are induced
     norms, so either bounds the spectral radius of G(tau), and of its
-    adjoint, whose 1-norm is G's inf-norm.  Column (m, b) of |G| sums to
+    transpose, whose 1-norm is G's inf-norm.  Column (m, b) of |G| sums to
     at most |E|_m + |B|_m |V|_b + |H|_b, with |A|_j the j-th absolute
     column sum of A, and row (m, b) to at most the same expression in
     absolute row sums; H is taken at both ends of the ramp, which bound
@@ -274,17 +274,18 @@ class ContourEngine:
         else:
             self._G = _pruned_csr(G + self._on_every_row(-1j * start))
             self._ramp = None
-        # an adjoint stores G(tau)^T and sweeps the conjugate state
-        self._conjugate = False
 
     def _on_every_row(self, H: sparse.csr_matrix) -> sparse.csr_matrix:
         """kron(I, H) over the hierarchy rows, assembled as CSR directly.
 
-        ``sparse.kron`` goes through COO and a sort, ten times slower on
-        a 1024-state register.  H must be sorted; so is the result, which
-        stores zeros only where H does.  Its index arrays are int32 when
-        they fit, as scipy would make them, so the constructor need not
-        convert them.
+        ``sparse.kron(I, H, format="csr")`` builds the same matrix bit for
+        bit, but through COO and a sort: 0.32 against 0.07 ms on
+        respond-circular's 1,771 hierarchy rows and 0.46 against 0.16 ms
+        on dephasing's 6,188 (median of 50 calls on a 2-core Xeon), which
+        would add 3% to respond-circular's 10 ms set-up.  H must be
+        sorted; so is the result, which stores zeros only where H does.
+        Its index arrays are int32 when they fit, as scipy would make
+        them, so the constructor need not convert them.
         """
         size, nnz = self.num_awf * self.dim, self.num_awf * H.nnz
         index = np.int32 if max(size, nnz) < 2 ** 31 else np.int64
@@ -297,21 +298,20 @@ class ContourEngine:
                                   indptr), shape=(size, size))
 
     @property
-    def flat_generator(self) -> sparse.csr_matrix:
-        """G(0) as one CSR matrix; all of G for a time-independent model.
-        A schedule's, and an adjoint's G(0)^H, are assembled on each
-        call."""
-        if self._ramp is None and not self._conjugate:
+    def flat_generator(self) -> sparse.spmatrix:
+        """G(0) as one sparse matrix; all of G for a time-independent
+        model, which a transpose holds as CSC.  A schedule's is assembled
+        as CSR on each call."""
+        if self._ramp is None:
             return self._G
-        G = self._G if self._ramp is None \
-            else self._G + self._on_every_row(self._ramp[0])
-        return _pruned_csr(G.conj() if self._conjugate else G)
+        return _pruned_csr(self._G + self._on_every_row(
+            self._ramp[0].tocsr()))
 
     @property
     def generator_parts(self) -> Tuple[sparse.spmatrix, ...]:
         """The sparse parts the engine stores: (G_c,), or G_c with the
-        dim x dim pair (-iH(0), -iH(t_f)); an adjoint's are their
-        transposes, G_c^T as a CSC view of G_c's arrays."""
+        dim x dim pair (-iH(0), -iH(t_f)); a transpose's are CSC views of
+        the same arrays."""
         return (self._G,) + (self._ramp or ())
 
     @property
@@ -332,32 +332,30 @@ class ContourEngine:
         per_degree = 1 if self._ramp is None else 2
         return self.step_factors * TAYLOR_DEGREE * per_degree
 
-    def adjoint(self) -> "ContourEngine":
-        """An engine for the Hermitian-conjugate generator G(tau)^H.
+    def transpose(self) -> "ContourEngine":
+        """An engine for the transposed generator G(tau)^T.
 
-        It stores G(tau)^T and sweeps the conjugate state (module
-        docstring): G_c^T is a CSC view of G_c's own arrays, so G_c is
-        stored once for both, and only the dim x dim ends of the ramp
-        are transposed into new CSR, again on one pattern.  The
-        schedule's weights are real, so G(tau)^T keeps the same form.
-        One ``integrate_span`` of the adjoint from step 0 with
-        ``sign=-1.0, tau_of=lambda s: s`` gives, at step n,
-        U_back(t_n -> 0)^dagger applied to the start vector, exactly in
-        the discrete sense, scheduled Hamiltonians included.  The adjoint
-        shares the space, expansion and model.
+        Its parts are CSC views of this engine's arrays, so it allocates
+        nothing.  The schedule's weights are real, so G(tau)^T keeps the
+        same form.  One ``integrate_span`` of the transpose from step 0
+        with ``sign=-1.0, tau_of=lambda s: s`` gives, at step n,
+        U_back(t_n -> 0)^T applied to the start vector, exactly in the
+        discrete sense, scheduled Hamiltonians included (module
+        docstring).  The transpose shares the space, expansion and model,
+        and its own transpose is this engine again.
         """
         twin = copy.copy(self)
         twin._G = self._G.T
         if self._ramp is not None:
-            twin._ramp = _on_one_pattern(*(part.T for part in self._ramp))
-        twin._conjugate = not self._conjugate
+            twin._ramp = tuple(part.T for part in self._ramp)
         return twin
 
     # -- derivative -------------------------------------------------------
 
-    def _ramp_at(self, tau: float) -> Optional[sparse.csr_matrix]:
+    def _ramp_at(self, tau: float) -> Optional[sparse.spmatrix]:
         """-i H(tau) = (1 - r)(-i H(0)) + r (-i H(t_f)), r = tau / t_f, as
-        dim x dim CSR on the pair's one pattern; None for a fixed model.
+        dim x dim CSR (CSC on a transpose) on the pair's one pattern; None
+        for a fixed model.
 
         The data are formed in place as H(0) + r (H(t_f) - H(0)), so no
         second array of their size is made.
@@ -368,22 +366,18 @@ class ContourEngine:
         data = end.data - start.data
         data *= tau / self.model.t_f
         data += start.data
-        return sparse.csr_matrix((data, start.indices, start.indptr),
-                                 shape=start.shape)
+        return type(start)((data, start.indices, start.indptr),
+                           shape=start.shape)
 
     def _deriv_flat(self, y: np.ndarray, tau: float,
                     scale: float) -> np.ndarray:
         """scale * G(tau) y for a flat state or a block of flat columns.
 
-        ``scale`` is the branch sign, times h / j in a Taylor step.  An
-        adjoint takes conj(scale * G(tau)^T conj(y)).
+        ``scale`` is the branch sign, times h / j in a Taylor step.
         """
-        if not self._conjugate:
-            return self._deriv(y, self._ramp_at(tau), scale)
-        out = self._deriv(np.conj(y), self._ramp_at(tau), scale)
-        return np.conj(out, out=out)
+        return self._deriv(y, self._ramp_at(tau), scale)
 
-    def _deriv(self, y: np.ndarray, ham: Optional[sparse.csr_matrix],
+    def _deriv(self, y: np.ndarray, ham: Optional[sparse.spmatrix],
                scale: float) -> np.ndarray:
         """scale * (G_c y + ham on the system axis of y), ham = -i H(tau)
         from :meth:`_ramp_at`, or None for a fixed model.
@@ -475,20 +469,16 @@ class ContourEngine:
         first included, is checked for finiteness.  Returns (y, max |entry|
         seen); the input is not modified, and nothing else the engine
         holds is written, so two threads may run spans of one engine, or of
-        an engine and its adjoint, at once.  An adjoint's copy is the
-        conjugate state, conjugated back in place before it returns.
+        an engine and its transpose, at once.
         """
         if self._ramp is not None and tau_of is None:
             raise ConfigError("a scheduled model needs tau_of, the physical "
                               "clock of each contour time")
-        y = np.conj(y, dtype=complex) if self._conjugate \
-            else y.astype(complex, copy=True)
+        y = y.astype(complex, copy=True)
         max_abs = self._check_finite(y, step0 * dt)
         for step in range(step0, step0 + n_steps):
             self._step(y, step * dt, dt, sign, tau_of)
             max_abs = max(max_abs, self._check_finite(y, (step + 1) * dt))
-        if self._conjugate:
-            np.conj(y, out=y)
         return y, max_abs
 
     def backward_batch(self, columns: np.ndarray, steps: np.ndarray,
@@ -505,18 +495,13 @@ class ContourEngine:
         otherwise the final columns themselves are returned.
 
         Only valid for time-independent models (a shared clock would
-        otherwise mean different physical times per column), and refused
-        on an adjoint, whose stored G^T would step the columns with the
-        wrong generator.  The observables use :meth:`adjoint` sweeps
-        instead; nothing in the package calls this, but
-        ``perfbench/child.py`` wraps it by name.
+        otherwise mean different physical times per column).  The
+        observables use :meth:`transpose` sweeps instead; nothing in the
+        package calls this, but ``perfbench/child.py`` wraps it by name.
         """
         if self.model.time_dependent:
             raise NumericalError(
                 "backward_batch requires a time-independent model")
-        if self._conjugate:
-            raise NumericalError("backward_batch steps a forward engine "
-                                 "only; an adjoint sweeps by integrate_span")
         R = columns.shape[1]
         steps = np.asarray(steps)
         if np.any(np.diff(steps) > 0):
@@ -558,7 +543,7 @@ class ContourEngine:
         Three spans: forward along C1 to the turning point s = t, where A
         acts on every row; back along C2 to s = 2t - t', where B acts; back
         to s = 2t.  None means the identity.  This is the definitional
-        reference the adjoint-sweep observables are checked against.
+        reference the transpose-sweep observables are checked against.
         Returns the [num_awf, dim] stacks at the turning point, before A,
         and at s = 2t.  t, t' and 2t - t' must sit on the dt grid, with
         0 <= t' <= t.

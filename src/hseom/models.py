@@ -20,7 +20,7 @@ other operators, summed on first use.  The engine only ever reads
 
 An initial state is always a list of weighted pure vectors, its
 ``components()``: one vector (:class:`PureState`) or a convex mixture
-(:class:`MixedState`).  The observables run one forward and one adjoint
+(:class:`MixedState`).  The observables run one forward and one transpose
 sweep per component and read each result off their reduced matrix with
 one ``np.einsum``, no BLAS (see :mod:`hseom.observables`).
 """

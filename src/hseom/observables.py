@@ -5,13 +5,16 @@ point, insert an operator, return along the backward branch with a
 possible second insertion, and read an inner product off the final
 physical row.  Only :func:`two_body_correlation` walks that contour
 literally.  The other helpers read every value off one reduced matrix,
-rho_S = sum_r y_r a_r^dagger over the hierarchy rows r of a forward sweep
-y and an adjoint sweep a (see :meth:`ContourEngine.adjoint`), both started
-from e0 x v, so that <a, (I x O) y> = tr{O rho_S} and one pair of sweeps
-serves every record time.  The cost is one forward and one adjoint sweep
-per component of the initial state, which is always a list of weighted
-pure vectors; :func:`_pair_sums` sums a readout over those weights, for
-:func:`rdm_trajectory` and :func:`annealing_populations` alike.
+rho_S = sum_r y_r a_r^T over the hierarchy rows r of a forward sweep y
+from e0 x v and a transpose sweep a from conj(e0 x v) (see
+:meth:`ContourEngine.transpose`), so that a^T (I x O) y = tr{O rho_S}
+and one pair of sweeps serves every record time.  a is the conjugate of
+the adjoint state, so its largest entry and its seconds are reported
+under the adjoint's keys.  The cost is one forward and one transpose
+sweep per component of the initial state, which is always a list of
+weighted pure vectors; :func:`_pair_sums` sums a readout over those
+weights, for :func:`rdm_trajectory` and :func:`annealing_populations`
+alike.
 
 Every result's metadata is its sweep record: ``dt``, ``max_trace_error``,
 the largest entry of each sweep, the top hierarchy level's largest entry,
@@ -20,7 +23,7 @@ products both sides took (``products``), with the observable's own keys
 beside them.
 
 The two sweeps of a pair share nothing mutable until they meet at a record
-time, so they run concurrently: the adjoint on a worker thread, the
+time, so they run concurrently: the transpose on a worker thread, the
 forward on the calling one, each doing the same float operations in the
 same order as it would alone.  Every readout is one ``np.einsum`` over
 the rows, summed by numpy's own loops with no BLAS, and the bath set-up
@@ -148,26 +151,26 @@ def _timed(sweep, *args, **kwargs):
 
 
 def _reduced(y: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
-    """rho_S = sum_r y_r a_r^dagger over the rows of two flat states.
+    """rho_S = sum_r y_r a_r^T over the rows of two flat states.
 
-    Entry [i, j] is <a, (I x |j><i|) y>, so <a, (I x O) y> = tr{O rho_S}.
+    Entry [i, j] is a^T (I x |j><i|) y, so a^T (I x O) y = tr{O rho_S}.
     """
-    return np.einsum("ri,rj->ij", y.reshape(-1, d), a.reshape(-1, d).conj())
+    return np.einsum("ri,rj->ij", y.reshape(-1, d), a.reshape(-1, d))
 
 
-def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
+def _advance_together(engine: ContourEngine, transpose: ContourEngine,
                       y: np.ndarray, a: np.ndarray, step0: int, dt: float,
                       steps: Sequence[int], report: Dict[str, float],
                       visit: Callable[[int, np.ndarray, np.ndarray], None]):
-    """Forward and adjoint flat states at each grid step, side by side.
+    """Forward and transpose flat states at each grid step, side by side.
 
     ``y`` and ``a`` are the states at grid step ``step0``; ``steps`` must
     be non-decreasing and not before it.  Both advance segment by segment,
     so no snapshots are kept, and ``visit(r, y, a)`` reads them at
-    ``steps[r]``; started from e0 x v at step 0, <a, (I x O) y> =
-    tr{O rho_v(t)}.  Returns the last (y, a).
+    ``steps[r]``; started from e0 x v and conj(e0 x v) at step 0,
+    a^T (I x O) y = tr{O rho_v(t)}.  Returns the last (y, a).
 
-    Each segment's adjoint span runs on one worker thread while the
+    Each segment's transpose span runs on one worker thread while the
     calling thread runs the forward span.  The two engines share the
     space, expansion and model read-only, and ``integrate_span`` copies
     its input, so the sweeps share no mutable state.  The worker's result,
@@ -190,8 +193,8 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
     with ThreadPoolExecutor(max_workers=1) as worker:
         for r, step in enumerate(steps):
             if step > prev:
-                back = worker.submit(_timed, adjoint.integrate_span, a, prev,
-                                     step - prev, dt, -1.0,
+                back = worker.submit(_timed, transpose.integrate_span, a,
+                                     prev, step - prev, dt, -1.0,
                                      tau_of=lambda s: s)
                 try:
                     (y, top), busy = _timed(engine.integrate_span, y, prev,
@@ -205,7 +208,7 @@ def _advance_together(engine: ContourEngine, adjoint: ContourEngine,
                 report["forward_sweep_s"] += busy
                 report["adjoint_sweep_s"] += a_busy
                 report["products"] += (step - prev) * (
-                    engine.step_products + adjoint.step_products)
+                    engine.step_products + transpose.step_products)
                 prev = step
             rows = y.reshape(engine.num_awf, engine.dim)[top_level]
             report["top_level_max_abs"] = max(report["top_level_max_abs"],
@@ -264,15 +267,16 @@ def _pair_sums(engine: ContourEngine, init: InitialState, dt: float,
                trace_of: Callable[[np.ndarray], complex]):
     """Weighted sums of ``read(y, a)`` over the initial state's components.
 
-    Each component v starts one forward and one adjoint sweep from e0 x v,
-    and ``read`` takes the pair at every grid step of ``steps``;
-    ``trace_of`` picks tr rho_v out of what it read, which
-    :func:`_check_trace` checks there, so the first reading that fails
-    stops the sweeps.  Returns the sums stacked along the steps, the
-    largest |tr rho_v - 1| as ``max_trace_error``, and the ``_SWEEP_KEYS``
-    report of :func:`_advance_together` over every component.
+    Each component v starts one forward sweep from e0 x v and one
+    transpose sweep from its conjugate, and ``read`` takes the pair at
+    every grid step of ``steps``; ``trace_of`` picks tr rho_v out of what
+    it read, which :func:`_check_trace` checks there, so the first reading
+    that fails stops the sweeps.  Returns the sums stacked along the
+    steps, the largest |tr rho_v - 1| as ``max_trace_error``, and the
+    ``_SWEEP_KEYS`` report of :func:`_advance_together` over every
+    component.
     """
-    adjoint = engine.adjoint()
+    transpose = engine.transpose()
     report = _sweep_report()
     sums = [0.0] * len(steps)
     worst = 0.0
@@ -285,8 +289,8 @@ def _pair_sums(engine: ContourEngine, init: InitialState, dt: float,
             sums[r] += w * value
 
         start = engine.initial_stack(v).ravel()
-        _advance_together(engine, adjoint, start, start, 0, dt, steps, report,
-                          add)
+        _advance_together(engine, transpose, start, start.conj(), 0, dt,
+                          steps, report, add)
     return np.array(sums), {"max_trace_error": worst, **report}
 
 
@@ -311,7 +315,7 @@ def rdm_trajectory(engine: ContourEngine, init: InitialState, dt: float,
                    record_times) -> RdmTrajectory:
     """rho_S(t) on a grid of record times.
 
-    One forward and one adjoint sweep per initial-state component serve
+    One forward and one transpose sweep per initial-state component serve
     every record time, for a fixed or a scheduled model; a schedule's
     record times must not pass t_f.  Returns (times, rho, metadata) with
     rho of shape [n_times, dim, dim]; raises TraceError at the first
@@ -336,11 +340,11 @@ def response_function(engine: ContourEngine, taus, t0: float,
 
     Psi(t0 + tau; t0) is the contour from |1><1| with sigma_x at the
     turning point t0 + tau and again tau later on the way back.  The
-    forward and adjoint sweeps advance together over [0, t0]; sigma_x
-    then acts on the adjoint, and both advance over [t0, t0 + max(tau)],
-    giving Psi(tau_m) = tr{sigma_x rho} of the pair's reduced matrix at
-    each lag.  The result values are the complex correlators; the physical
-    response is their imaginary part.
+    forward and transpose sweeps advance together over [0, t0]; sigma_x
+    then acts on the transpose's state, and both advance over
+    [t0, t0 + max(tau)], giving Psi(tau_m) = tr{sigma_x rho} of the
+    pair's reduced matrix at each lag.  The result values are the complex
+    correlators; the physical response is their imaginary part.
 
     The population P_1 = rho[1, 1] at 0.8 t0 and at t0 comes from the
     first leg; their difference is the equilibration drift, recorded in
@@ -367,14 +371,15 @@ def response_function(engine: ContourEngine, taus, t0: float,
     turns = [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
 
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
-    adjoint = engine.adjoint()
+    transpose = engine.transpose()
     report = _sweep_report()
 
     p1 = []
     # the first leg leaves y and a at t0, where the lags start
     y, a = _advance_together(
-        engine, adjoint, start, start, 0, dt, [int(round(0.8 * n0)), n0],
-        report, lambda r, y, a: p1.append(_reduced(y, a, 2)[1, 1].real))
+        engine, transpose, start, start.conj(), 0, dt,
+        [int(round(0.8 * n0)), n0], report,
+        lambda r, y, a: p1.append(_reduced(y, a, 2)[1, 1].real))
     psi = np.zeros(taus.size, dtype=complex)
 
     def at_lag(r, y, a):
@@ -382,9 +387,11 @@ def response_function(engine: ContourEngine, taus, t0: float,
         if r == 0:  # lag 0 is t0 itself, read before any lag is stepped
             _check_trace(float(abs(psi[0] - 1.0)), dt, "Psi(0) = tr rho(t0)")
 
-    _advance_together(engine, adjoint, y,
-                      adjoint.apply_all_rows(a, DenseOperator(SIGMA_X)), n0,
-                      dt, turns, report, at_lag)
+    # the transpose's state is the adjoint's conjugate, so an operator O
+    # enters it as conj(O); sigma_x is real
+    _advance_together(engine, transpose, y,
+                      transpose.apply_all_rows(a, DenseOperator(SIGMA_X)),
+                      n0, dt, turns, report, at_lag)
     trace_error = float(abs(psi[0] - 1.0))
     drift = abs(p1[1] - p1[0])
     if drift > DRIFT_TOL:
@@ -408,9 +415,18 @@ def half_fourier(result: CorrelationResult, omega_grid, *,
     imaginary part of the stored correlator).  ``window_time`` switches on
     the exponential window w(t) = e^{-t/T_w} against finite-horizon
     ringing; default is no window.  Window and part are recorded in the
-    spectrum metadata.
+    spectrum metadata.  The grid must hold at least two times, uniform to
+    1e-9 of its step.
     """
     ts = result.times
+    if ts.size < 2:
+        raise ValueError("the half Fourier transform needs at least two "
+                         "times")
+    spacing = np.diff(ts)
+    dt = spacing[0]
+    if np.abs(spacing - dt).max() > 1e-9 * dt:
+        raise ValueError("the half Fourier transform needs a uniform time "
+                         "grid")
     f = result.values
     if part == "imag":
         f = f.imag.astype(complex)
@@ -423,7 +439,6 @@ def half_fourier(result: CorrelationResult, omega_grid, *,
     omegas = np.asarray(omega_grid, dtype=float)
     trapezoid = np.ones(ts.size)
     trapezoid[0] = trapezoid[-1] = 0.5
-    dt = ts[1] - ts[0]
     vals = (trapezoid * f * np.exp(-1j * np.outer(omegas, ts))).sum(axis=1) * dt
     return Spectrum(omegas=omegas, values=vals,
                     metadata={"window_time": window_time, "part": part,
@@ -448,15 +463,15 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
     register, where the cluster holds those Ncal states.  All of them,
     and the trace, are sums over the diagonal of rho_S, which is all that
     is read.  At t = 0 the uniform superposition gives P_ground =
-    1/2^Ncal.  The identity tracks the trace.  The forward and adjoint
+    1/2^Ncal.  The identity tracks the trace.  The forward and transpose
     states advance together from one record time to the next; the
-    adjoint of the scheduled backward branch is again a sweep forward in
-    time, so each record time costs only its own segment.  Record times past t_f are
-    refused: the schedule ends there.  Levels closer than ``_LEVEL_TOL``
-    times the target's spectral width (at least 1) are one level.  The
-    first record time where a component's trace leaves 1 by more than
-    ``TRACE_TOL`` raises TraceError; the largest such error is the
-    metadata's ``max_trace_error``.
+    transpose of the scheduled backward branch is again a sweep forward
+    in time, so each record time costs only its own segment.  Record
+    times past t_f are refused: the schedule ends there.  Levels closer
+    than ``_LEVEL_TOL`` times the target's spectral width (at least 1)
+    are one level.  The first record time where a component's trace
+    leaves 1 by more than ``TRACE_TOL`` raises TraceError; the largest
+    such error is the metadata's ``max_trace_error``.
     """
     if not engine.model.time_dependent:
         raise ConfigError("annealing_populations expects a scheduled model",
@@ -487,7 +502,7 @@ def annealing_populations(engine: ContourEngine, init: InitialState,
 
     def read(y, a):
         diagonal = np.einsum("ri,ri->i", y.reshape(-1, d),
-                             a.reshape(-1, d).conj()).real
+                             a.reshape(-1, d)).real
         ground, rep, cluster = (diagonal[idx] for idx in levels)
         return np.array([ground.sum(), (rep / rep_states).sum(),
                          cluster.sum(), diagonal.sum()])

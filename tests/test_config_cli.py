@@ -94,7 +94,7 @@ def test_horizon_per_experiment():
     assert horizon_of(preset("anneal-weak")) == pytest.approx(1.0)
     assert horizon_of(preset("rdm-circular")) == pytest.approx(2.0)
     assert horizon_of(preset("bath-fit-circular")) == pytest.approx(2.0)
-    # the last point the sweeps reach: the snapped grid ends at 4.0 ...
+    # the last point the sweeps reach: the grid ends at 4.0 ...
     cfg = preset("respond-circular").replace("run", "tau",
                                              GridSpec(0.0, 4.04, 0.1))
     assert horizon_of(cfg) == pytest.approx(6.0)
@@ -113,6 +113,10 @@ def test_grid_spec_rules():
     assert single.values().tolist() == [0.5]
     grid = GridSpec(0.0, 1.0, 0.25).values()
     assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # a grid never runs past its stop, and keeps a stop that lies on it
+    assert GridSpec(0.0, 1.0, 0.6).values().tolist() == [0.0, 0.6]
+    tenths = GridSpec(0.0, 1.0, 0.1).values()
+    assert tenths.size == 11 and tenths[-1] == pytest.approx(1.0)
 
 
 def test_replace_copies():
@@ -201,11 +205,12 @@ def _manifest_entries(out) -> dict:
 
 
 def _csr_bytes(engine):
-    """Stored bytes of an engine's generator parts and of its adjoint's,
-    each distinct buffer once: the adjoint's G_c^T is a view of G_c's."""
+    """Stored bytes of an engine's generator parts and of its transpose's,
+    each distinct buffer once: the transpose's parts are views of the
+    engine's."""
     buffers = {array.__array_interface__["data"][0]: array.nbytes
                for G in engine.generator_parts
-               + engine.adjoint().generator_parts
+               + engine.transpose().generator_parts
                for array in (G.data, G.indices, G.indptr)}
     return sum(buffers.values())
 
@@ -230,7 +235,7 @@ def test_preflight_reports_resources():
         space.indices, space.levels, space.raise_table, space.lower_table))
     assert state + built + tables <= report["estimated_bytes"] \
         <= state + 2 * built + tables
-    # a forward and an adjoint sweep to t0 + 4 at dt = 1/10, each step
+    # a forward and a transpose sweep to t0 + 4 at dt = 1/10, each step
     # eight products of the Taylor step
     assert report["estimated_steps"] == 120
     assert report["estimated_products"] == 120 * 8
@@ -310,8 +315,8 @@ def test_preflight_bytes_cover_the_built_generator():
 def test_state_bytes_bound_the_traced_solve(monkeypatch):
     # a wide system on a shallow hierarchy, where the states are most of
     # what a solve allocates: the state term of estimated_bytes bounds the
-    # traced peak of the solve, both sweeps at once.  The adjoint's ramp
-    # pair is the generator term's, so it is built before tracing.
+    # traced peak of the solve, both sweeps at once.  The transpose
+    # engine is built before tracing, as the engine is.
     from hseom import cli
     from hseom.dynamics import ContourEngine
     from hseom.observables import annealing_populations
@@ -324,8 +329,8 @@ def test_state_bytes_bound_the_traced_solve(monkeypatch):
     state = cli._state_bytes(3, 1024, 2 * 1023 + 1024)
     assert state < report["estimated_bytes"]
     comps = build_components(cfg)
-    adjoint = comps.engine.adjoint()
-    monkeypatch.setattr(ContourEngine, "adjoint", lambda self: adjoint)
+    transpose = comps.engine.transpose()
+    monkeypatch.setattr(ContourEngine, "transpose", lambda self: transpose)
     # the default step leaves the trace by 2e-2 at this Ncal, and the peak
     # depends on neither the step nor the horizon: one record interval at
     # dt / 4, which holds the trace to 1.1e-7

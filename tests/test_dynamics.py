@@ -95,15 +95,15 @@ def _taylor(z, power=np.power):
 
 def test_one_step_is_the_adjoints_adjoint(small_engine, small_space,
                                          small_expansion, rng):
-    # <a, S y> = <S^dagger a, y> for one step S of either branch, with
-    # S^dagger one step of the adjoint engine at the largest default dt:
-    # what the adjoint sweeps of the observables rest on.  A schedule's
-    # adjoint step runs its clock the other way over the same interval
+    # a^T (S y) = (S^T a)^T y for one step S of either branch, with S^T
+    # one step of the transpose engine at the largest default dt: what the
+    # transpose sweeps of the observables rest on.  A schedule's
+    # transpose step runs its clock the other way over the same interval
     # [0, dt]: the observables' case is a backward step on s -> 2t - s
-    # from s = t = dt against an adjoint step on s -> s from s = 0
+    # from s = t = dt against a transpose step on s -> s from s = 0
     for engine in (small_engine, _small_anneal(small_space,
                                                small_expansion)):
-        adjoint = engine.adjoint()
+        transpose = engine.transpose()
         size = engine.num_awf * engine.dim
         dt = step_norm(engine) / engine.norm_bound
         up, down = (0, lambda s: s), (1, lambda s: 2.0 * dt - s)
@@ -113,9 +113,9 @@ def test_one_step_is_the_adjoints_adjoint(small_engine, small_space,
                 a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
                 step_y, _ = engine.integrate_span(y, n_y, 1, dt, sign,
                                                   tau_of=clock_y)
-                step_a, _ = adjoint.integrate_span(a, n_a, 1, dt, sign,
-                                                   tau_of=clock_a)
-                lhs, rhs = np.vdot(a, step_y), np.vdot(step_a, y)
+                step_a, _ = transpose.integrate_span(a, n_a, 1, dt, sign,
+                                                     tau_of=clock_a)
+                lhs, rhs = np.dot(a, step_y), np.dot(step_a, y)
                 assert abs(lhs - rhs) < 1e-13 * abs(lhs)
 
 
@@ -205,7 +205,7 @@ def test_flat_generator_stores_no_zeros(name):
     # G_c stores no zeros; a schedule's ramp pair shares one pattern, the
     # union of the two ends', so each stored entry is nonzero at one end
     engine = build_components(preset(name)).engine
-    for twin in (engine, engine.adjoint()):
+    for twin in (engine, engine.transpose()):
         G, *ramp = twin.generator_parts
         assert G.nnz == np.count_nonzero(G.data)
         if ramp:
@@ -217,14 +217,15 @@ def test_flat_generator_stores_no_zeros(name):
 
 def test_a_schedule_stores_no_hierarchy_sized_ramp(small_space,
                                                    small_expansion):
-    # the schedule's H(0) and H(t_f) stay dim x dim, forward and adjoint:
-    # G_c is the one stored matrix with a row per hierarchy row and state,
-    # and the engine and its adjoint hold one copy of its entries together
+    # the schedule's H(0) and H(t_f) stay dim x dim, forward and
+    # transpose: G_c is the one stored matrix with a row per hierarchy row
+    # and state, and the engine and its transpose hold one copy of its
+    # entries together
     engine = ContourEngine(small_space, small_expansion,
                            pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
     size = engine.num_awf * engine.dim
     stored = []
-    for twin in (engine, engine.adjoint()):
+    for twin in (engine, engine.transpose()):
         G, *ramp = twin.generator_parts
         assert G.shape == (size, size)
         assert [part.shape for part in ramp] == [(twin.dim, twin.dim)] * 2
@@ -241,42 +242,49 @@ def test_a_schedule_stores_no_hierarchy_sized_ramp(small_space,
 @pytest.mark.parametrize("scheduled", [False, True])
 def test_the_adjoint_stores_no_generator_of_its_own(scheduled, small_space,
                                                     small_expansion):
-    # the adjoint reads G_c through its transpose, a view of G_c's three
-    # arrays; only a schedule's dim x dim ramp pair is its own
+    # the transpose engine, which the observables' adjoint sweeps run,
+    # reads every part through its transpose, a view of the part's three
+    # arrays
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
         else spin_boson(1.0)
     engine = ContourEngine(small_space, small_expansion, model)
-    G, *ramp = engine.generator_parts
-    G_adj, *ramp_adj = engine.adjoint().generator_parts
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(G_adj, name), getattr(G, name))
-    assert len(ramp_adj) == len(ramp)
-    for part, part_adj in zip(ramp, ramp_adj):
-        assert not np.shares_memory(part_adj.data, part.data)
-        assert np.array_equal(part_adj.toarray(), part.toarray().T)
-    # the adjoint's assembled G(0) is the Hermitian conjugate, and the
-    # adjoint's adjoint is the engine again
-    assert np.array_equal(engine.adjoint().flat_generator.toarray(),
-                          engine.flat_generator.toarray().conj().T)
-    again = engine.adjoint().adjoint()
+    transpose = engine.transpose()
+    parts, parts_t = engine.generator_parts, transpose.generator_parts
+    assert len(parts_t) == len(parts) == (3 if scheduled else 1)
+    for part, part_t in zip(parts, parts_t):
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(part_t, name),
+                                    getattr(part, name))
+        assert np.array_equal(part_t.toarray(), part.toarray().T)
+    # the transpose's assembled G(0) is the engine's transposed, and the
+    # transpose's transpose is the engine again
+    assert np.array_equal(transpose.flat_generator.toarray(),
+                          engine.flat_generator.toarray().T)
+    again = transpose.transpose()
+    for part, part_again in zip(parts, again.generator_parts):
+        assert part_again.format == part.format
+        assert np.shares_memory(part_again.data, part.data)
     assert np.array_equal(again.flat_generator.toarray(),
                           engine.flat_generator.toarray())
+    assert not hasattr(engine, "adjoint")
 
 
 @pytest.mark.parametrize("scheduled", [False, True])
 def test_adjoint_is_the_hermitian_conjugate(scheduled, small_space,
                                             small_expansion, rng):
-    # <u, G v> = <G^H u, v> for a fixed and a scheduled model
+    # u^T (G v) = (G^T u)^T v for a fixed and a scheduled model: the
+    # transpose engine is G's adjoint under the bilinear pairing, which the
+    # observables' adjoint sweeps read through
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0) if scheduled \
         else spin_boson(1.0)
     engine = ContourEngine(small_space, small_expansion, model)
-    adjoint = engine.adjoint()
+    transpose = engine.transpose()
     shape = (engine.num_awf * engine.dim, 3)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for tau in (0.0, 0.37):
-        lhs = np.sum(u.conj() * engine._deriv_flat(v, tau, +1.0), axis=0)
-        rhs = np.sum(adjoint._deriv_flat(u, tau, +1.0).conj() * v, axis=0)
+        lhs = np.sum(u * engine._deriv_flat(v, tau, +1.0), axis=0)
+        rhs = np.sum(transpose._deriv_flat(u, tau, +1.0) * v, axis=0)
         assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(lhs).max()
 
 
@@ -354,7 +362,7 @@ def test_a_schedule_refuses_a_missing_clock(small_space, small_expansion,
     with pytest.raises(ConfigError, match="tau_of"):
         engine.integrate_span(y, 0, 2, 0.01, +1.0)
     with pytest.raises(ConfigError, match="tau_of"):
-        engine.adjoint().integrate_span(y, 0, 2, 0.01, -1.0)
+        engine.transpose().integrate_span(y, 0, 2, 0.01, -1.0)
     # a fixed model has no clock to read
     y = small_engine.initial_stack(np.array([1.0, 0.0])).ravel()
     fixed, _ = small_engine.integrate_span(y, 0, 2, 0.01, +1.0)
@@ -380,15 +388,6 @@ def test_backward_batch_matches_single_runs(small_engine, rng):
         single, _ = small_engine.backward_batch(columns[:, [i]],
                                                 np.array([n]), dt)
         assert np.abs(batched[:, i] - single[:, 0]).max() < 1e-12
-
-
-def test_backward_batch_refuses_an_adjoint(small_engine):
-    # the adjoint stores G^T and sweeps conjugate states by integrate_span;
-    # backward_batch would step its columns with G^T
-    columns = np.zeros((small_engine.num_awf * small_engine.dim, 1),
-                       dtype=complex)
-    with pytest.raises(NumericalError, match="adjoint"):
-        small_engine.adjoint().backward_batch(columns, np.array([2]), 0.01)
 
 
 def test_backward_batch_extracts_with_bras(small_engine, rng):

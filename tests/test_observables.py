@@ -144,19 +144,29 @@ def test_rdm_trajectory_matches_full_contour(small_engine, mixed):
 
 def test_rdm_trajectory_matches_full_contour_on_a_schedule(
         small_expansion):
-    # the scheduled discrete adjoint serves rho(t) as it serves the anneal
+    # the scheduled discrete transpose serves rho(t) as it serves the
+    # anneal, from a real start and from a complex one, whose conjugate the
+    # transpose sweep starts from
     model = pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0)
     engine = ContourEngine(build_space(4, 1), small_expansion, model)
-    init = uniform_superposition(2)
+    energies = model.ramp[1].diagonal().real
+    ground = np.nonzero(energies == energies.min())[0]
     record, dt = [0.0, 0.4, 1.0], 0.01
-    _, rho, _ = rdm_trajectory(engine, init, dt, record)
-    for r, t in enumerate(record):
-        for i, j in ((0, 0), (1, 2), (2, 0)):
-            flip = np.zeros((3, 3), dtype=complex)
-            flip[j, i] = 1.0
-            exact = two_body_correlation(engine, DenseOperator(flip), None,
-                                         t, 0.0, init, dt)
-            assert abs(rho[r, i, j] - exact) < 1e-12
+    for init in (uniform_superposition(2),
+                 PureState(np.array([1.0, 1j, 1.0 + 1j]) / 2.0)):
+        _, rho, _ = rdm_trajectory(engine, init, dt, record)
+        for r, t in enumerate(record):
+            for i in range(3):
+                for j in range(3):
+                    flip = np.zeros((3, 3), dtype=complex)
+                    flip[j, i] = 1.0
+                    exact = two_body_correlation(
+                        engine, DenseOperator(flip), None, t, 0.0, init, dt)
+                    assert abs(rho[r, i, j] - exact) < 1e-12
+        trace = annealing_populations(engine, init, dt, record)
+        diagonal = np.einsum("tii->ti", rho).real
+        assert np.abs(trace.p_ground
+                      - diagonal[:, ground].sum(axis=1)).max() < 1e-12
     # the schedule ends at t_f, here as in the anneal
     with pytest.raises(ConfigError, match="past the end of the schedule"):
         rdm_trajectory(engine, init, dt, [0.5, 1.5])
@@ -257,6 +267,16 @@ def test_half_fourier_zero_and_metadata():
         half_fourier(zero, [0.0], part="modulus")
 
 
+def test_half_fourier_refuses_a_grid_it_cannot_integrate():
+    # one point has no step, and an uneven grid no single trapezoid step:
+    # on [0, 0.1, 0.5] the integral of 1 is 0.5, not 2 * 0.1
+    ones = CorrelationResult(times=[0.0, 0.1, 0.5], values=np.ones(3))
+    with pytest.raises(ValueError, match="uniform"):
+        half_fourier(ones, [0.0])
+    with pytest.raises(ValueError, match="two"):
+        half_fourier(CorrelationResult(times=[0.0], values=[1.0]), [0.0])
+
+
 def test_half_fourier_window_damps_ringing():
     ts = np.arange(0.0, 20.0 + 1e-12, 0.01)
     result = CorrelationResult(times=ts,
@@ -280,7 +300,7 @@ def test_annealing_starts_at_uniform_overlap(small_expansion):
 
 
 def test_annealing_matches_full_contours(small_expansion):
-    # the scheduled discrete adjoint against one full contour per record
+    # the scheduled discrete transpose against one full contour per record
     # time, with the projector inserted at the turning point, on the full
     # register, whose first excited level is a degenerate cluster
     model = pspin_register(2, Gamma=1.0, p=3, t_f=1.0)
@@ -364,25 +384,25 @@ def _small_anneal_engine(expansion, n_max=1):
 @pytest.mark.parametrize("scheduled", [False, True])
 def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
                                                 scheduled, rng):
-    # the adjoint span on the worker thread takes the same steps, bit for
+    # the transpose span on the worker thread takes the same steps, bit for
     # bit, as the two sweeps run one after the other
     engine = _small_anneal_engine(small_expansion, 2) if scheduled \
         else small_engine
-    adjoint = engine.adjoint()
+    transpose = engine.transpose()
     size = engine.num_awf * engine.dim
     y0, a0 = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
               for _ in range(2))
     steps, dt = [0, 3, 3, 10, 25], 0.02
     seen = []
     report = _sweep_report()
-    ends = _advance_together(engine, adjoint, y0, a0, 0, dt, steps, report,
-                             lambda r, y, a: seen.append((r, y, a)))
+    ends = _advance_together(engine, transpose, y0, a0, 0, dt, steps,
+                             report, lambda r, y, a: seen.append((r, y, a)))
     y, a, prev = y0, a0, 0
     for r, step in enumerate(steps):
         y, _ = engine.integrate_span(y, prev, step - prev, dt, +1.0,
                                      tau_of=lambda s: s)
-        a, _ = adjoint.integrate_span(a, prev, step - prev, dt, -1.0,
-                                      tau_of=lambda s: s)
+        a, _ = transpose.integrate_span(a, prev, step - prev, dt, -1.0,
+                                        tau_of=lambda s: s)
         prev = step
         assert seen[r][0] == r
         assert np.array_equal(seen[r][1], y)
@@ -398,7 +418,7 @@ def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
 @pytest.mark.parametrize("observable", ["rdm", "anneal"])
 def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
         small_engine, small_expansion, monkeypatch, observable):
-    original = ContourEngine.adjoint
+    original = ContourEngine.transpose
 
     def poisoned(self):
         twin = original(self)
@@ -406,7 +426,7 @@ def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
         twin._G.data[:] = np.nan
         return twin
 
-    monkeypatch.setattr(ContourEngine, "adjoint", poisoned)
+    monkeypatch.setattr(ContourEngine, "transpose", poisoned)
     before = threading.active_count()
     with pytest.raises(NumericalError, match="non-finite"):
         if observable == "rdm":

@@ -83,7 +83,7 @@ def test_norm_bound_covers_the_spectrum(scheduled, small_bath):
         G = engine._deriv_flat(np.eye(engine.num_awf * engine.dim), tau,
                                1.0)
         assert np.abs(np.linalg.eigvals(G)).max() <= engine.norm_bound
-    assert engine.adjoint().norm_bound == engine.norm_bound
+    assert engine.transpose().norm_bound == engine.norm_bound
 
 
 # ------------------------------------------------------- the default step

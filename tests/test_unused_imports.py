@@ -1,10 +1,10 @@
 """No module imports a name it never uses.
 
-Walks the syntax tree of every module under src/, tests/ and demos/.  A
-module-level import counts as used when its bound name is read anywhere
-in the module, also inside a string that parses as an expression, such as
-a string annotation.  ``__future__`` imports, the re-exports of
-``__init__.py`` and names listed in ``__all__`` are exempt.
+Walks the syntax tree of every module under src/, tests/, demos/ and
+tools/.  A module-level import counts as used when its bound name is read
+anywhere in the module, also inside a string that parses as an
+expression, such as a string annotation.  ``__future__`` imports, the
+re-exports of ``__init__.py`` and names listed in ``__all__`` are exempt.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in ("src", "tests", "demos")
+MODULES = sorted(path for folder in ("src", "tests", "demos", "tools")
                  for path in (ROOT / folder).rglob("*.py")
                  if path.name != "__init__.py")
 
