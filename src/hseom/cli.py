@@ -36,10 +36,10 @@ from .errors import (ConfigError, HorizonWarning, HseomError,
 from .hierarchy import awf_count, build_space, capped_count
 from .models import (DenseOperator, PureState, SystemModel, pure_dephasing,
                      spin_boson)
-from .observables import (annealing_populations, half_fourier,
-                          rdm_trajectory, response_function)
+from .observables import (_lag_steps, _record_steps, annealing_populations,
+                          half_fourier, rdm_trajectory, response_function)
 from .oracles import assemble_generator, dephasing_exact, pspin_register
-from .presets import build_bath_spec, build_components, preset
+from .presets import build_bath_spec, build_components, preset, system_size
 from .reporting import line_plot, read_csv, write_csv, write_manifest
 
 __all__ = ["main", "preflight"]
@@ -52,10 +52,13 @@ except Exception:  # not installed, e.g. run from a checkout
 
 # copies of the flat state that one integrate_span holds beside its
 # caller's: its own copy, the running Taylor factor, one product and, for a
-# schedule, the system-axis copy that H(tau) acts on.  tracemalloc read 3.0
-# for a fixed G and, above the schedule's H(tau) (see _state_bytes), 4.0
-# for a schedule: 4.52 on 21 AWFs of a 1,024-state system, whose H(tau)
-# is 0.52 of a state
+# schedule, the system-axis copy that H(tau) acts on.  tracemalloc read,
+# above a schedule's H(tau) (see _state_bytes), 3.00 on dephasing
+# (6,188 AWFs x 2) and 4.00 on the anneal at Ncal = 40, K = 17,
+# N_max = 3 (1,140 x 41).  On anneal-large (21 x 11) it read 4.50, of
+# which 0.50 is 1.85 kB of Python objects that a span makes whatever its
+# size (4.03 at Ncal = 200), not a state copy; the other terms of the
+# estimate cover it, as the traced solve peaks at 64,826 of its 74,446 B
 _WORKSPACE_FACTOR = 4
 # Python objects of the index enumeration per index, above its tables, at
 # the peak of build_space: tracemalloc read 129-166 B at (K, N_max) =
@@ -70,33 +73,7 @@ EXPANSION_TOL = 1e-2
 MAX_ATTEMPTS = 3
 
 
-def _model_dim(cfg: RunConfig) -> int:
-    if cfg.get("model", "kind") == "pspin":
-        # the Ncal + 1 permutation-symmetric states
-        return int(cfg.require("model", "Ncal")) + 1
-    return 2
-
-
-def _system_entries(cfg: RunConfig, dim: int):
-    """Upper bounds on the stored entries of H(0), H(t_f) and V."""
-    if cfg.get("model", "kind") == "pspin":
-        # the driver moves k by one up or down; target and coupling are
-        # diagonal
-        return 2 * int(cfg.require("model", "Ncal")), dim, dim
-    return dim * dim, dim * dim, dim * dim
-
-
-def _ramp_entries(cfg: RunConfig, dim: int) -> int:
-    """An upper bound on the stored entries of a schedule's H(0) and
-    H(t_f) on their one pattern (:class:`ContourEngine`); 0 for a fixed
-    model, whose H folds into G_c."""
-    if cfg.get("model", "kind") != "pspin":
-        return 0
-    h_start, h_end, _ = _system_entries(cfg, dim)
-    return h_start + h_end
-
-
-def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
+def _generator_bytes(cfg: RunConfig, num: int) -> int:
     """CSR bytes of the generator's parts, each stored once: the
     transpose engine reads them all through CSC views.
 
@@ -110,9 +87,8 @@ def _generator_bytes(cfg: RunConfig, num: int, dim: int) -> int:
     K = cfg.require("bath", "K")
     n_max = cfg.require("hierarchy", "n_max")
     movable = awf_count(K, n_max - 1) if n_max > 0 else 0
-    h_start, _, v = _system_entries(cfg, dim)
+    dim, h_start, v, ramp = system_size(cfg)
     fixed = (2 * K - 2) * movable * dim + (K + 1) * movable * v
-    ramp = _ramp_entries(cfg, dim)
     if ramp:
         parts = [(fixed, num * dim)] + [(ramp, dim)] * 2
     else:
@@ -154,9 +130,8 @@ def _refuse_oversize(cfg: RunConfig) -> Dict[str, object]:
         return {"awf_count": 0, "dim": 0, "estimated_bytes": int(k) * 16}
     K = cfg.require("bath", "K")
     num = capped_count(K, cfg.require("hierarchy", "n_max"))
-    dim = _model_dim(cfg)
-    total = (_state_bytes(num, dim, _ramp_entries(cfg, dim))
-             + _generator_bytes(cfg, num, dim)
+    dim, _, _, ramp = system_size(cfg)
+    total = (_state_bytes(num, dim, ramp) + _generator_bytes(cfg, num)
              + num * (10 * K + 2 + _ENUMERATION_BYTES))
     if total > _BYTE_BUDGET:
         raise ResourceLimitError(
@@ -249,16 +224,23 @@ def preflight(cfg: RunConfig) -> Dict[str, object]:
     point per initial-state component), ``estimated_products``, the sparse
     products those steps take (:attr:`ContourEngine.step_products` each),
     and the ``expansion_error`` that :func:`_build` measures and warns
-    about.  Step, steps and products are those of the first attempt: a
-    run whose trace fails at the default step is rerun at a smaller one
-    (:func:`_solve`), which only the run's manifest reports.
+    about.  The plan's times map to grid steps through the observables'
+    own functions, so a plan the run refuses is refused here too.  Step,
+    steps and products are those of the first attempt: a run whose trace
+    fails at the default step is rerun at a smaller one (:func:`_solve`),
+    which only the run's manifest reports.
     """
     report = _refuse_oversize(cfg)
     if cfg.experiment in ("bath-fit", "validate"):
         return {**report, "estimated_steps": 0, "estimated_products": 0}
     comps = _build(cfg)
-    steps = 2 * int(round(horizon_of(cfg) / comps.dt)) \
-        * len(comps.init.components())
+    if cfg.experiment == "respond":
+        _, turns = _lag_steps(cfg.require("run", "tau").values(),
+                              cfg.require("run", "t0"), comps.dt)
+    else:
+        turns = _record_steps(comps.engine,
+                              cfg.require("run", "record").values(), comps.dt)
+    steps = 2 * turns[-1] * len(comps.init.components())
     return {**report, "estimated_steps": steps,
             "estimated_products": steps * comps.engine.step_products,
             "dt": comps.dt, "dt_norm": comps.dt_norm,

@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -97,12 +97,18 @@ from .errors import ConfigError, NumericalError
 from .hierarchy import ABSENT, HierarchySpace
 from .models import Operator, SystemModel, _pruned_csr
 
-__all__ = ["build_coupling_matrices", "ContourEngine", "TAYLOR_DEGREE"]
+__all__ = ["build_coupling_matrices", "ContourEngine", "TAYLOR_DEGREE",
+           "TAYLOR_STEP_NORM"]
 
 _GRID_TOL = 1e-9
 # degree of every Taylor factor of the step: a multiple of 4, the only
 # degrees stable on the imaginary axis (module docstring)
 TAYLOR_DEGREE = 8
+# the default step keeps the exponent of every Taylor factor, h ||G|| with
+# ||G|| the smaller of the 1-norm and inf-norm bounds, at or below this:
+# the largest multiple of 0.05 inside the left half-disk of radius 3.39
+# where the degree-8 polynomial is stable (module docstring)
+TAYLOR_STEP_NORM = 3.35
 
 
 def _step_of(s: float, dt: float, scale: float, what: str) -> int:
@@ -315,10 +321,11 @@ class ContourEngine:
         return (self._G,) + (self._ramp or ())
 
     @property
-    def step_factors(self) -> int:
-        """Taylor factors of one step: 1, or for a schedule 2, each of
-        exponent (h/2) G(tau)."""
-        return 1 if self._ramp is None else 2
+    def step_norm(self) -> float:
+        """The bound on dt * ||G|| that keeps every Taylor factor's exponent
+        within ``TAYLOR_STEP_NORM``: one factor of hG, or a schedule's two
+        of (h/2) G(tau)."""
+        return TAYLOR_STEP_NORM * (1 if self._ramp is None else 2)
 
     @property
     def step_degree(self) -> int:
@@ -327,10 +334,10 @@ class ContourEngine:
 
     @property
     def step_products(self) -> int:
-        """Sparse products of one column-step, per degree per factor: G_c's,
-        and a schedule's H(tau) on the system axis."""
-        per_degree = 1 if self._ramp is None else 2
-        return self.step_factors * TAYLOR_DEGREE * per_degree
+        """Sparse products of one column-step: G_c's, one a degree, or a
+        schedule's two factors of two a degree, G_c's and H(tau)'s on the
+        system axis."""
+        return TAYLOR_DEGREE * (1 if self._ramp is None else 4)
 
     def transpose(self) -> "ContourEngine":
         """An engine for the transposed generator G(tau)^T.
@@ -474,6 +481,11 @@ class ContourEngine:
         if self._ramp is not None and tau_of is None:
             raise ConfigError("a scheduled model needs tau_of, the physical "
                               "clock of each contour time")
+        return self._span(y, step0, n_steps, dt, sign, tau_of)
+
+    def _span(self, y: np.ndarray, step0: int, n_steps: int, dt: float,
+              sign: float, tau_of):
+        """The steps of :meth:`integrate_span`, with no check of tau_of."""
         y = y.astype(complex, copy=True)
         max_abs = self._check_finite(y, step0 * dt)
         for step in range(step0, step0 + n_steps):
@@ -482,58 +494,24 @@ class ContourEngine:
         return y, max_abs
 
     def backward_batch(self, columns: np.ndarray, steps: np.ndarray,
-                       dt: float,
-                       events: Sequence[Tuple[int, int, Operator]] = (),
-                       bras: Optional[np.ndarray] = None):
-        """Many C2 runs on a shared elapsed clock, each with its own horizon.
+                       dt: float):
+        """Column i of ``columns`` stepped backward (sign -1) from step 0
+        for ``steps[i]`` steps; returns (finals, max |entry| seen).
 
-        Columns must be ordered by ``steps`` non-increasing; finished
-        columns are retired from the right so the live block stays
-        contiguous.  ``events[(step, col, op)]`` applies op to all rows of
-        one column at its elapsed step.  With ``bras`` of shape [R, dim]
-        the return value is out[r] = <bras[r] | rwf of column r at its end>;
-        otherwise the final columns themselves are returned.
-
-        Only valid for time-independent models (a shared clock would
-        otherwise mean different physical times per column).  The
-        observables use :meth:`transpose` sweeps instead; nothing in the
+        Only valid for time-independent models, whose steps read no clock.
+        The observables use :meth:`transpose` sweeps instead; nothing in the
         package calls this, but ``perfbench/child.py`` wraps it by name.
         """
         if self.model.time_dependent:
             raise NumericalError(
                 "backward_batch requires a time-independent model")
-        R = columns.shape[1]
-        steps = np.asarray(steps)
-        if np.any(np.diff(steps) > 0):
-            raise ValueError("columns must be sorted by steps descending")
-        ev: Dict[int, List[Tuple[int, Operator]]] = {}
-        for step, col, op in events:
-            ev.setdefault(step, []).append((col, op))
-        out = np.zeros(R, dtype=complex) if bras is not None else None
-        finals = None if bras is not None else np.empty_like(columns)
-        X = columns.astype(complex, copy=True)
-        active = R
+        finals = np.empty_like(columns, dtype=complex)
         max_abs = 0.0
-        step = 0
-        while active > 0:
-            if step in ev:
-                for col, op in ev[step]:
-                    if col < active:
-                        X[:, col] = self.apply_all_rows(X[:, col], op)
-            while active > 0 and steps[active - 1] == step:
-                col = active - 1
-                if bras is not None:
-                    out[col] = np.vdot(bras[col], X[:self.dim, col])
-                else:
-                    finals[:, col] = X[:, col]
-                active -= 1
-            if active == 0:
-                break
-            Xa = X[:, :active]
-            max_abs = max(max_abs, self._check_finite(Xa, step * dt))
-            self._step(Xa, step * dt, dt, -1.0, None)
-            step += 1
-        return (out if bras is not None else finals), max_abs
+        for i, n in enumerate(steps):
+            finals[:, i], peak = self._span(columns[:, i], 0, int(n), dt,
+                                            -1.0, None)
+            max_abs = max(max_abs, peak)
+        return finals, max_abs
 
     def run(self, psi0: np.ndarray, t: float, dt: float, *,
             A: Optional[Operator] = None, B: Optional[Operator] = None,

@@ -65,19 +65,14 @@ __all__ = [
 ]
 
 # largest |tr rho_S - 1| a result may carry.  The trace is a proxy for
-# the step's error, not a bound on the observable's: on the shipped
-# presets, with an earlier RK4 step at dt * ||G||_1 <= 0.6 and <= 0.85
-# and with the Taylor step of a fixed G at dt * ||G||_1 <= 3.35, the
-# largest error of the outputs against a dt/4 reference ran from 0.3 to 11
-# times the trace error, the largest ratios with the smallest errors (11x
-# on respond-circular with RK4 at 0.6, 1.9e-7 against 1.7e-8; 10x with the
-# Taylor step, 9.9e-10 against 9.5e-11).  With the Taylor step at the
-# smaller of the 1-norm and inf-norm bounds <= 3.35 it runs from 1.0 to
-# 5.2 times (5.2x on respond-circular, 2.2e-7 against 4.3e-8; 1.6x on
-# rdm-circular, 5.0e-7 against 3.2e-7).  The Magnus step of a schedule
-# keeps the trace far better than its outputs: at one step per record
-# interval the shipped anneals miss their dt/4 reference by 6.1e-7 to
-# 1.2e-6 while their traces leave 1 by 1.5e-12 to 6.4e-8
+# the step's error, not a bound on the observable's: on the fixed
+# presets, at the default Taylor step, the largest error of the outputs
+# against a dt/4 reference runs from 1.0 to 5.2 times the trace error
+# (5.2x on respond-circular, 2.2e-7 against 4.3e-8; 1.6x on rdm-circular,
+# 5.0e-7 against 3.2e-7).  The Magnus step of a schedule keeps the trace
+# far better than its outputs: at one step per record interval the
+# shipped anneals miss their dt/4 reference by 6.1e-7 to 1.2e-6 while
+# their traces leave 1 by 1.5e-12 to 6.4e-8
 TRACE_TOL = 1e-4
 # largest equilibration drift of P_1 a response passes without a warning
 DRIFT_TOL = 0.05
@@ -237,6 +232,23 @@ def _record_steps(engine: ContourEngine, times: np.ndarray,
     return [_step_of(t, dt, t, "record time") for t in times]
 
 
+def _lag_steps(taus: np.ndarray, t0: float, dt: float):
+    """Grid steps of t0 and of each turning point t0 + tau; refuses a lag
+    grid that is not uniform and increasing from 0."""
+    if taus.ndim != 1 or taus.size < 2:
+        raise ConfigError("need a 1-D grid of at least two lag times",
+                          section="plan", key="taus")
+    spacing = np.diff(taus)
+    if np.any(spacing <= 0) or np.abs(spacing - spacing[0]).max() > 1e-9:
+        raise ConfigError("lag grid must be uniform and increasing",
+                          section="plan", key="taus")
+    if taus[0] != 0.0:
+        raise ConfigError("lag grid must start at 0", section="plan",
+                          key="taus")
+    n0 = _step_of(t0, dt, t0, "t0")
+    return n0, [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
+
+
 def _check_trace(error: float, dt: float, what: str) -> float:
     """Refuse a trace error above TRACE_TOL; returns the error.
 
@@ -357,18 +369,7 @@ def response_function(engine: ContourEngine, taus, t0: float,
         raise ConfigError("response_function expects the time-independent "
                           "two-level model", section="model")
     taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size < 2:
-        raise ConfigError("need a 1-D grid of at least two lag times",
-                          section="plan", key="taus")
-    spacing = np.diff(taus)
-    if np.any(spacing <= 0) or np.abs(spacing - spacing[0]).max() > 1e-9:
-        raise ConfigError("lag grid must be uniform and increasing",
-                          section="plan", key="taus")
-    if taus[0] != 0.0:
-        raise ConfigError("lag grid must start at 0", section="plan",
-                          key="taus")
-    n0 = _step_of(t0, dt, t0, "t0")
-    turns = [n0 + _step_of(tau, dt, tau, "tau") for tau in taus]
+    n0, turns = _lag_steps(taus, t0, dt)
 
     start = engine.initial_stack(np.array([0.0, 1.0], dtype=complex)).ravel()
     transpose = engine.transpose()

@@ -2,41 +2,34 @@
 
 The presets pin every number a run needs, so tests, shipped config files,
 and the command line all draw from one place.  Time steps default to the
-largest value that divides the relevant record grid while keeping the
-exponent of every degree-8 Taylor factor of the step within
-``TAYLOR_STEP_NORM`` (see :func:`effective_dt`): dt * ||G|| for a fixed G,
-(dt/2) * ||G|| for a schedule, with ||G|| the smaller of the 1-norm and
-inf-norm bounds of :attr:`ContourEngine.norm_bound`.
+largest value that divides the relevant record grid within the engine's
+step bound, :attr:`ContourEngine.step_norm` (see :func:`effective_dt`).
 """
 
 from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .bath import (INFINITE, BathSpec, OhmicCircular, OhmicExponential,
                    compute_coefficients)
 from .config import GridSpec, RunConfig
-from .dynamics import ContourEngine
+from .dynamics import _GRID_TOL, ContourEngine
 from .errors import ConfigError
 from .hierarchy import build_space
 from .models import (PureState, pspin_annealing, pure_dephasing, spin_boson,
                      thermal_state, uniform_superposition)
 
-__all__ = ["PRESETS", "TAYLOR_STEP_NORM", "preset",
-           "build_bath_spec", "build_model", "build_initial", "grid_unit",
-           "step_norm", "effective_dt", "build_components"]
+__all__ = ["PRESETS", "preset", "build_bath_spec", "build_model",
+           "system_size", "build_initial", "grid_unit", "effective_dt",
+           "build_components"]
 
 _OMEGA0 = math.pi
-# the default step keeps the exponent of every Taylor factor, dt * ||G||
-# or a schedule's (dt/2) * ||G(tau)||, at or below this, with ||G|| the
-# smaller of the 1-norm and inf-norm bounds: the largest multiple of 0.05
-# inside the left half-disk of radius 3.39 where the degree-8 Taylor
-# polynomial is stable
-TAYLOR_STEP_NORM = 3.35
+# largest q of a grid unit, the grid's spacing / q (see grid_unit)
+_MAX_SUBDIVISION = 1000
 
 
 def _cfg(experiment: str, **sections) -> RunConfig:
@@ -165,6 +158,22 @@ def build_model(cfg: RunConfig):
     raise ConfigError(f"unknown model {kind!r}", section="model", key="kind")
 
 
+def system_size(cfg: RunConfig) -> Tuple[int, int, int, int]:
+    """The model's size, read off the config with nothing built.
+
+    Returns (dim, h_start, v, ramp): the dimension, upper bounds on the
+    stored entries of H(0) and of V, and on those of a schedule's H(0) and
+    H(t_f) on their one pattern (:class:`ContourEngine`), 0 for a fixed
+    model, whose H folds into G_c.
+    """
+    if cfg.require("model", "kind") == "pspin":
+        Ncal = int(cfg.require("model", "Ncal"))
+        # the Ncal + 1 permutation-symmetric states: the driver moves k by
+        # one up or down; target and coupling are diagonal
+        return Ncal + 1, 2 * Ncal, Ncal + 1, 3 * Ncal + 1
+    return 2, 4, 4, 0
+
+
 def build_initial(cfg: RunConfig, model):
     if cfg.experiment == "anneal":
         return uniform_superposition(cfg.require("model", "Ncal"))
@@ -184,20 +193,30 @@ def build_initial(cfg: RunConfig, model):
 
 
 def grid_unit(cfg: RunConfig) -> float:
-    """The step every sweep must land on: the lag or record spacing."""
+    """The longest step every sweep lands on: the lag or record spacing
+    divided by the least whole q, up to 1,000, that makes the grid's
+    offset, respond's ``t0`` or the first record time, a whole number of
+    units to 1e-9, as the run checks each time (``dynamics._step_of``).
+    A grid that starts on its spacing has q = 1.  An offset that no q
+    fits is refused: it needs an explicit ``[integrator] dt``."""
     kind = cfg.experiment
     if kind == "respond":
-        return cfg.require("run", "tau").step
-    if kind in ("anneal", "rdm"):
-        return cfg.require("run", "record").step
-    raise ConfigError(f"a {kind!r} experiment takes no time step",
-                      section="experiment", key="kind")
-
-
-def step_norm(engine: ContourEngine) -> float:
-    """The bound on dt * ||G||, ||G|| the smaller of the 1-norm and
-    inf-norm bounds: ``TAYLOR_STEP_NORM`` on each factor's share of dt."""
-    return TAYLOR_STEP_NORM * engine.step_factors
+        spacing, key = cfg.require("run", "tau").step, "t0"
+        offset = cfg.require("run", "t0")
+    elif kind in ("anneal", "rdm"):
+        record = cfg.require("run", "record")
+        spacing, key, offset = record.step, "record", record.start
+    else:
+        raise ConfigError(f"a {kind!r} experiment takes no time step",
+                          section="experiment", key="kind")
+    for q in range(1, _MAX_SUBDIVISION + 1):
+        unit = spacing / q
+        if abs(round(offset / unit) * unit - offset) \
+                <= _GRID_TOL * max(1.0, offset):
+            return unit
+    raise ConfigError(f"{key} = {offset} lies on no grid of spacing "
+                      f"{spacing} / q for whole q up to {_MAX_SUBDIVISION}; "
+                      f"set [integrator] dt", section="run", key=key)
 
 
 def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
@@ -205,24 +224,16 @@ def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
 
     The default is the largest unit / n, with ``unit`` from
     :func:`grid_unit` and n whole, such that dt times
-    :attr:`ContourEngine.norm_bound` stays at or below :func:`step_norm`.
-    That bound is the smaller of a bound on ||G(tau)||_1 and one on
-    ||G(tau)||_inf over the schedule.  The spectral radius of G is at
-    most either induced norm, so no eigenvalue of dt G lies farther than
-    dt times the bound from 0.  The other norm may be larger: on
-    respond-circular dt ||G||_1 reaches 4.05, on dephasing 4.95.
-
-    Every step is made of degree-8 Taylor factors (``dynamics``), whose
-    stability region holds the left half-disk of radius 3.39: one factor
-    of exponent dt G for a fixed G, two of (dt/2) G(tau) for a schedule.
-    At 3.35 on each exponent no generator whose spectrum lies in the
-    closed left half-plane can blow up, and the generators here have
-    spectra on the imaginary axis.  So the bound is stability's; it
-    guarantees nothing about accuracy, which is measured instead: the
-    fixed G's error falls as dt^8, the schedule's as dt^4, and every
-    shipped run preset stays within 1e-5 of its dt/4 reference (the
-    largest miss is 5.0e-7, rdm-circular).  Every shipped anneal takes one
-    step per record interval.
+    :attr:`ContourEngine.norm_bound` stays at or below
+    :attr:`ContourEngine.step_norm`.  That bound is the smaller of a bound
+    on ||G(tau)||_1 and one on ||G(tau)||_inf over the schedule, and the
+    other norm may be larger: on respond-circular dt ||G||_1 reaches
+    4.05, on dephasing 4.95.  The step norm is stability's (the module
+    docstring of ``dynamics``); it guarantees nothing about accuracy,
+    which is measured instead: the fixed G's error falls as dt^8, the
+    schedule's as dt^4, and every shipped run preset stays within 1e-5 of
+    its dt/4 reference (the largest miss is 5.0e-7, rdm-circular).  Every
+    shipped anneal takes one step per record interval.
 
     The accuracy of every run is checked as it goes by the trace, which
     the closed contour keeps at 1 in continuous time (see
@@ -234,7 +245,7 @@ def effective_dt(cfg: RunConfig, engine: ContourEngine) -> float:
         return explicit
     unit = grid_unit(cfg)
     return unit / max(1, math.ceil(unit * engine.norm_bound
-                                   / step_norm(engine)))
+                                   / engine.step_norm))
 
 
 def build_components(cfg: RunConfig) -> SimpleNamespace:

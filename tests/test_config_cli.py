@@ -16,7 +16,7 @@ from hseom.cli import main, preflight
 from hseom.config import (GridSpec, horizon_of, parse_config,
                           parse_config_file, serialize_config,
                           validate_config)
-from hseom.presets import PRESETS, build_components, preset, step_norm
+from hseom.presets import PRESETS, build_components, preset
 from hseom.reporting import (_ticks, line_plot, read_csv, write_csv,
                              write_manifest)
 
@@ -251,9 +251,24 @@ def test_preflight_zero_horizon_means_zero_steps():
     assert report["awf_count"] == 1771
 
 
-@pytest.mark.parametrize("name", ["respond-circular", "rdm-circular",
-                                  "thermal-ratio", "anneal-weak"])
-def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
+# (preset, a change to it, the exit code of its run): each change below
+# once passed preflight with a step, or a count of steps, that the run
+# did not take: a record grid and a t0 off their spacing, whose default
+# step must divide the offset too, and an explicit dt off the record grid,
+# which the run refuses
+PREFLIGHT_PLANS = [pytest.param(name, None, 0, id=name) for name in (
+    "respond-circular", "rdm-circular", "thermal-ratio", "anneal-weak")] + [
+    pytest.param("anneal-weak", ("run", "record", GridSpec(0.05, 0.95, 0.1)),
+                 0, id="anneal-weak-record-offset"),
+    pytest.param("respond-circular", ("run", "t0", 2.05), 0,
+                 id="respond-circular-t0-offset"),
+    pytest.param("anneal-weak", ("integrator", "dt", 0.03), 2,
+                 id="anneal-weak-dt-off-grid")]
+
+
+@pytest.mark.parametrize("name, change, code", PREFLIGHT_PLANS)
+def test_preflight_steps_match_the_run(name, change, code, tmp_path,
+                                       monkeypatch):
     # count the column-steps every integrate_span call actually takes, and
     # the column-products every derivative takes: G_c's, and a schedule's
     # H(tau) on the system axis
@@ -274,11 +289,15 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ContourEngine, "integrate_span", counted_span)
     monkeypatch.setattr(ContourEngine, "_deriv", counted_deriv)
-    cfg = preset(name)
+    cfg = preset(name) if change is None else preset(name).replace(*change)
     path = tmp_path / "run.ini"
     path.write_text(serialize_config(cfg))
     assert main([cfg.experiment, "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 0
+                 "--out", str(tmp_path / "out")]) == code
+    if code:
+        with pytest.raises(ConfigError, match="off the dt = 0.03 grid"):
+            preflight(cfg)
+        return
     report = preflight(cfg)
     assert sum(taken) == report["estimated_steps"]
     assert sum(products) == report["estimated_products"]
@@ -288,7 +307,7 @@ def test_preflight_steps_match_the_run(name, tmp_path, monkeypatch):
     engine = build_components(cfg).engine
     assert float(entries["dt"]) == report["dt"]
     assert float(entries["dt_norm"]) == report["dt_norm"] \
-        <= step_norm(engine)
+        <= engine.step_norm
     assert entries["step_degree"] == str(engine.step_degree) == "8"
     assert entries["products"] == str(report["estimated_products"])
     assert entries["attempts"] == "1"

@@ -15,4 +15,6 @@ def test_the_repository_matches_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines() == [
         "anneal_weak/populations.csv: identical",
-        "dephasing/rho_t.csv: identical"]
+        "anneal_weak/preflight: identical",
+        "dephasing/rho_t.csv: identical",
+        "dephasing/preflight: identical"]

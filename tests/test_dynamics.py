@@ -9,10 +9,9 @@ from hseom import (BathExpansion, ConfigError, ContourEngine,
                    DenseOperator, NumericalError, assemble_generator,
                    build_components, build_eta, build_space, preset,
                    pspin_annealing, spin_boson, uniform_superposition)
-from hseom.dynamics import TAYLOR_DEGREE
+from hseom.dynamics import TAYLOR_DEGREE, TAYLOR_STEP_NORM
 from hseom.models import SIGMA_X
 from hseom.oracles import closed_system_propagate
-from hseom.presets import TAYLOR_STEP_NORM, step_norm
 
 
 def _free_expansion(K=2, Omega=3.0):
@@ -105,7 +104,7 @@ def test_one_step_is_the_adjoints_adjoint(small_engine, small_space,
                                                small_expansion)):
         transpose = engine.transpose()
         size = engine.num_awf * engine.dim
-        dt = step_norm(engine) / engine.norm_bound
+        dt = engine.step_norm / engine.norm_bound
         up, down = (0, lambda s: s), (1, lambda s: 2.0 * dt - s)
         for sign in (+1.0, -1.0):
             for (n_y, clock_y), (n_a, clock_a) in ((up, down), (down, up)):
@@ -147,7 +146,7 @@ def test_a_schedule_steps_by_two_taylor_factors(small_space,
     # and tau_b at s + 5dt/6, h = +-dt, at the largest dt the default step
     # rule allows, and every eigenvalue of each exponent keeps it bounded
     engine = _small_anneal(small_space, small_expansion)
-    dt = step_norm(engine) / engine.norm_bound
+    dt = engine.step_norm / engine.norm_bound
     eye = np.eye(engine.num_awf * engine.dim, dtype=complex)
 
     def clock(s):  # any map of s to the schedule's clock will do
@@ -390,16 +389,30 @@ def test_backward_batch_matches_single_runs(small_engine, rng):
         assert np.abs(batched[:, i] - single[:, 0]).max() < 1e-12
 
 
-def test_backward_batch_extracts_with_bras(small_engine, rng):
-    m, d = small_engine.num_awf, small_engine.dim
-    col = (rng.standard_normal((m, d)) + 1j * rng.standard_normal(
-        (m, d))).ravel()
-    columns = col[:, None].copy()
-    steps = np.array([8])
-    bras = np.array([[1.0, 2.0j]])
-    finals, _ = small_engine.backward_batch(columns.copy(), steps, 0.0125)
-    vals, _ = small_engine.backward_batch(columns.copy(), steps, 0.0125,
-                                          bras=bras)
-    expected = np.vdot(bras[0], finals[:d, 0])
-    assert abs(vals[0] - expected) < 1e-13
 
+
+def test_backward_batch_takes_steps_in_any_order(small_engine, rng):
+    # each column is its own backward span from step 0, whatever the
+    # order of the others
+    size = small_engine.num_awf * small_engine.dim
+    steps = [4, 32, 0, 16]
+    columns = rng.standard_normal((size, len(steps))) \
+        + 1j * rng.standard_normal((size, len(steps)))
+    finals, max_abs = small_engine.backward_batch(columns, np.array(steps),
+                                                  0.0125)
+    peaks = []
+    for i, n in enumerate(steps):
+        single, peak = small_engine.integrate_span(columns[:, i], 0, n,
+                                                   0.0125, -1.0)
+        assert np.array_equal(finals[:, i], single)
+        peaks.append(peak)
+    assert max_abs == max(peaks)
+
+
+def test_backward_batch_checks_every_final_state(small_engine):
+    # a column that overflows on its last step is refused, not returned
+    size = small_engine.num_awf * small_engine.dim
+    columns = np.full((size, 1), 1e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        small_engine.backward_batch(columns, np.array([1]), 0.0125)

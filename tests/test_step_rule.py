@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from hseom import (BathSpec, ContourEngine, NumericalError, OhmicCircular,
-                   PureState, TraceError, build_space, compute_coefficients,
-                   pspin_annealing, response_function, rdm_trajectory,
-                   spin_boson)
+from hseom import (BathSpec, ConfigError, ContourEngine, NumericalError,
+                   OhmicCircular, PureState, TraceError, build_space,
+                   compute_coefficients, pspin_annealing, response_function,
+                   rdm_trajectory, spin_boson)
 from hseom.cli import main
-from hseom.config import parse_config_file
-from hseom.dynamics import _norm_bound, build_coupling_matrices
+from hseom.config import GridSpec, parse_config_file
+from hseom.dynamics import (TAYLOR_STEP_NORM, _norm_bound,
+                            build_coupling_matrices)
 from hseom.observables import (TRACE_TOL, _check_trace,
                                annealing_populations)
-from hseom.presets import (TAYLOR_STEP_NORM, build_components, effective_dt,
-                           grid_unit, preset, step_norm)
+from hseom.presets import build_components, effective_dt, grid_unit, preset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_RUNS = sorted(
@@ -97,7 +97,7 @@ def test_default_dt_divides_the_grid_and_bounds_the_norm(path):
     assert comps.dt_norm == comps.dt * comps.engine.norm_bound
     # the bound on every Taylor factor's exponent: dt times the norm bound
     # for a fixed G, dt/2 times it for each of a schedule's two factors
-    bound = step_norm(comps.engine)
+    bound = comps.engine.step_norm
     assert bound == TAYLOR_STEP_NORM * (2 if cfg.experiment == "anneal"
                                         else 1)
     assert comps.dt_norm <= bound + 1e-12
@@ -119,6 +119,21 @@ STEPS_PER_UNIT = {
 def test_default_dt_per_preset(name):
     assert build_components(preset(name)).dt == pytest.approx(
         1.0 / STEPS_PER_UNIT[name], rel=1e-12)
+
+
+def test_a_grid_offset_divides_the_unit():
+    # the unit is the spacing / q for the least q that puts the offset on
+    # a whole number of units; the shipped grids start on their spacing
+    record = preset("anneal-weak")
+    assert grid_unit(record) == 0.1
+    assert grid_unit(record.replace(
+        "run", "record", GridSpec(0.05, 0.95, 0.1))) == 0.05
+    lag = preset("respond-circular")
+    assert grid_unit(lag) == 0.1
+    assert grid_unit(lag.replace("run", "t0", 2.03)) == 0.1 / 10
+    with pytest.raises(ConfigError, match=r"set \[integrator\] dt") as info:
+        grid_unit(lag.replace("run", "t0", math.pi))
+    assert (info.value.section, info.value.key) == ("run", "t0")
 
 
 def test_explicit_dt_overrides_the_default():

@@ -12,8 +12,10 @@ temporary directory.  For each CSV the report reads ``identical`` when the
 two files match byte for byte, and otherwise the largest absolute
 difference over the cells that are numbers in both.  For each manifest it
 lists every ``key = value`` entry that differs, other than the timing
-keys (those ending in ``_s``).  Exits 1 when a run fails or a config is
-missing from one tree, 0 otherwise, whatever the differences.
+keys (those ending in ``_s``).  Each config's ``hseom preflight`` report
+reads ``identical``, or lists every entry that differs.  Exits 1 when a
+run or a report fails or a config is missing from one tree, 0 otherwise,
+whatever the differences.
 """
 
 import argparse
@@ -27,18 +29,22 @@ from pathlib import Path
 
 
 def run_config(tree: Path, config: Path, out: Path) -> str:
-    """Run one config with the tree's own package; returns '' or the
-    error output of a failed run."""
+    """Run one config, then its preflight report into OUT/preflight.txt,
+    with the tree's own package; returns '' or the error output of the
+    first that fails."""
     parser = configparser.ConfigParser()
     parser.read(config)
     kind = parser["experiment"]["kind"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "hseom", kind, "--config", str(config),
-         "--out", str(out)], cwd=tree, env=env, capture_output=True,
-        text=True)
-    if done.returncode:
-        return f"exit {done.returncode}: {done.stderr.strip()}"
+    for command in ([kind, "--config", str(config), "--out", str(out)],
+                    ["preflight", "--config", str(config)]):
+        done = subprocess.run([sys.executable, "-m", "hseom", *command],
+                              cwd=tree, env=env, capture_output=True,
+                              text=True)
+        if done.returncode:
+            return f"{command[0]} exit {done.returncode}: " \
+                f"{done.stderr.strip()}"
+    (out / "preflight.txt").write_text(done.stdout)
     return ""
 
 
@@ -62,7 +68,8 @@ def csv_delta(parent: Path, change: Path) -> str:
 
 
 def manifest_entries(path: Path) -> dict:
-    """The key = value lines of a manifest, above its config echo."""
+    """The key = value lines of a manifest, above its config echo, or of
+    a preflight report."""
     head = path.read_text().split("--- config ---")[0]
     return dict(line.split(" = ", 1) for line in head.splitlines()
                 if " = " in line)
@@ -116,6 +123,11 @@ def main(argv=None) -> int:
                 print(f"{name}/{file}: {delta}")
             for line in manifest_delta(*(out / "manifest" for out in outs)):
                 print(f"{name}/manifest {line}")
+            report = manifest_delta(*(out / "preflight.txt" for out in outs))
+            if not report:
+                print(f"{name}/preflight: identical")
+            for line in report:
+                print(f"{name}/preflight {line}")
     return 1 if failed else 0
 
 
