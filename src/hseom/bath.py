@@ -397,7 +397,8 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
     The 2n sums are returned.
 
     Raises :class:`QuadratureError` if the two sums differ by more than
-    ``_RULE_RTOL`` times the largest |integral|.
+    ``_RULE_RTOL`` times the largest |integral|, and :class:`ConfigError`
+    if a c_k is not finite.
     """
     Om, K = spec.Omega, spec.K
     ks = np.arange(K)
@@ -405,6 +406,9 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
                              lambda theta: np.cos(np.outer(ks, theta)),
                              f"the K = {K} coefficients")
     c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
+    if not np.isfinite(c).all():
+        raise ConfigError(f"the K = {K} coefficients overflow the float "
+                          f"range", section="bath")
     return BathExpansion(Omega=Om, K=K, c=c, eta=build_eta(K, Om))
 
 

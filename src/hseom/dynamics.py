@@ -18,7 +18,8 @@ is the k-sum over n_k phi_k(0) phi_{n - e_k} collapsed by phi_k(0) =
 J_k(0) = delta_{k0}, so only k = 0 lowers.  All hierarchy-space
 mixing is precomputed into two sparse matrices (exchange E, coupling B),
 and with the system operators into one generator on the flattened stack
-(see :class:`ContourEngine`), so a derivative is one sparse product.  A
+(see :class:`ContourEngine`), so a derivative is one sparse product.
+Every matrix is scipy CSR, assembled by scipy's own ``kron`` and sums.  A
 schedule keeps its Hamiltonian on the system axis, so its derivative takes
 two: the generator's, and the dim x dim H(tau) applied to every hierarchy
 row at once.
@@ -190,22 +191,14 @@ def _on_one_pattern(start, end) -> Tuple[sparse.csr_matrix, ...]:
     ``indices`` and one ``indptr`` array, so a weighted sum of them is an
     axpy on their ``data``.
     """
-    parts = [_pruned_csr(start), _pruned_csr(end)]
-    # bit j of an entry of the union marks an entry of parts[j]; all three
-    # are sorted, so a part's entries fill its marked places in order
-    union = sum(sparse.csr_matrix((np.full(part.nnz, float(1 << j)),
-                                   part.indices, part.indptr),
-                                  shape=part.shape)
-                for j, part in enumerate(parts))
-    union.sort_indices()
-    marks = union.data.astype(np.int64)
-    out = []
-    for j, part in enumerate(parts):
-        data = np.zeros(union.nnz, dtype=complex)
-        data[(marks & (1 << j)) != 0] = part.data
-        out.append(sparse.csr_matrix((data, union.indices, union.indptr),
-                                     shape=union.shape))
-    return tuple(out)
+    start, end = _pruned_csr(start), _pruned_csr(end)
+    # a sum of absolute values cancels nowhere, so it stores every entry
+    # of either part, even where start = -end; scipy keeps its rows sorted
+    union = abs(start) + abs(end)
+    rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
+    return tuple(sparse.csr_matrix((np.asarray(part[rows, union.indices])
+                                    .ravel(), union.indices, union.indptr),
+                                   shape=union.shape) for part in (start, end))
 
 
 def _abs_sums(A: sparse.csr_matrix, axis: int) -> np.ndarray:
@@ -237,13 +230,14 @@ class ContourEngine:
         H(tau) = (1 - tau/t_f) H(0) + (tau/t_f) H(t_f),
 
     which is exact because :class:`SystemModel` only admits schedules that
-    ramp linearly from H(0) to H(t_f).  A time-independent model folds
-    -i kron(I, H) into G_c, so its derivative is a single sparse product.
-    A schedule keeps -i H(0) and -i H(t_f) as dim x dim CSR on one
-    pattern, the union of theirs, never as num_awf copies: each Taylor
-    factor assembles -i H(tau) once, one axpy on their data, and each
-    derivative is G_c y plus that H(tau) applied to the system axis of
-    the [num_awf, dim] view of y, two sparse products.
+    ramp linearly from H(0) to H(t_f).  Each kron is ``sparse.kron`` with
+    CSR output.  A time-independent model folds -i kron(I, H) into G_c, so
+    its derivative is a single sparse product.  A schedule keeps -i H(0)
+    and -i H(t_f) as dim x dim CSR on one pattern, the union of theirs,
+    which the sum of their absolute values stores, never as num_awf
+    copies: each Taylor factor assembles -i H(tau) once, one axpy on their
+    data, and each derivative is G_c y plus that H(tau) applied to the
+    system axis of the [num_awf, dim] view of y, two sparse products.
 
     ``norm_bound`` is the smaller of two bounds over the whole schedule,
     one on ||G(tau)||_1 and one on ||G(tau)||_inf.  Both are induced
@@ -256,7 +250,9 @@ class ContourEngine:
     H, never off the generator itself.  The hierarchy's |G| is far from
     symmetric: the row side is the smaller on the fixed presets (24.7
     against 40.5 on respond-circular), the column side on the anneals.
-    The bound is on eigenvalues only: the larger norm may exceed it.
+    The bound is on eigenvalues only: the larger norm may exceed it.  A
+    bound that overflows the float range, from parameters whose every
+    entry is finite, is refused with a :class:`ConfigError`.
     """
 
     def __init__(self, space: HierarchySpace, expansion: BathExpansion,
@@ -269,6 +265,10 @@ class ContourEngine:
         E, B = build_coupling_matrices(space, expansion)
         self.norm_bound = min(_norm_bound(E, B, model, axis)
                               for axis in (0, 1))
+        if not math.isfinite(self.norm_bound):
+            raise ConfigError(f"the generator's norm bound is "
+                              f"{self.norm_bound}: the bath and model "
+                              f"parameters overflow the float range")
         Id = sparse.identity(self.dim, format="csr", dtype=complex)
         # CSR, not the default BSR, which would store each block's zeros
         G = sparse.kron(E, Id, format="csr") \
@@ -278,40 +278,21 @@ class ContourEngine:
             self._G = _pruned_csr(G)
             self._ramp = _on_one_pattern(-1j * start, -1j * end)
         else:
-            self._G = _pruned_csr(G + self._on_every_row(-1j * start))
+            self._G = _pruned_csr(G + sparse.kron(
+                sparse.identity(self.num_awf, format="csr"), -1j * start,
+                format="csr"))
             self._ramp = None
-
-    def _on_every_row(self, H: sparse.csr_matrix) -> sparse.csr_matrix:
-        """kron(I, H) over the hierarchy rows, assembled as CSR directly.
-
-        ``sparse.kron(I, H, format="csr")`` builds the same matrix bit for
-        bit, but through COO and a sort: 0.32 against 0.07 ms on
-        respond-circular's 1,771 hierarchy rows and 0.46 against 0.16 ms
-        on dephasing's 6,188 (median of 50 calls on a 2-core Xeon), which
-        would add 3% to respond-circular's 10 ms set-up.  H must be
-        sorted; so is the result, which stores zeros only where H does.
-        Its index arrays are int32 when they fit, as scipy would make
-        them, so the constructor need not convert them.
-        """
-        size, nnz = self.num_awf * self.dim, self.num_awf * H.nnz
-        index = np.int32 if max(size, nnz) < 2 ** 31 else np.int64
-        offsets = np.arange(self.num_awf, dtype=index)[:, None]
-        indptr = np.append(
-            (H.indptr[:-1].astype(index) + index(H.nnz) * offsets).ravel(),
-            index(nnz))
-        indices = (H.indices.astype(index) + index(self.dim) * offsets).ravel()
-        return sparse.csr_matrix((np.tile(H.data, self.num_awf), indices,
-                                  indptr), shape=(size, size))
 
     @property
     def flat_generator(self) -> sparse.spmatrix:
         """G(0) as one sparse matrix; all of G for a time-independent
         model, which a transpose holds as CSC.  A schedule's is assembled
-        as CSR on each call."""
+        on each call, G_c plus kron(I, -i H(0)), as CSR."""
         if self._ramp is None:
             return self._G
-        return _pruned_csr(self._G + self._on_every_row(
-            self._ramp[0].tocsr()))
+        return _pruned_csr(self._G + sparse.kron(
+            sparse.identity(self.num_awf, format="csr"), self._ramp[0],
+            format="csr"))
 
     @property
     def generator_parts(self) -> Tuple[sparse.spmatrix, ...]:

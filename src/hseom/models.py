@@ -13,10 +13,10 @@ state k holding k up spins, each standing for C(Ncal, k) register states
 There is one operator type, :class:`Operator`: a pruned, sorted CSR
 matrix with ``dim``, ``apply`` along the last axis, ``to_dense``
 (refused above ``DENSIFY_DIM_LIMIT``) and ``to_csr``.  Its
-four backings only build that matrix: from a dense matrix, a diagonal, the
-bit masks and phases of a Pauli sum (never densified), or a scaled sum of
-other operators, summed on first use.  The engine only ever reads
-``to_csr``, so no backing is tied to a size.
+four backings only build that matrix, once, at construction: from a
+dense matrix, a diagonal, the bit masks and phases of a Pauli sum (never
+densified), or a scaled sum of other operators' CSR forms.  The engine
+only ever reads ``to_csr``, so no backing is tied to a size.
 
 An initial state is always a list of weighted pure vectors, its
 ``components()``: one vector (:class:`PureState`) or a convex mixture
@@ -28,7 +28,6 @@ one ``np.einsum``, no BLAS (see :mod:`hseom.observables`).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -168,35 +167,28 @@ class PauliSumOperator(Operator):
 
 
 class ScaledSumOperator(Operator):
-    """a1 * op1 + a2 * op2 + ..., summed into its CSR on first use.
+    """a1 * op1 + a2 * op2 + ..., summed into its CSR at construction.
 
-    ``hamiltonian_at`` builds one per call.  ``to_dense`` sums the parts'
-    dense forms, so the schedule oracle, which densifies one at every ODE
-    stage, never builds the CSR.
+    ``hamiltonian_at`` builds one per call; ``parts`` keeps the terms.
     """
 
     def __init__(self, parts: Sequence[Tuple[float, Operator]]):
         if not parts:
             raise ValueError("empty operator sum")
         self.parts = tuple(parts)
-        self.dim = self.parts[0][1].dim
-        for _, op in self.parts:
-            if op.dim != self.dim:
-                raise ValueError("operator dimensions differ in sum")
-
-    @functools.cached_property
-    def _csr(self):
-        return _pruned_csr(sum(coef * op.to_csr() for coef, op in self.parts))
-
-    def to_dense(self):
-        return sum(coef * op.to_dense() for coef, op in self.parts)
+        if len({op.dim for _, op in self.parts}) > 1:
+            raise ValueError("operator dimensions differ in sum")
+        super().__init__(sum(coef * op.to_csr() for coef, op in self.parts))
 
 
 def _hermitian_csr(op: Operator, label: str) -> sparse.csr_matrix:
-    """The operator as CSR, refused unless it equals its adjoint."""
+    """The operator as CSR, refused unless it is finite and equals its
+    adjoint."""
     mat = op.to_csr()
+    if not np.isfinite(mat.data).all():
+        raise ConfigError(f"{label} has a non-finite entry", section="model")
     dev = float(abs(mat - mat.conj().T).max())
-    if dev > 1e-12:
+    if not dev <= 1e-12:
         raise ConfigError(f"{label} is not Hermitian (deviation {dev:.2e})",
                           section="model")
     return mat
@@ -253,7 +245,7 @@ class SystemModel:
             r = tau / self.t_f
             dev = float(abs(self.hamiltonian_at(tau).to_csr()
                             - ((1.0 - r) * start + r * end)).max())
-            if dev > 1e-12 * scale:
+            if not dev <= 1e-12 * scale:
                 raise ConfigError(
                     f"H(tau={tau}) is off the linear ramp between H(0) and "
                     f"H(t_f) by {dev:.2e}", section="model")

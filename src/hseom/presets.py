@@ -80,7 +80,8 @@ PRESETS: Dict[str, RunConfig] = {
     "anneal-weak": _anneal(0.01, 2),
     "anneal-intermediate": _anneal(0.1, 2),
     "anneal-strong": _anneal(0.5, 4),
-    # the ten-qubit run is a documented target, not part of the test gate
+    # the ten-qubit run; the test suite checks it against the full
+    # register and checks that its default step is converged
     "anneal-large": _anneal(0.1, 2, Ncal=10),
     # density-matrix structure on the response bath
     "rdm-circular": _cfg(

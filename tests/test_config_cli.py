@@ -480,7 +480,10 @@ def test_cli_config_errors_exit_2(tmp_path):
             ("rdm-circular", "run", "record", negative),
             ("anneal-weak", "run", "record", negative),
             ("respond-circular", "run", "t0", -1.0),
-            ("bath-fit-circular", "run", "t_max", -1.0)):
+            ("bath-fit-circular", "run", "t_max", -1.0),
+            # finite values whose H or c_k pass the float range
+            ("anneal-weak", "model", "Gamma", 1e308),
+            ("anneal-weak", "bath", "zeta", 1e308)):
         cfg = preset(name).replace(section, key, value)
         path = tmp_path / f"{name}-{key}.ini"
         path.write_text(serialize_config(cfg))

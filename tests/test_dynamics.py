@@ -9,8 +9,8 @@ from hseom import (BathExpansion, ConfigError, ContourEngine,
                    DenseOperator, NumericalError, assemble_generator,
                    build_components, build_eta, build_space, preset,
                    pspin_annealing, spin_boson, uniform_superposition)
-from hseom.dynamics import TAYLOR_DEGREE, TAYLOR_STEP_NORM
-from hseom.models import SIGMA_X
+from hseom.dynamics import TAYLOR_DEGREE, TAYLOR_STEP_NORM, _on_one_pattern
+from hseom.models import SIGMA_X, SIGMA_Z, SystemModel
 from hseom.oracles import closed_system_propagate
 
 
@@ -212,6 +212,41 @@ def test_flat_generator_stores_no_zeros(name):
             assert np.array_equal(start.indptr, end.indptr)
             assert np.array_equal(start.indices, end.indices)
             assert np.all((start.data != 0) | (end.data != 0))
+
+
+@pytest.mark.parametrize("pair", ["pspin", "cancelling"])
+def test_a_ramp_pair_shares_the_union_of_its_patterns(pair):
+    # the pspin ends have disjoint patterns; the other pair has one entry
+    # where start = -end, which start + end would drop from the union
+    if pair == "pspin":
+        start, end = (H.toarray() for H in
+                      pspin_annealing(3, Gamma=1.0, p=5, t_f=1.0).ramp)
+    else:
+        start = np.array([[1.0, 2.0j, 0.0], [-2.0j, 0.0, 0.0],
+                          [0.0, 0.0, 0.5]])
+        end = np.array([[-1.0, 0.0, 0.0], [0.0, 3.0, 0.0],
+                        [0.0, 0.0, 0.25]])
+    parts = _on_one_pattern(start, end)
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(parts[0], name),
+                                getattr(parts[1], name))
+    for part, dense in zip(parts, (start, end)):
+        assert np.array_equal(part.toarray(), dense)
+    rows = np.repeat(np.arange(start.shape[0]), np.diff(parts[0].indptr))
+    stored = set(zip(rows.tolist(), parts[0].indices.tolist()))
+    union = set(zip(*np.nonzero((start != 0) | (end != 0))))
+    assert stored == {(int(i), int(j)) for i, j in union}
+    assert len(stored) == parts[0].nnz
+
+
+def test_an_overflowing_norm_bound_is_refused(small_space, small_expansion):
+    # every entry is finite, but B's sums times V's pass the float range
+    model = SystemModel(dim=2, V=DenseOperator(1e308 * SIGMA_Z),
+                        time_dependent=False,
+                        _ham_at=lambda tau: DenseOperator(SIGMA_X))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ConfigError, match="norm bound is inf"):
+        ContourEngine(small_space, small_expansion, model)
 
 
 def test_a_schedule_stores_no_hierarchy_sized_ramp(small_space,

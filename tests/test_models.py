@@ -296,9 +296,28 @@ def test_schedule_off_the_linear_ramp_is_refused():
         SystemModel(dim=2, V=DenseOperator(SIGMA_Z), time_dependent=True,
                     _ham_at=quadratic, t_f=1.0)
 
+    def nan_inside(tau):  # NaN at tau = 0.5, an interior sample
+        r = tau if tau != 0.5 else math.nan
+        return DenseOperator((1.0 - r) * h0 + r * h1)
+
+    with pytest.raises(ConfigError, match="off the linear ramp"):
+        SystemModel(dim=2, V=DenseOperator(SIGMA_Z), time_dependent=True,
+                    _ham_at=nan_inside, t_f=1.0)
+
     def ramp(tau):
         return DenseOperator((1.0 - tau) * h0 + tau * h1)
 
     model = SystemModel(dim=2, V=DenseOperator(SIGMA_Z),
                         time_dependent=True, _ham_at=ramp, t_f=1.0)
     assert np.array_equal(model.ramp[1].toarray(), h1)
+
+
+def test_non_finite_operators_are_refused():
+    # NaN fails every comparison, so a Hermitian check alone passes it
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ConfigError, match="coupling operator has a non-fin"):
+        SystemModel(dim=2, V=DenseOperator(bad), time_dependent=False,
+                    _ham_at=lambda tau: DenseOperator(SIGMA_Z))
+    # a driver past the float range, whose H - H^dagger is inf - inf
+    with pytest.raises(ConfigError, match=r"H\(tau=0.0\) has a non-finite"):
+        pspin_annealing(4, 1e308, 5, 1.0)
