@@ -405,7 +405,8 @@ def compute_coefficients(spec: BathSpec) -> BathExpansion:
     total = _theta_integrals(spec, _node_count(K),
                              lambda theta: np.cos(np.outer(ks, theta)),
                              f"the K = {K} coefficients")
-    c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks * Om * total
     if not np.isfinite(c).all():
         raise ConfigError(f"the K = {K} coefficients overflow the float "
                           f"range", section="bath")

@@ -190,9 +190,10 @@ def _record(comps, metadata, attempts: int) -> Dict[str, str]:
     """Manifest entries: the observable's metadata, with the ``dt`` it ran
     at; ``dt_norm``, that dt times the norm bound, the smaller of the
     bounds on ||G||_1 and ||G||_inf; the expansion error; each as the repr
-    of a float, but for the counts: the ``products`` the metadata holds,
-    the attempts :func:`_solve` took, the ``step_degree``, the degree
-    of every Taylor factor of the step (8), and the size of the problem:
+    of a float, but for the counts: the ``products`` and ``sweep_threads``
+    the metadata holds, the attempts :func:`_solve` took, the
+    ``step_degree``, the degree of every Taylor factor of the step (8),
+    and the size of the problem:
     ``awf_count``, the system ``dim`` and ``generator_entries``, the
     entries the engine stores over its ``generator_parts``.
     ``products`` counts the sparse products of the attempt that ran to

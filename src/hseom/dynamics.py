@@ -74,14 +74,17 @@ a CSC view of the same three arrays, and a CSC product sums each output
 entry in the order a CSR product of the transposed matrix sums its row,
 so its sweep is bit for bit the sweep of a stored G^T.  The cost is one
 forward and one transpose sweep per initial-state component, O(horizon)
-whatever the number of record times.  The observables run the two sweeps
-concurrently on two threads, which ``integrate_span`` allows: it writes
-nothing but its own copy of the state.  A step is sparse products and
-elementwise numpy, and the observables read each record time with one
-``np.einsum``, so no BLAS runs in a sweep, nor in the set-up before it
-(see :mod:`hseom.bath`).  The two threads never wake OpenBLAS's own, which
-would busy-wait after a call and take a core from the sweeps, and no
-result depends on the BLAS thread count.
+whatever the number of record times.  On a generator large enough for
+a product to outlast a hand-off of the GIL the observables run the two
+sweeps concurrently on two threads, which ``integrate_span`` allows: it
+writes nothing but its own copy of the state.  On a smaller one they run
+the transpose's span after the forward's on the calling thread, with the
+same bits (``observables._OVERLAP_ENTRIES``).  A step is sparse products
+and elementwise numpy, and the observables read each record time with
+one ``np.einsum``, so no BLAS runs in a sweep, nor in the set-up before
+it (see :mod:`hseom.bath`).  The sweeps never wake OpenBLAS's own
+threads, which would busy-wait after a call and take a core from them,
+and no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ __all__ = ["build_coupling_matrices", "ContourEngine", "TAYLOR_DEGREE",
            "TAYLOR_STEP_NORM"]
 
 _GRID_TOL = 1e-9
+# the largest grid step a time may map to: beyond 2**53, s = n dt no longer
+# tells neighbouring steps apart, and no run of that many steps would end
+_MAX_STEP = 2 ** 53
 # degree of every Taylor factor of the step: a multiple of 4, the only
 # degrees stable on the imaginary axis (module docstring)
 TAYLOR_DEGREE = 8
@@ -113,14 +119,19 @@ TAYLOR_STEP_NORM = 3.35
 
 
 def _step_of(s: float, dt: float, scale: float, what: str) -> int:
-    """The grid step of contour time s; refuses s < 0, dt <= 0, off-grid s."""
+    """The grid step of contour time s; refuses s < 0, dt <= 0, off-grid s
+    and a step past ``_MAX_STEP``."""
     if not dt > 0:
         raise ConfigError(f"dt = {dt} must be positive", section="integrator",
                           key="dt")
     if s < 0:
         raise ConfigError(f"{what} at s = {s} precedes the start of the "
                           f"contour", section="plan")
-    step = int(round(s / dt))
+    n = float(s) / float(dt)  # Python floats: inf, not a numpy warning
+    if not n <= _MAX_STEP:
+        raise ConfigError(f"{what} at s = {s} is {n:.3g} steps of "
+                          f"dt = {dt}, more than 2**53", section="plan")
+    step = int(round(n))
     if abs(step * dt - s) > _GRID_TOL * max(1.0, scale):
         raise ConfigError(f"{what} at s = {s} is off the dt = {dt} grid",
                           section="plan")

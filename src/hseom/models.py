@@ -314,8 +314,6 @@ def pspin_annealing(Ncal: int, Gamma: float, p: int, t_f: float) -> SystemModel:
         raise ConfigError("t_f must be positive", section="model", key="t_f")
     k = np.arange(Ncal + 1)
     m = 2.0 * k - Ncal
-    hop = -Gamma * np.sqrt((Ncal - k[:-1]) * (k[:-1] + 1.0))
-    h0 = Operator(sparse.diags([hop, hop], [-1, 1]))
     h1 = DiagonalOperator(-Ncal * (m / Ncal) ** p)
     v = DiagonalOperator(m)
 
@@ -323,10 +321,16 @@ def pspin_annealing(Ncal: int, Gamma: float, p: int, t_f: float) -> SystemModel:
         r = tau / t_f
         return ScaledSumOperator([(1.0 - r, h0), (r, h1)])
 
-    with np.errstate(over="ignore"):  # inf past the float range, k ~ Ncal/2
+    # past the float range the multiplicity is inf at k ~ Ncal/2, and a
+    # driver is inf, whose complex products in H(0) are NaN; SystemModel
+    # refuses such an H(0) as a config error
+    with np.errstate(over="ignore", invalid="ignore"):
+        hop = -Gamma * np.sqrt((Ncal - k[:-1]) * (k[:-1] + 1.0))
+        h0 = Operator(sparse.diags([hop, hop], [-1, 1]))
         multiplicity = np.round(np.exp(_log_binomials(Ncal)))
-    return SystemModel(dim=Ncal + 1, V=v, time_dependent=True,
-                       _ham_at=ham_at, t_f=t_f, multiplicity=multiplicity)
+        return SystemModel(dim=Ncal + 1, V=v, time_dependent=True,
+                           _ham_at=ham_at, t_f=t_f,
+                           multiplicity=multiplicity)
 
 
 @dataclasses.dataclass(eq=False)

@@ -18,18 +18,23 @@ alike.
 
 Every result's metadata is its sweep record: ``dt``, ``max_trace_error``,
 the largest entry of each sweep, the top hierarchy level's largest entry,
-the seconds each side of the pair ran (``_SWEEP_KEYS``) and the sparse
-products both sides took (``products``), with the observable's own keys
-beside them.
+the seconds each side of the pair ran (``_SWEEP_KEYS``), the sparse
+products both sides took (``products``) and the threads the pair ran on
+(``sweep_threads``), with the observable's own keys beside them.
 
 The two sweeps of a pair share nothing mutable until they meet at a record
-time, so they run concurrently: the transpose on a worker thread, the
-forward on the calling one, each doing the same float operations in the
-same order as it would alone.  Every readout is one ``np.einsum`` over
-the rows, summed by numpy's own loops with no BLAS, and the bath set-up
-before the sweeps calls none either.  So no output depends on the BLAS
-thread count, and no OpenBLAS thread is woken to busy-wait and take a
-core from the sweeps.
+time, so on a large generator they run concurrently: the transpose on a
+worker thread, the forward on the calling one.  On a small one the
+transpose runs on the calling thread after each forward span, since there
+a sparse product is a few microseconds of C and the two Python-bound
+sweeps would mostly wait on each other for the GIL (``_OVERLAP_ENTRIES``).
+Either way each sweep does the same float operations in the same order as
+it would alone, so every output is bit-identical whichever path runs, and
+the metadata's ``sweep_threads`` says which one did.  Every readout is
+one ``np.einsum`` over the rows, summed by numpy's own loops with no BLAS,
+and the bath set-up before the sweeps calls none either.  So no output
+depends on the BLAS thread count, and no OpenBLAS thread is woken to
+busy-wait and take a core from the sweeps.
 
 In continuous time the closed contour is the identity, so the trace of
 every rho_S(t) is 1 and whatever a run measures beyond that is the
@@ -43,7 +48,9 @@ that names a smaller step.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -77,14 +84,28 @@ TRACE_TOL = 1e-4
 # largest equilibration drift of P_1 a response passes without a warning
 DRIFT_TOL = 0.05
 # the largest entries and the busy seconds that _advance_together keeps;
-# _sweep_report adds its count of sparse products
+# _sweep_report adds its count of sparse products and of sweep threads
 _SWEEP_KEYS = ("c1_max_abs", "adjoint_max_abs", "top_level_max_abs",
                "forward_sweep_s", "adjoint_sweep_s")
+# stored entries of G_c, the work of one sparse product, from which the
+# transpose sweep runs on a worker thread beside the forward one.  Below
+# it the two Python-bound sweeps mostly wait on each other for the GIL
+# that each product releases.  Measured on 2 shared cores, one solve with
+# each path in alternating pairs (medians, inline time over threaded):
+# rdm 0.45-0.58 at 40-7,280 entries, 0.60-0.94 at 11,200, 1.14 at
+# 13,600, 1.03-1.33 at 16,320-30,800 and 1.7-2.0 at 230,230-1,063,920;
+# anneal 0.49-0.83 at 888-21,330 (888 is anneal-large), 0.73-0.92 at
+# 33,852, 1.04-1.23 at 39,468 and 1.15-1.60 at 65,702-243,168.  A
+# schedule's step holds more Python per product, so its crossover lies
+# higher.  So every shipped anneal (384-3,584) runs inline and every
+# fixed preset (30,800 and up) keeps the worker
+_OVERLAP_ENTRIES = 1 << 14
 
 
 def _sweep_report() -> Dict[str, float]:
     """A blank report for :func:`_advance_together` to fill."""
-    return {**dict.fromkeys(_SWEEP_KEYS, 0.0), "products": 0}
+    return {**dict.fromkeys(_SWEEP_KEYS, 0.0), "products": 0,
+            "sweep_threads": 1}
 
 
 @dataclasses.dataclass(eq=False)
@@ -166,37 +187,44 @@ def _advance_together(engine: ContourEngine, transpose: ContourEngine,
     a^T (I x O) y = tr{O rho_v(t)}.  Returns the last (y, a).
 
     Each segment's transpose span runs on one worker thread while the
-    calling thread runs the forward span.  The two engines share the
-    space, expansion and model read-only, and ``integrate_span`` copies
-    its input, so the sweeps share no mutable state.  The worker's result,
-    or its NumericalError, is read before ``visit`` runs, even when the
-    forward span raises, and the worker has stopped by the time this
-    returns or raises.
+    calling thread runs the forward span, if G_c stores at least
+    ``_OVERLAP_ENTRIES`` entries; otherwise it runs on the calling thread
+    after the forward span.  The two engines share the space, expansion
+    and model read-only, and ``integrate_span`` copies its input, so the
+    sweeps share no mutable state and both paths give the same bits.  The
+    transpose's result, or its NumericalError, is read before ``visit``
+    runs, even when the forward span raises, and no worker outlives the
+    call.
 
     ``report`` keeps the largest entry of each sweep under "c1_max_abs"
     and "adjoint_max_abs", the largest entry of the forward state's top
     hierarchy level at the visited steps under "top_level_max_abs" (a
     report of how much weight the truncation at N_max cuts off), and adds
     the seconds each side spent in its spans to "forward_sweep_s" and
-    "adjoint_sweep_s": a solve near their maximum, not their sum, shows
-    the overlap.  It adds the sparse products both sides took to
-    "products" (:attr:`ContourEngine.step_products` per step).  Only the
+    "adjoint_sweep_s": on two threads, a solve near their maximum, not
+    their sum, shows the overlap.  It adds the sparse products both sides
+    took to "products" (:attr:`ContourEngine.step_products` per step) and
+    sets "sweep_threads" to the threads the pair ran on, 1 or 2.  Only the
     calling thread writes it.
     """
     prev = step0
     top_level = engine.space.level_slice(engine.space.N_max)
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    threaded = engine.generator_parts[0].nnz >= _OVERLAP_ENTRIES
+    report["sweep_threads"] = 2 if threaded else 1
+    with ThreadPoolExecutor(max_workers=1) if threaded \
+            else contextlib.nullcontext() as worker:
         for r, step in enumerate(steps):
             if step > prev:
-                back = worker.submit(_timed, transpose.integrate_span, a,
-                                     prev, step - prev, dt, -1.0,
-                                     tau_of=lambda s: s)
+                span = functools.partial(_timed, transpose.integrate_span,
+                                         a, prev, step - prev, dt, -1.0,
+                                         tau_of=lambda s: s)
+                back = span if worker is None else worker.submit(span).result
                 try:
                     (y, top), busy = _timed(engine.integrate_span, y, prev,
                                             step - prev, dt, +1.0,
                                             tau_of=lambda s: s)
                 finally:
-                    (a, a_top), a_busy = back.result()
+                    (a, a_top), a_busy = back()
                 report["c1_max_abs"] = max(report["c1_max_abs"], top)
                 report["adjoint_max_abs"] = max(report["adjoint_max_abs"],
                                                 a_top)

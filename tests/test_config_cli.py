@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,7 +435,7 @@ def test_cli_preflight_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["preflight", "--config", str(cfg_path)]) == 4
 
 
-def test_cli_config_errors_exit_2(tmp_path):
+def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nkind = rdm\n[bath]\ncolor = blue\n")
     assert main(["rdm", "--config", str(bad)]) == 2
@@ -467,7 +468,10 @@ def test_cli_config_errors_exit_2(tmp_path):
     with pytest.warns(HorizonWarning):
         assert main(["anneal", "--config", str(late),
                      "--out", str(tmp_path / "out")]) == 2
-    # malformed values that used to run to a wrong answer or crash
+    capsys.readouterr()
+    # malformed values that used to run to a wrong answer, crash or hang;
+    # each prints its config error alone, no numpy RuntimeWarning before
+    # it, and preflight refuses it too
     negative = GridSpec(-0.5, 0.5, 0.25)
     for name, section, key, value in (
             ("rdm-circular", "integrator", "dt", -0.01),
@@ -483,12 +487,20 @@ def test_cli_config_errors_exit_2(tmp_path):
             ("bath-fit-circular", "run", "t_max", -1.0),
             # finite values whose H or c_k pass the float range
             ("anneal-weak", "model", "Gamma", 1e308),
-            ("anneal-weak", "bath", "zeta", 1e308)):
+            ("anneal-weak", "bath", "zeta", 1e308),
+            # a default step of 6.7e-308, whose run would never end
+            ("respond-circular", "model", "omega0", 1e308)):
         cfg = preset(name).replace(section, key, value)
         path = tmp_path / f"{name}-{key}.ini"
         path.write_text(serialize_config(cfg))
-        assert main([cfg.experiment, "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2, (key, value)
+        for sub in (cfg.experiment, "preflight"):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert main([sub, "--config", str(path), "--out",
+                             str(tmp_path / "out")]) == 2, (sub, key, value)
+            assert [str(w.message) for w in seen] == [], (sub, key, value)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
 @pytest.mark.parametrize("grid", ["0.0:4.0:0.0", "4.0:0.0:0.1", "0.0:4.0"])
@@ -747,7 +759,8 @@ def test_cli_anneal_artifacts(tmp_path):
 _SHARED_KEYS = ("dt", "dt_norm", "attempts", "step_degree", "products",
                 "expansion_error", "max_trace_error", "c1_max_abs",
                 "adjoint_max_abs", "top_level_max_abs", "forward_sweep_s",
-                "adjoint_sweep_s", "awf_count", "dim", "generator_entries")
+                "adjoint_sweep_s", "sweep_threads", "awf_count", "dim",
+                "generator_entries")
 
 
 def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
@@ -760,16 +773,19 @@ def test_every_run_manifest_holds_the_sweep_record(tmp_path, monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(cli, "rdm_trajectory", kept)
-    for command, name, own in (
-            ("respond", "respond_circular", ("t0", "drift", "p1_at_t0")),
-            ("anneal", "anneal_weak", ("cluster_tol",)),
-            ("rdm", "dephasing", ("max_hermiticity_error",))):
+    # a fixed preset's G_c (30,800 entries and up) keeps the worker
+    # thread, an anneal's (384) runs its two sweeps on one
+    for command, name, threads, own in (
+            ("respond", "respond_circular", "2", ("t0", "drift", "p1_at_t0")),
+            ("anneal", "anneal_weak", "1", ("cluster_tol",)),
+            ("rdm", "dephasing", "2", ("max_hermiticity_error",))):
         out = tmp_path / name
         assert main([command, "--config", str(CONFIG_DIR / f"{name}.ini"),
                      "--out", str(out)]) == 0
         entries = _manifest_entries(out)
         for key in _SHARED_KEYS + own:
             assert float(entries[key]) >= 0.0, (command, key)
+        assert entries["sweep_threads"] == threads, name
     # the trace error written is the one the refusal compared
     (result,) = returned
     assert entries["max_trace_error"] == \
@@ -789,6 +805,8 @@ def test_anneal_manifest_reports_the_problem_size(tmp_path):
     assert (entries["awf_count"], entries["dim"]) == ("21", "11")
     assert entries["generator_entries"] == str(stored)
     assert engine.generator_parts[0].nnz == 888 and stored == 948
+    # too small a product to overlap: both sweeps ran on the calling thread
+    assert entries["sweep_threads"] == "1"
 
 
 def test_anneal_runs_past_sixteen_qubits(tmp_path):

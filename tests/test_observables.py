@@ -381,11 +381,28 @@ def _small_anneal_engine(expansion, n_max=1):
                          pspin_annealing(2, Gamma=1.0, p=3, t_f=1.0))
 
 
-@pytest.mark.parametrize("scheduled", [False, True])
+def _sweep_on(monkeypatch, threads):
+    """Run every pair of sweeps on ``threads`` threads, whatever G_c's size:
+    the transpose on a worker from G_c's first stored entry (2), or on the
+    calling thread at every size (1)."""
+    monkeypatch.setattr(observables, "_OVERLAP_ENTRIES",
+                        0 if threads == 2 else 1 << 62)
+
+
+def _both_paths(*cases):
+    """Each case on two threads, under its own id, and on one."""
+    return [pytest.param(*case, 2, id=str(case[0])) for case in cases] + [
+        pytest.param(*case, 1, id=f"{case[0]}-one-thread") for case in cases]
+
+
+@pytest.mark.parametrize("scheduled, threads", _both_paths([False], [True]))
 def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
-                                                scheduled, rng):
-    # the transpose span on the worker thread takes the same steps, bit for
-    # bit, as the two sweeps run one after the other
+                                                scheduled, threads, rng,
+                                                monkeypatch):
+    # the transpose span, on the worker thread or after the forward span,
+    # takes the same steps, bit for bit, as the two sweeps run one after
+    # the other
+    _sweep_on(monkeypatch, threads)
     engine = _small_anneal_engine(small_expansion, 2) if scheduled \
         else small_engine
     transpose = engine.transpose()
@@ -413,11 +430,14 @@ def test_threaded_sweeps_match_sequential_spans(small_engine, small_expansion,
     # one factor of G_c's product for a fixed G, two of G_c's and
     # H(tau)'s for a schedule
     assert report["products"] == 2 * 25 * (32 if scheduled else 8)
+    assert report["sweep_threads"] == threads
 
 
-@pytest.mark.parametrize("observable", ["rdm", "anneal"])
+@pytest.mark.parametrize("observable, threads",
+                         _both_paths(["rdm"], ["anneal"]))
 def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
-        small_engine, small_expansion, monkeypatch, observable):
+        small_engine, small_expansion, monkeypatch, observable, threads):
+    _sweep_on(monkeypatch, threads)
     original = ContourEngine.transpose
 
     def poisoned(self):
@@ -439,11 +459,9 @@ def test_a_non_finite_adjoint_sweep_raises_and_stops_the_worker(
     assert threading.active_count() == before
 
 
-def test_observables_on_shared_engines_from_many_threads(small_engine,
-                                                         small_expansion):
-    # four callers share two engines while the interpreter switches
-    # threads as often as it can; each must get the serial answer exactly
-    anneal_engine = _small_anneal_engine(small_expansion)
+def _observe_from_many_threads(small_engine, anneal_engine):
+    """Four callers share two engines while the interpreter switches
+    threads as often as it can; each must get the serial answer exactly."""
     record = [0.0, 0.2, 0.5]
 
     def rdm():
@@ -485,3 +503,43 @@ def test_observables_on_shared_engines_from_many_threads(small_engine,
         for run in runs:
             assert all(np.array_equal(x, w) for x, w in zip(run, want))
     assert threading.active_count() == before
+
+
+def test_observables_on_shared_engines_from_many_threads(small_engine,
+                                                         small_expansion,
+                                                         monkeypatch):
+    # with each pair's transpose sweep on a worker thread, then on its
+    # caller's
+    for threads in (2, 1):
+        _sweep_on(monkeypatch, threads)
+        _observe_from_many_threads(small_engine,
+                                   _small_anneal_engine(small_expansion))
+
+
+@pytest.mark.parametrize("observable", ["rdm", "anneal"])
+def test_both_sweep_paths_give_the_same_bits(small_engine, small_expansion,
+                                             monkeypatch, observable):
+    # the path is chosen by G_c's size alone and changes no output: every
+    # array and every metadata entry but the seconds and the thread count
+    # comes out bit-identical
+    anneal_engine = _small_anneal_engine(small_expansion, 2)
+    record = [0.0, 0.2, 0.5]
+
+    def solve(threads):
+        _sweep_on(monkeypatch, threads)
+        if observable == "rdm":
+            _, rho, meta = rdm_trajectory(
+                small_engine, PureState(np.array([0.6, 0.8j])), 0.01, record)
+            return [rho], meta
+        trace = annealing_populations(anneal_engine,
+                                      uniform_superposition(2), 0.01, record)
+        return [trace.p_ground, trace.p_excited_rep, trace.p_excited_sum,
+                trace.trace], trace.metadata
+
+    (inline, one), (threaded, two) = solve(1), solve(2)
+    assert (one.pop("sweep_threads"), two.pop("sweep_threads")) == (1, 2)
+    assert all(np.array_equal(x, y) for x, y in zip(inline, threaded))
+    for meta in (one, two):
+        for key in ("forward_sweep_s", "adjoint_sweep_s"):
+            assert meta.pop(key) > 0.0
+    assert one == two

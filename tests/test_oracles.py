@@ -163,13 +163,18 @@ def test_schedule_oracle_reduces_to_fixed_case():
 
 
 def test_schedule_oracle_on_scheduled_model():
-    # independent fine-step RK4 in the test, touching only hamiltonian_at
+    # independent fine-step RK4 in the test on H(0) and H(t_f), read dense
+    # once and ramped linearly, as SystemModel's contract has it
     model = pspin_annealing(2, Gamma=1.0, p=2, t_f=1.0)
     dim = model.dim
     psi0 = np.ones(dim, dtype=complex) / np.sqrt(dim)
+    h0, h1 = (model.hamiltonian_at(tau).to_dense() for tau in (0.0, 1.0))
+    for tau in (0.1, 0.5, 0.75):
+        assert np.abs(model.hamiltonian_at(tau).to_dense()
+                      - ((1.0 - tau) * h0 + tau * h1)).max() < 1e-15
 
     def deriv(tau, psi):
-        return -1j * (model.hamiltonian_at(tau).to_dense() @ psi)
+        return -1j * (((1.0 - tau) * h0 + tau * h1) @ psi)
 
     dt = 1e-4
     psi = psi0.copy()
